@@ -1,6 +1,7 @@
 // Package fixture exercises the lockcheck analyzer: guardedby
 // annotations, the Locked-suffix and TryLock idioms, acquires-annotated
-// helpers, goroutine lock-context resets, and a malformed annotation.
+// helpers, goroutine lock-context resets, inline closures, per-instance
+// lock matching, and a malformed annotation.
 package fixture
 
 import "sync"
@@ -85,3 +86,54 @@ type Orphan struct {
 // Read uses Orphan so it is not dead code; n is unguarded (the
 // annotation was rejected), so this is clean.
 func Read(o *Orphan) int { return o.n }
+
+// TryBody reads inside the TryLock-guarded body — clean.
+func (c *Counter) TryBody() int {
+	n := 0
+	if c.mu.TryLock() {
+		n = c.n
+		c.mu.Unlock()
+	}
+	return n
+}
+
+// Closure runs an inline (non-go) literal under the caller's lock: the
+// literal executes on the caller's schedule, so the read is clean.
+func (c *Counter) Closure() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	get := func() int { return c.n }
+	return get()
+}
+
+// ClosureUnlocked is the same literal with no lock held — flagged.
+func (c *Counter) ClosureUnlocked() int {
+	get := func() int {
+		return c.n // want `Counter\.n \(guardedby mu\) accessed without holding c\.mu`
+	}
+	return get()
+}
+
+// Other holds c.mu but reads another instance's counter: the lock is
+// matched per instance, so the read is flagged against o.mu.
+func (c *Counter) Other(o *Counter) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return o.n // want `Counter\.n \(guardedby mu\) accessed without holding o\.mu`
+}
+
+// acquire returns its argument locked.
+//
+// auditlint:acquires(mu)
+func acquire(c *Counter) *Counter {
+	c.mu.Lock()
+	return c
+}
+
+// Acquired reads through the acquires-annotated helper's locked result
+// — clean.
+func Acquired(src *Counter) int {
+	c := acquire(src)
+	defer c.mu.Unlock()
+	return c.n
+}
