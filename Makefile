@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-report lint-cache-smoke ci bench bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
+.PHONY: build test race vet lint lint-report ci bench bench-test bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
 
 build:
 	$(GO) build ./...
@@ -15,23 +15,15 @@ vet:
 # Static analysis: go vet plus auditlint, the repo's custom stdlib-only
 # analyzer suite (cmd/auditlint, docs/LINTING.md) enforcing the
 # determinism, locking and persistence invariants the replay/replication
-# layers depend on. -cache reuses the summary cache (.auditlint-cache/,
-# gitignored) keyed on source + export-data hashes, so warm runs skip
-# the load-and-analyze phase entirely.
+# layers depend on. Every run loads and analyzes the whole module.
 lint: vet
-	$(GO) run ./cmd/auditlint -cache ./...
+	$(GO) run ./cmd/auditlint ./...
 
-# Machine-readable findings report (schema 2, with witness chains) for
+# Machine-readable findings report (schema 3, with witness chains) for
 # the CI artifact. Exit code is the same 0/1/2 contract as `lint`.
 LINT_REPORT ?= auditlint-findings.json
 lint-report:
-	$(GO) run ./cmd/auditlint -cache -json ./... > $(LINT_REPORT)
-
-# Warm-vs-cold cache smoke: over the real module, the second (warm)
-# auditlint run must beat the cold one. Wall-clock assertions belong on
-# a deliberate invocation, so the test is env-gated like bench-guard.
-lint-cache-smoke:
-	LINT_CACHE_SMOKE=1 $(GO) test -run TestCacheWarmFasterThanCold -count=1 -v ./cmd/auditlint
+	$(GO) run ./cmd/auditlint -json ./... > $(LINT_REPORT)
 
 test:
 	$(GO) test ./...
@@ -39,7 +31,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-ci: build lint race loadgen-smoke report-smoke
+ci: build lint race bench-test loadgen-smoke report-smoke
 
 # End-to-end failover drill across real OS processes: build the binary,
 # run a primary and a streaming replica, push 50 queries, diff the
@@ -92,6 +84,11 @@ BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 bench:
 	$(GO) test -run='^$$' -bench='Decide$$|DecideDefaultBudget$$|AggregateDecideQPS$$|ColoringChain|^BenchmarkSession|^BenchmarkResolve|^BenchmarkServeAsk' -benchmem -json . ./internal/session ./internal/server > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
+
+# Unit and smoke tests of the end-to-end benchmark (bench/). It is a
+# separate Go module, so the root `go test ./...` never runs them.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Wall-clock tripwire for the workers>1 regression: a parallel
 # per-decision cap must not cost materially more than the sequential run

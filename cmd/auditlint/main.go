@@ -10,12 +10,10 @@
 // suppressed only by an explicit //auditlint:allow <analyzer> <reason>
 // comment.
 //
-// -json emits the schema-2 envelope: analyzers run, packages analyzed,
-// cache disposition, and the findings with their witness chains.
-// -why pkg.Func prints the engine's interprocedural facts for one
-// function (which taints reach it, and the chains proving it).
-// -cache reuses the previous run's findings when no analysis input
-// changed (see internal/lint cache.go).
+// -json emits the schema-3 envelope: analyzers run, packages analyzed,
+// and the findings with their witness chains. -why pkg.Func prints the
+// engine's interprocedural facts for one function (which taints reach
+// it, and the chains proving it).
 //
 // The tool is built purely on the Go standard library (go/parser,
 // go/ast, go/types, export data served by `go list -export`).
@@ -31,25 +29,22 @@ import (
 	"queryaudit/internal/lint"
 )
 
-// jsonReport is the -json schema-2 envelope.
+// jsonReport is the -json schema-3 envelope.
 type jsonReport struct {
 	Schema    int            `json:"schema"`
 	Tool      string         `json:"tool"`
 	Analyzers []string       `json:"analyzers"`
 	Packages  []string       `json:"packages"`
-	Cache     string         `json:"cache"` // "off", "hit" or "miss"
 	Findings  []lint.Finding `json:"findings"`
 }
 
 func main() {
 	var (
 		listOnly = flag.Bool("list", false, "list analyzers and exit")
-		jsonOut  = flag.Bool("json", false, "emit the schema-2 JSON report")
+		jsonOut  = flag.Bool("json", false, "emit the schema-3 JSON report")
 		only     = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
 		chdir    = flag.String("C", ".", "directory to resolve packages from")
 		why      = flag.String("why", "", "explain the engine's facts for a function (e.g. mcpar.Vote) and exit")
-		useCache = flag.Bool("cache", false, "reuse cached findings when no analysis input changed")
-		cacheDir = flag.String("cache-dir", "", "cache directory (default <module root>/.auditlint-cache)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: auditlint [flags] [packages]\n\nFlags:\n")
@@ -87,22 +82,13 @@ func main() {
 		names = append(names, a.Name)
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	list, err := lint.ListPackages(*chdir, patterns...)
+	prog, err := lint.LoadPackages(*chdir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "auditlint:", err)
 		os.Exit(2)
 	}
 
 	if *why != "" {
-		prog, err := list.Load()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auditlint:", err)
-			os.Exit(2)
-		}
 		text, ok := lint.Explain(prog, *why)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "auditlint: no module function matches %q\n", *why)
@@ -112,60 +98,16 @@ func main() {
 		return
 	}
 
-	cacheState := "off"
-	var cache *lint.Cache
-	var key string
-	var perPkg map[string]string
-	var findings []lint.Finding
-	pkgPaths := list.MainPackages()
-	cached := false
-	if *useCache {
-		dir := *cacheDir
-		if dir == "" {
-			root, err := lint.ModuleRoot(*chdir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "auditlint:", err)
-				os.Exit(2)
-			}
-			dir = lint.DefaultCacheDir(root)
-		}
-		cache = &lint.Cache{Dir: dir}
-		key, perPkg, err = list.Fingerprint(names)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auditlint:", err)
-			os.Exit(2)
-		}
-		if fs, ok := cache.Lookup(key); ok {
-			findings, cached, cacheState = fs, true, "hit"
-		} else {
-			cacheState = "miss"
-			if stale := cache.Invalidated(perPkg); len(stale) > 0 {
-				fmt.Fprintf(os.Stderr, "auditlint: cache invalidated by %s\n", strings.Join(stale, ", "))
-			}
-		}
-	}
-	if !cached {
-		prog, err := list.Load()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auditlint:", err)
-			os.Exit(2)
-		}
-		findings = lint.Run(prog, analyzers)
-		if cache != nil {
-			if err := cache.Store(key, perPkg, findings); err != nil {
-				fmt.Fprintln(os.Stderr, "auditlint: writing cache:", err)
-			}
-		}
-	}
-
+	findings := lint.Run(prog, analyzers)
 	if *jsonOut {
 		rep := jsonReport{
-			Schema:    2,
+			Schema:    3,
 			Tool:      "auditlint",
 			Analyzers: names,
-			Packages:  pkgPaths,
-			Cache:     cacheState,
 			Findings:  findings,
+		}
+		for _, p := range prog.Pkgs {
+			rep.Packages = append(rep.Packages, p.Path)
 		}
 		if rep.Findings == nil {
 			rep.Findings = []lint.Finding{}

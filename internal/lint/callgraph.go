@@ -312,6 +312,7 @@ func FuncDisplayName(fn *types.Func) string {
 // analyzers build them once per Run.
 type engine struct {
 	graph *Graph
+	locks *lockScanner
 }
 
 // Engine returns the program's lazily built interprocedural engine.
@@ -320,4 +321,14 @@ func (p *Program) Engine() *Graph {
 		p.eng = &engine{graph: NewGraph(p)}
 	}
 	return p.eng.graph
+}
+
+// lockScan returns the program's memoized held-lock scan, shared by
+// lockcheck and lockorder.
+func (p *Program) lockScan() *lockScanner {
+	g := p.Engine()
+	if p.eng.locks == nil {
+		p.eng.locks = scanLocks(p, g)
+	}
+	return p.eng.locks
 }

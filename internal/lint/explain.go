@@ -49,7 +49,7 @@ func Explain(prog *Program, name string) (string, bool) {
 	loops := g.Propagate(loopForeverSeeds(g))
 	life := g.Propagate(lifecycleSeeds(g))
 	shared := sharedRandReturns(g)
-	acq, _ := collectAcquires(prog, g)
+	acq := prog.lockScan().acq
 
 	var b strings.Builder
 	for i, fn := range fns {

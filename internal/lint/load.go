@@ -150,19 +150,11 @@ func goList(dir string, args ...string) ([]*listPkg, error) {
 	return pkgs, nil
 }
 
-// PackageList is the result of the `go list` phase, before any parsing
-// or type-checking: enough to fingerprint every analysis input (see
-// Fingerprint) without paying for a load, and to Load the Program when
-// the fingerprint misses the cache.
-type PackageList struct {
-	dir  string
-	pkgs []*listPkg
-}
-
-// ListPackages enumerates the package graph for the main-module
-// packages matched by patterns, rooted at dir. This is the cheap half
-// of LoadPackages: no file is parsed or type-checked.
-func ListPackages(dir string, patterns ...string) (*PackageList, error) {
+// LoadPackages loads the main-module packages matched by patterns
+// (plus, from source, any main-module packages they depend on), rooted
+// at dir. Out-of-module dependencies are satisfied by compiler export
+// data and do not appear in the returned Program.
+func LoadPackages(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -171,34 +163,12 @@ func ListPackages(dir string, patterns ...string) (*PackageList, error) {
 	if err != nil {
 		return nil, err
 	}
+	l := newLoader(token.NewFileSet())
+	var order []string
 	for _, p := range pkgs {
 		if p.Error != nil {
 			return nil, errors.New("go list: " + p.Error.Err)
 		}
-	}
-	return &PackageList{dir: dir, pkgs: pkgs}, nil
-}
-
-// MainPackages returns the import paths of the listed main-module
-// packages (the ones analysis covers), sorted.
-func (pl *PackageList) MainPackages() []string {
-	var out []string
-	for _, p := range pl.pkgs {
-		if p.Module != nil && p.Module.Main {
-			out = append(out, p.ImportPath)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load parses and type-checks the listed main-module packages into a
-// Program. Out-of-module dependencies are satisfied by compiler export
-// data and do not appear in the returned Program.
-func (pl *PackageList) Load() (*Program, error) {
-	l := newLoader(token.NewFileSet())
-	var order []string
-	for _, p := range pl.pkgs {
 		if p.Module != nil && p.Module.Main {
 			l.locals[p.ImportPath] = p
 			order = append(order, p.ImportPath)
@@ -221,17 +191,6 @@ func (pl *PackageList) Load() (*Program, error) {
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
 	return prog, nil
-}
-
-// LoadPackages loads the main-module packages matched by patterns
-// (plus, from source, any main-module packages they depend on), rooted
-// at dir: ListPackages followed by Load.
-func LoadPackages(dir string, patterns ...string) (*Program, error) {
-	pl, err := ListPackages(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Load()
 }
 
 // LoadDir loads the single package in dir (non-test files only) under

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -11,10 +12,11 @@ import (
 //	// auditlint:guardedby(mu)
 //
 // annotations naming a sibling mutex field; every read or write of such
-// a field must then happen with that mutex held. "Held" is established
-// lexically, scanning the statements of each enclosing block before the
-// access for, on the same base expression as the access (`e`, `sh`,
-// `c.s`, ...):
+// a field must then happen with that mutex held. "Held" comes from the
+// held-lock scan lockorder also uses (lockScanner), matched per
+// instance: an entry covers the access only if it locks mu on the same
+// base expression as the access (`e`, `sh`, `c.s`, ...). Entries come
+// from:
 //
 //   - base.mu.Lock() / base.mu.RLock()           (cleared by Unlock/RUnlock)
 //   - if !base.mu.TryLock() { return/continue }  (the guard-clause idiom)
@@ -28,8 +30,9 @@ import (
 // repo-wide convention for "caller holds the lock"), and individual
 // accesses can carry //auditlint:allow lockcheck <reason>.
 //
-// A `go func() { ... }` literal starts a fresh lock context: locks held
-// by the spawner do not protect the goroutine's body.
+// An inline function literal is checked under the locks held where it
+// is written. A `go func() { ... }` literal starts a fresh lock context:
+// locks held by the spawner do not protect the goroutine's body.
 func Lockcheck() *Analyzer {
 	return &Analyzer{
 		Name: "lockcheck",
@@ -126,244 +129,31 @@ func collectStructGuards(prog *Program, structName string, st *ast.StructType, f
 }
 
 func runLockcheck(prog *Program) []Finding {
-	fields, acquires, out := collectGuards(prog)
-	if len(fields) == 0 {
-		return out
-	}
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if strings.HasSuffix(fd.Name.Name, "Locked") {
-					continue // convention: caller holds the lock
-				}
-				out = append(out, checkFunc(prog, fd, fields, acquires)...)
-			}
-		}
-	}
-	return out
+	s := prog.lockScan()
+	return append(append([]Finding(nil), s.badGuards...), s.unguarded...)
 }
 
-// checkFunc flags guarded-field accesses in fd not covered by a lock.
-func checkFunc(prog *Program, fd *ast.FuncDecl, fields map[*types.Var]guardInfo, acquires map[*types.Func]string) []Finding {
-	var out []Finding
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+// checkAccess flags sel if it names a guardedby field whose mutex no
+// held entry locks on the same base expression.
+func (s *lockScanner) checkAccess(fn *types.Func, sel *ast.SelectorExpr, held []heldLock) {
+	v, ok := s.prog.Info.Uses[sel.Sel].(*types.Var)
+	if !ok || !v.IsField() || strings.HasSuffix(fn.Name(), "Locked") {
+		return // the Locked suffix: caller holds the lock
+	}
+	gi, guarded := s.guards[v]
+	if !guarded {
+		return
+	}
+	base := exprString(sel.X)
+	for _, h := range held {
+		if h.class.name == gi.Mutex && slices.Contains(h.bases, base) {
+			return
 		}
-		v, ok := prog.Info.Uses[sel.Sel].(*types.Var)
-		if !ok || !v.IsField() {
-			return true
-		}
-		gi, guarded := fields[v]
-		if !guarded {
-			return true
-		}
-		base := exprString(sel.X)
-		if lockHeldAt(prog, fd.Body, sel, base, gi.Mutex, acquires) {
-			return true
-		}
-		out = append(out, Finding{
-			Analyzer: "lockcheck",
-			Pos:      prog.Fset.Position(sel.Sel.Pos()),
-			Message:  gi.Struct + "." + v.Name() + " (guardedby " + gi.Mutex + ") accessed without holding " + base + "." + gi.Mutex,
-			Hint:     "lock " + base + "." + gi.Mutex + " first, rename the function with a Locked suffix if the caller holds it, or annotate the lock-acquiring helper with auditlint:acquires(" + gi.Mutex + ")",
-		})
-		return true
+	}
+	s.unguarded = append(s.unguarded, Finding{
+		Analyzer: "lockcheck",
+		Pos:      s.prog.Fset.Position(sel.Sel.Pos()),
+		Message:  gi.Struct + "." + v.Name() + " (guardedby " + gi.Mutex + ") accessed without holding " + base + "." + gi.Mutex,
+		Hint:     "lock " + base + "." + gi.Mutex + " first, rename the function with a Locked suffix if the caller holds it, or annotate the lock-acquiring helper with auditlint:acquires(" + gi.Mutex + ")",
 	})
-	return out
-}
-
-// pathTo returns the chain of nodes from root down to target, inclusive.
-func pathTo(root ast.Node, target ast.Node) []ast.Node {
-	var stack, found []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if n == target {
-			found = append([]ast.Node(nil), stack...)
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// lockHeldAt reports whether base's mutex mu is lexically held at the
-// access node: some enclosing statement list shows a net acquire on
-// (base, mu) before the statement containing the access. Levels outside
-// the nearest enclosing `go func` literal do not count.
-func lockHeldAt(prog *Program, body *ast.BlockStmt, access ast.Node, base, mu string, acquires map[*types.Func]string) bool {
-	path := pathTo(body, access)
-	if path == nil {
-		return false
-	}
-	// A goroutine body is a fresh context: drop everything above the
-	// func literal launched by the innermost go statement on the path.
-	// (The path runs GoStmt → CallExpr → FuncLit, so scan forward for the
-	// literal; an access inside a go-call *argument* never enters it.)
-	start := 0
-	for i := 0; i+1 < len(path); i++ {
-		g, ok := path[i].(*ast.GoStmt)
-		if !ok {
-			continue
-		}
-		lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		for j := i + 1; j < len(path); j++ {
-			if path[j] == ast.Node(lit) {
-				start = j
-				break
-			}
-		}
-	}
-	for i := start; i < len(path)-1; i++ {
-		// `if base.mu.TryLock() { ... }` with the access inside the body.
-		if ifs, ok := path[i].(*ast.IfStmt); ok && i+1 < len(path) && path[i+1] == ast.Node(ifs.Body) {
-			if isMutexCall(prog, ifs.Cond, base, mu, "TryLock", "TryRLock") {
-				return true
-			}
-		}
-		stmts := stmtList(path[i])
-		if stmts == nil {
-			continue
-		}
-		// The direct child of this list on the path to the access.
-		child := path[i+1]
-		if scanStmts(prog, stmts, child, base, mu, acquires) {
-			return true
-		}
-	}
-	return false
-}
-
-// stmtList extracts the statement list of block-like nodes.
-func stmtList(n ast.Node) []ast.Stmt {
-	switch n := n.(type) {
-	case *ast.BlockStmt:
-		return n.List
-	case *ast.CaseClause:
-		return n.Body
-	case *ast.CommClause:
-		return n.Body
-	}
-	return nil
-}
-
-// scanStmts walks stmts up to (but not including) the one containing the
-// access, tracking lock state for (base, mu).
-func scanStmts(prog *Program, stmts []ast.Stmt, upto ast.Node, base, mu string, acquires map[*types.Func]string) bool {
-	locked := false
-	for _, stmt := range stmts {
-		if stmt == upto {
-			return locked
-		}
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if isMutexCall(prog, s.X, base, mu, "Lock", "RLock") {
-				locked = true
-			} else if isMutexCall(prog, s.X, base, mu, "Unlock", "RUnlock") {
-				locked = false
-			} else if callAcquires(prog, s.X, base, mu, nil, acquires) {
-				locked = true
-			}
-		case *ast.AssignStmt:
-			if len(s.Rhs) == 1 && callAcquires(prog, s.Rhs[0], base, mu, s.Lhs, acquires) {
-				locked = true
-			}
-		case *ast.IfStmt:
-			// Guard clause: if !base.mu.TryLock() { return/continue/... }
-			if u, ok := ast.Unparen(s.Cond).(*ast.UnaryExpr); ok && u.Op.String() == "!" &&
-				isMutexCall(prog, u.X, base, mu, "TryLock", "TryRLock") && terminates(s.Body) {
-				locked = true
-			}
-		case *ast.DeferStmt:
-			// defer base.mu.Unlock() releases at return, not here.
-		}
-	}
-	return locked
-}
-
-// isMutexCall matches `base.mu.<method>()` for any of the given method
-// names, comparing the base expression textually.
-func isMutexCall(prog *Program, e ast.Expr, base, mu string, methods ...string) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	found := false
-	for _, m := range methods {
-		if sel.Sel.Name == m {
-			found = true
-		}
-	}
-	if !found {
-		return false
-	}
-	muSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || muSel.Sel.Name != mu {
-		return false
-	}
-	return exprString(muSel.X) == base
-}
-
-// callAcquires reports whether e calls a function annotated
-// auditlint:acquires(mu) in a way that locks base's mu: base appears
-// among the arguments, or among the assignment left-hand sides receiving
-// the call's results.
-func callAcquires(prog *Program, e ast.Expr, base, mu string, lhs []ast.Expr, acquires map[*types.Func]string) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := calleeFunc(prog.Info, call)
-	if fn == nil || acquires[fn] != mu {
-		return false
-	}
-	for _, arg := range call.Args {
-		if exprString(arg) == base {
-			return true
-		}
-	}
-	for _, l := range lhs {
-		if exprString(l) == base {
-			return true
-		}
-	}
-	return false
-}
-
-// terminates reports whether a block's last statement unconditionally
-// leaves the enclosing list (return, branch, or a panic call).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,7 +18,9 @@ import (
 //
 //   - directly: base.mu.Lock()/RLock()/TryLock() in a function body,
 //     tracked by a lexical held-set scan (Unlock pops, TryLock guard
-//     clauses push, `go` literals start a fresh context);
+//     clauses push, `go` literals start a fresh context). lockcheck
+//     reads the same scan; inline function literals are walked for it
+//     but add no order edges;
 //
 //   - through calls: holding A and calling any module function whose
 //     engine summary says it (transitively) acquires B adds A → B, so
@@ -155,7 +158,7 @@ func findAcq(list []lockAcq, c lockClass) *lockAcq {
 
 // collectAcquires computes the per-function acquisition summaries to a
 // fixed point, plus the directly annotated classes (acquires(mu)).
-func collectAcquires(prog *Program, g *Graph) (map[*types.Func][]lockAcq, map[*types.Func]lockClass) {
+func collectAcquires(prog *Program, g *Graph, acquires map[*types.Func]string) (map[*types.Func][]lockAcq, map[*types.Func]lockClass) {
 	acq := map[*types.Func][]lockAcq{}
 	for _, fn := range g.Funcs() {
 		fnAcq := acq[fn]
@@ -180,7 +183,6 @@ func collectAcquires(prog *Program, g *Graph) (map[*types.Func][]lockAcq, map[*t
 		})
 		acq[fn] = fnAcq
 	}
-	_, acquires, _ := collectGuards(prog)
 	anno := map[*types.Func]lockClass{}
 	for fn, mu := range acquires {
 		if c, ok := annotatedClass(fn, mu); ok {
@@ -254,43 +256,71 @@ type orderEdge struct {
 	fn           *types.Func // function containing the edge
 }
 
+// heldLock is one entry of the held set. bases are the expressions
+// naming the locked instance (`c`, `sh`, `c.s`): lockorder matches
+// entries by class, lockcheck by base and mutex name.
 type heldLock struct {
 	class lockClass
 	op    string
 	pos   token.Pos
+	bases []string
 }
 
-type orderScanner struct {
-	prog  *Program
-	g     *Graph
-	acq   map[*types.Func][]lockAcq
-	anno  map[*types.Func]lockClass
-	edges []orderEdge
-	keys  map[[2]lockClass]bool
+// lockScanner is the package's one held-lock scan. It walks every
+// module function once per Program (see Program.lockScan), recording
+// lockorder's acquisition edges and lockcheck's unguarded accesses.
+type lockScanner struct {
+	prog   *Program
+	g      *Graph
+	acq    map[*types.Func][]lockAcq
+	anno   map[*types.Func]lockClass
+	guards map[*types.Var]guardInfo
+	edges  []orderEdge
+	keys   map[[2]lockClass]int // edge index per (from, to)
+	// inline is set while walking a non-go function literal: its locks
+	// are tracked for lockcheck but add no order edges.
+	inline bool
+	// badGuards and unguarded are lockcheck's findings.
+	badGuards, unguarded []Finding
 }
 
-func (s *orderScanner) note(fn *types.Func, held []heldLock, to lockClass, toOp string, pos token.Pos, via *types.Func) {
+func (s *lockScanner) note(fn *types.Func, held []heldLock, to lockClass, toOp string, pos token.Pos, via *types.Func) {
+	if s.inline {
+		return
+	}
 	for _, h := range held {
 		if h.class == to && readOp(h.op) && readOp(toOp) {
 			continue // RLock while RLock-held: shared, not an order fact
 		}
-		key := [2]lockClass{h.class, to}
-		if s.keys[key] {
-			continue
-		}
-		s.keys[key] = true
-		s.edges = append(s.edges, orderEdge{
+		e := orderEdge{
 			from: h.class, to: to, fromOp: h.op, toOp: toOp,
 			pos: pos, fromPos: h.pos, via: via, fn: fn,
-		})
+		}
+		key := [2]lockClass{h.class, to}
+		if i, ok := s.keys[key]; !ok {
+			s.keys[key] = len(s.edges)
+			s.edges = append(s.edges, e)
+		} else if tryOp(s.edges[i].toOp) && !tryOp(toOp) {
+			s.edges[i] = e // a blocking edge outranks a Try fast path
+		}
 	}
 }
 
+// lockBase returns the instance expression of `base.mu.Lock()`, or ""
+// for package-level and embedded mutexes.
+func lockBase(call *ast.CallExpr) string {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if mu, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+			return exprString(mu.X)
+		}
+	}
+	return ""
+}
+
 // scanExpr walks e for mutex operations and summary-bearing calls,
-// returning the updated held set. Function literals are skipped: they
-// run on their own schedule (go) or are rare enough inline that the
-// lexical model would lie about them.
-func (s *orderScanner) scanExpr(fn *types.Func, e ast.Expr, held []heldLock) []heldLock {
+// returning the updated held set. Function literals are skipped here:
+// go literals get their own scan, and access walks inline ones.
+func (s *lockScanner) scanExpr(fn *types.Func, e ast.Expr, held []heldLock, lhs ...ast.Expr) []heldLock {
 	if e == nil {
 		return held
 	}
@@ -305,9 +335,9 @@ func (s *orderScanner) scanExpr(fn *types.Func, e ast.Expr, held []heldLock) []h
 		if c, op, ok := mutexOp(s.prog, call); ok {
 			if lockOps[op] {
 				s.note(fn, held, c, op, call.Pos(), nil)
-				held = append(held, heldLock{class: c, op: op, pos: call.Pos()})
+				held = append(held, heldLock{class: c, op: op, pos: call.Pos(), bases: []string{lockBase(call)}})
 			} else {
-				held = removeHeld(held, c)
+				held = removeHeld(held, c, lockBase(call))
 			}
 			return false
 		}
@@ -338,21 +368,37 @@ func (s *orderScanner) scanExpr(fn *types.Func, e ast.Expr, held []heldLock) []h
 			s.note(fn, held, a.class, a.op, call.Pos(), via)
 		}
 		if c, ok := s.anno[callee]; ok {
-			// The annotated helper returns with the entity locked.
-			held = append(held, heldLock{class: c, op: "Lock", pos: call.Pos()})
+			// The annotated helper returns with the entity locked: the
+			// instance is an argument or a result assigned to lhs.
+			var bases []string
+			for _, a := range append(call.Args, lhs...) {
+				bases = append(bases, exprString(a))
+			}
+			held = append(held, heldLock{class: c, op: "Lock", pos: call.Pos(), bases: bases})
 		}
 		return true
 	})
 	return held
 }
 
-func removeHeld(held []heldLock, c lockClass) []heldLock {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].class == c {
-			return append(append([]heldLock{}, held[:i]...), held[i+1:]...)
+// removeHeld drops the latest entry of class c locked through base, or
+// else the latest entry of class c.
+func removeHeld(held []heldLock, c lockClass, base string) []heldLock {
+	at := -1
+	for i := len(held) - 1; i >= 0 && at < 0; i-- {
+		if held[i].class == c && slices.Contains(held[i].bases, base) {
+			at = i
 		}
 	}
-	return held
+	for i := len(held) - 1; i >= 0 && at < 0; i-- {
+		if held[i].class == c {
+			at = i
+		}
+	}
+	if at < 0 {
+		return held
+	}
+	return append(append([]heldLock{}, held[:at]...), held[at+1:]...)
 }
 
 func copyHeld(held []heldLock) []heldLock {
@@ -362,13 +408,14 @@ func copyHeld(held []heldLock) []heldLock {
 // scanStmt processes one statement, scanning nested control-flow bodies
 // with a copy of the held set (their effects are conditional) and
 // returning the held set after the statement for straight-line flow.
-func (s *orderScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []heldLock {
+func (s *lockScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []heldLock {
+	s.access(fn, st, held)
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		return s.scanExpr(fn, st.X, held)
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
-			held = s.scanExpr(fn, r, held)
+			held = s.scanExpr(fn, r, held, st.Lhs...)
 		}
 		return held
 	case *ast.DeclStmt:
@@ -395,9 +442,9 @@ func (s *orderScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []
 			held = s.scanStmt(fn, st.Init, held)
 		}
 		// `if base.mu.TryLock() { ... }`: body runs with the lock held.
-		if c, op, ok := condTryLock(s.prog, st.Cond); ok {
-			s.note(fn, held, c, op, st.Cond.Pos(), nil)
-			s.scanList(fn, st.Body.List, append(copyHeld(held), heldLock{class: c, op: op, pos: st.Cond.Pos()}))
+		if h, ok := condTryLock(s.prog, st.Cond, st.Cond.Pos()); ok {
+			s.note(fn, held, h.class, h.op, h.pos, nil)
+			s.scanList(fn, st.Body.List, append(copyHeld(held), h))
 			if st.Else != nil {
 				s.scanElse(fn, st.Else, copyHeld(held))
 			}
@@ -406,10 +453,10 @@ func (s *orderScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []
 		// `if !base.mu.TryLock() { return }`: the rest of the list runs
 		// with the lock held.
 		if u, ok := ast.Unparen(st.Cond).(*ast.UnaryExpr); ok && u.Op == token.NOT {
-			if c, op, ok := condTryLock(s.prog, u.X); ok && terminates(st.Body) {
-				s.note(fn, held, c, op, st.Cond.Pos(), nil)
+			if h, ok := condTryLock(s.prog, u.X, st.Cond.Pos()); ok && terminates(st.Body) {
+				s.note(fn, held, h.class, h.op, h.pos, nil)
 				s.scanList(fn, st.Body.List, copyHeld(held))
-				return append(held, heldLock{class: c, op: op, pos: st.Cond.Pos()})
+				return append(held, h)
 			}
 		}
 		held = s.scanExpr(fn, st.Cond, held)
@@ -440,11 +487,16 @@ func (s *orderScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []
 		held = s.scanExpr(fn, st.Tag, held)
 		for _, cl := range st.Body.List {
 			if cc, ok := cl.(*ast.CaseClause); ok {
+				s.access(fn, cc, held)
 				s.scanList(fn, cc.Body, copyHeld(held))
 			}
 		}
 		return held
 	case *ast.TypeSwitchStmt:
+		if st.Init != nil {
+			s.access(fn, st.Init, held)
+		}
+		s.access(fn, st.Assign, held)
 		for _, cl := range st.Body.List {
 			if cc, ok := cl.(*ast.CaseClause); ok {
 				s.scanList(fn, cc.Body, copyHeld(held))
@@ -476,7 +528,7 @@ func (s *orderScanner) scanStmt(fn *types.Func, st ast.Stmt, held []heldLock) []
 	return held
 }
 
-func (s *orderScanner) scanElse(fn *types.Func, st ast.Stmt, held []heldLock) {
+func (s *lockScanner) scanElse(fn *types.Func, st ast.Stmt, held []heldLock) {
 	switch st := st.(type) {
 	case *ast.BlockStmt:
 		s.scanList(fn, st.List, held)
@@ -485,30 +537,75 @@ func (s *orderScanner) scanElse(fn *types.Func, st ast.Stmt, held []heldLock) {
 	}
 }
 
-func (s *orderScanner) scanList(fn *types.Func, stmts []ast.Stmt, held []heldLock) []heldLock {
+func (s *lockScanner) scanList(fn *types.Func, stmts []ast.Stmt, held []heldLock) []heldLock {
 	for _, st := range stmts {
 		held = s.scanStmt(fn, st, held)
 	}
 	return held
 }
 
-// condTryLock matches `base.mu.TryLock()` (no negation) as a condition.
-func condTryLock(prog *Program, e ast.Expr) (lockClass, string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return lockClass{}, "", false
-	}
-	c, op, ok := mutexOp(prog, call)
-	if !ok || (op != "TryLock" && op != "TryRLock") {
-		return lockClass{}, "", false
-	}
-	return c, op, true
+// access runs lockcheck over st's own expressions with held. Nested
+// statements are left to scanStmt. Inline function literals run on the
+// caller's schedule, so their bodies are walked here with a copy of
+// held; a go statement's literal starts empty in its own scan.
+func (s *lockScanner) access(fn *types.Func, st ast.Node, held []heldLock) {
+	ast.Inspect(st, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if g, ok := st.(*ast.GoStmt); !ok || ast.Unparen(g.Call.Fun) != ast.Expr(n) {
+				inline := s.inline
+				s.inline = true
+				s.scanList(fn, n.Body.List, copyHeld(held))
+				s.inline = inline
+			}
+			return false
+		case ast.Stmt:
+			return n == st
+		case *ast.SelectorExpr:
+			s.checkAccess(fn, n, held)
+		}
+		return true
+	})
 }
 
-func runLockOrder(prog *Program) []Finding {
-	g := prog.Engine()
-	acq, anno := collectAcquires(prog, g)
-	s := &orderScanner{prog: prog, g: g, acq: acq, anno: anno, keys: map[[2]lockClass]bool{}}
+// condTryLock matches `base.mu.TryLock()` (no negation) as a condition,
+// returning the entry it holds, positioned at pos.
+func condTryLock(prog *Program, e ast.Expr, pos token.Pos) (heldLock, bool) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return heldLock{}, false
+	}
+	c, op, ok := mutexOp(prog, call)
+	if !ok || !tryOp(op) {
+		return heldLock{}, false
+	}
+	return heldLock{class: c, op: op, pos: pos, bases: []string{lockBase(call)}}, true
+}
+
+// terminates reports whether a block's last statement unconditionally
+// leaves the enclosing list (return, branch, or a panic call).
+func terminates(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	switch last := b.List[len(b.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// scanLocks runs the held-lock scan over every module function.
+func scanLocks(prog *Program, g *Graph) *lockScanner {
+	guards, acquires, bad := collectGuards(prog)
+	acq, anno := collectAcquires(prog, g, acquires)
+	s := &lockScanner{prog: prog, g: g, acq: acq, anno: anno, guards: guards, keys: map[[2]lockClass]int{}, badGuards: bad}
 	for _, fn := range g.Funcs() {
 		body := g.Decls[fn].Decl.Body
 		s.scanList(fn, body.List, nil)
@@ -524,12 +621,13 @@ func runLockOrder(prog *Program) []Finding {
 			return true
 		})
 	}
-	return reportCycles(prog, g, s, acq)
+	return s
 }
 
-// reportCycles finds cycles in the class graph and reports each
+// runLockOrder finds cycles in the class graph and reports each
 // distinct one once, anchored at its first recorded edge.
-func reportCycles(prog *Program, g *Graph, s *orderScanner, acq map[*types.Func][]lockAcq) []Finding {
+func runLockOrder(prog *Program) []Finding {
+	s := prog.lockScan()
 	// Only blocking acquisitions can close a deadlock cycle; Try* edges
 	// fail fast instead of waiting.
 	var blocking []orderEdge
@@ -563,7 +661,7 @@ func reportCycles(prog *Program, g *Graph, s *orderScanner, acq map[*types.Func]
 			continue
 		}
 		seen[key] = true
-		out = append(out, cycleFinding(prog, g, cycle, names, acq))
+		out = append(out, cycleFinding(prog, s.g, cycle, names, s.acq))
 	}
 	return out
 }

@@ -137,3 +137,14 @@ func Acquired(src *Counter) int {
 	defer c.mu.Unlock()
 	return c.n
 }
+
+// HandOver locks two counters and releases the first: Unlock drops the
+// entry for its own instance, so b.mu is still held and the read is
+// clean.
+func HandOver(a, b *Counter) int {
+	a.mu.Lock()
+	b.mu.Lock()
+	a.mu.Unlock()
+	defer b.mu.Unlock()
+	return b.n
+}

@@ -1,7 +1,8 @@
 // Package fixture exercises the lockorder analyzer: a two-class
 // acquisition cycle, a summary-propagated self-deadlock, the TryLock
-// fast-path exemption, and an acquires-annotated helper closing a
-// cycle the syntax alone would miss.
+// fast-path exemption, a blocking edge recorded after a TryLock one for
+// the same pair, an acquires-annotated helper closing a cycle the
+// syntax alone would miss, and an inline literal that adds no edge.
 package fixture
 
 import "sync"
@@ -118,4 +119,73 @@ func LockGThenTouchF(f *F, g *G) {
 // auditlint:acquires(mu)
 func touchF(f *F) {
 	f.n++ // the annotation asserts the lock; lockcheck trusts it too
+}
+
+// P and Q deadlock through blocking acquisitions only, but the first
+// P.mu → Q.mu edge in source order is First's TryLock fast path. The
+// blocking edge in Second must replace it, or the cycle is missed.
+type P struct {
+	mu sync.Mutex
+	n  int
+}
+
+type Q struct {
+	mu sync.Mutex
+	n  int
+}
+
+func First(p *P, q *Q) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if q.mu.TryLock() {
+		q.n++
+		q.mu.Unlock()
+	}
+}
+
+func Second(p *P, q *Q) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	q.mu.Lock() // want `lock-order cycle \(deadlock risk\).*P\.mu → .*Q\.mu → .*P\.mu`
+	q.n++
+	q.mu.Unlock()
+}
+
+func Third(p *P, q *Q) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	p.mu.Lock()
+	p.n++
+	p.mu.Unlock()
+}
+
+// R → S is taken only inside a function value, which may run after
+// r.mu is released, or never. The scan charges an inline literal no
+// order edge, so LockSR's S → R order closes no cycle.
+type R struct {
+	mu sync.Mutex
+	n  int
+}
+
+type S struct {
+	mu sync.Mutex
+	n  int
+}
+
+func LockRThenBumpS(r *R, s *S) func() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.n++
+		s.mu.Unlock()
+	}
+}
+
+func LockSR(r *R, s *S) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r.mu.Lock()
+	r.n++
+	r.mu.Unlock()
 }
