@@ -14,6 +14,7 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/boolrange"
 	"queryaudit/internal/audit/maxfull"
+	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/maxminprob"
 	"queryaudit/internal/audit/maxprob"
 	"queryaudit/internal/audit/sumfull"
@@ -312,6 +313,42 @@ func BenchmarkMaxAuditorDecide(b *testing.B) {
 	qs := make([]query.Query, 64)
 	for i := range qs {
 		qs[i] = gen.Next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaxMinFullWideDecide measures one Section 4 max∧min decision
+// at the end-to-end wide-3k shape: n=3000, query sets of 800–1200 rows,
+// and a warmed history of about 40 answered max and min queries. Every
+// candidate answer is a trial fold of a ~1000-row set into the synopsis,
+// so this is the bench that shows the fold's cost.
+func BenchmarkMaxMinFullWideDecide(b *testing.B) {
+	const n = 3000
+	rng := randx.New(11)
+	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
+	wide := func(i int) query.Query {
+		kind := query.Max
+		if i%2 == 1 {
+			kind = query.Min
+		}
+		return query.New(kind, randx.SubsetSizeBetween(rng, n, 800, 1200)...)
+	}
+	a := maxminfull.New(n)
+	for t, answered := 0, 0; answered < 40 && t < 400; t++ {
+		q := wide(t)
+		if d, _ := a.Decide(q); d == audit.Answer {
+			a.Record(q, q.Eval(xs))
+			answered++
+		}
+	}
+	qs := make([]query.Query, 32)
+	for i := range qs {
+		qs[i] = wide(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

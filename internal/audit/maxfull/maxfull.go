@@ -57,8 +57,8 @@ func (a *Auditor) Candidates(q query.Set) []float64 {
 	// random order) keeps the candidate stream deterministic.
 	values := make([]float64, 0, len(q))
 	for _, i := range q {
-		if p, ok := a.syn.PredOf(i); ok {
-			values = append(values, p.Value)
+		if v, _, ok := a.syn.UpperBound(i); ok {
+			values = append(values, v)
 		}
 	}
 	return audit.CandidateAnswers(values, a.syn.EqValues())
@@ -126,15 +126,17 @@ func (a *Auditor) decideFast(q query.Set) audit.Decision {
 	byPred := make(map[int]*touching)
 	free := 0
 	for _, i := range q {
-		p, ok := a.syn.PredOf(i)
+		id, ok := a.syn.PredID(i)
 		if !ok {
 			free++
 			continue
 		}
-		t := byPred[p.ID]
+		t := byPred[id]
 		if t == nil {
+			// Copy each touched predicate once, not once per element.
+			p, _ := a.syn.PredOf(i)
 			t = &touching{pred: p}
-			byPred[p.ID] = t
+			byPred[id] = t
 		}
 		t.cnt++
 	}
@@ -260,10 +262,10 @@ func (a *Auditor) Knowledge() []audit.ElementKnowledge {
 		if v, strict, ok := a.syn.UpperBound(i); ok {
 			k.Upper, k.UpperStrict = v, strict
 		}
-		if p, ok := a.syn.PredOf(i); ok && p.Eq() && len(p.Set) == 1 {
+		if v, ok := a.syn.Pinned(i); ok {
 			k.Pinned = true
-			k.Lower, k.LowerStrict = p.Value, false
-			k.Upper, k.UpperStrict = p.Value, false
+			k.Lower, k.LowerStrict = v, false
+			k.Upper, k.UpperStrict = v, false
 		}
 		out[i] = k
 	}

@@ -58,11 +58,11 @@ func (a *Auditor) Candidates(q query.Set) []float64 {
 	// random order) keeps the candidate stream deterministic.
 	values := make([]float64, 0, 2*len(q))
 	for _, i := range q {
-		if p, ok := a.syn.MaxPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MaxValueOf(i); ok {
+			values = append(values, v)
 		}
-		if p, ok := a.syn.MinPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MinValueOf(i); ok {
+			values = append(values, v)
 		}
 	}
 	return audit.CandidateAnswers(values, a.syn.EqValues())
@@ -94,13 +94,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	}
 	anyConsistent := false
 	for _, cand := range a.Candidates(q.Set) {
-		trial := a.syn.Clone()
-		var err error
-		if q.Kind == query.Max {
-			err = trial.AddMax(q.Set, cand)
-		} else {
-			err = trial.AddMin(q.Set, cand)
-		}
+		trial, err := a.syn.With(q.Kind, q.Set, cand)
 		if err != nil {
 			continue
 		}

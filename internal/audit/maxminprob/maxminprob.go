@@ -185,11 +185,11 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 	values := make([]float64, 0, 2*len(q)+2)
 	values = append(values, 0, 1)
 	for _, i := range q {
-		if p, ok := a.syn.MaxPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MaxValueOf(i); ok {
+			values = append(values, v)
 		}
-		if p, ok := a.syn.MinPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MinValueOf(i); ok {
+			values = append(values, v)
 		}
 	}
 	all := audit.CandidateAnswers(values, a.syn.EqValues())
@@ -211,13 +211,7 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	limit := a.params.enumerateLimit()
 	for _, cand := range a.candidates(q.Set) {
-		trial := a.syn.Clone()
-		var err error
-		if q.Kind == query.Max {
-			err = trial.AddMax(q.Set, cand)
-		} else {
-			err = trial.AddMin(q.Set, cand)
-		}
+		trial, err := a.syn.With(q.Kind, q.Set, cand)
 		if err != nil {
 			continue // inconsistent answers cannot occur
 		}
@@ -395,13 +389,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			sc.sampler.Mix(a.params.mixFactor())
 			sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
 			ans := q.Eval(sc.xs)
-			trial := a.syn.Clone()
-			var aerr error
-			if q.Kind == query.Max {
-				aerr = trial.AddMax(q.Set, ans)
-			} else {
-				aerr = trial.AddMin(q.Set, ans)
-			}
+			trial, aerr := a.syn.With(q.Kind, q.Set, ans)
 			if aerr != nil {
 				return true // sampled-consistent answers should fold cleanly
 			}

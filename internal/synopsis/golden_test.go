@@ -36,7 +36,8 @@ func foldSnapshot(t *testing.T, b *MaxMin) []byte {
 // true extreme of the set, a bound already in the synopsis (which drives
 // the equality-merge and max/min shared-value paths) or a random value,
 // so many folds are inconsistent; each of those must leave the snapshot
-// byte-identical.
+// byte-identical. Every fold is also tried through With first, which
+// must leave its receiver untouched and agree with the committed fold.
 func TestGoldenFoldChain(t *testing.T) {
 	const (
 		n     = 3000
@@ -74,6 +75,10 @@ func TestGoldenFoldChain(t *testing.T) {
 			}
 			q := wideSet(rng, n)
 			a := foldAnswer(rng, b, kind, q, xs)
+			trial, werr := b.With(kind, q, a)
+			if got := foldSnapshot(t, b); !bytes.Equal(got, prev) {
+				t.Fatalf("step %d: With %v(|Q|=%d)=%g changed its receiver", step, kind, len(q), a)
+			}
 			var err error
 			if kind == query.Max {
 				err = b.AddMax(q, a)
@@ -87,6 +92,12 @@ func TestGoldenFoldChain(t *testing.T) {
 				}
 			} else {
 				accepted++
+			}
+			if (werr == nil) != (err == nil) || (trial == nil) != (werr != nil) {
+				t.Fatalf("step %d: With returned (%v, %v), the fold %v", step, trial != nil, werr, err)
+			}
+			if trial != nil && !bytes.Equal(foldSnapshot(t, trial), foldSnapshot(t, b)) {
+				t.Fatalf("step %d: With and the committed fold disagree", step)
 			}
 			writeStep(h, byte(kind), len(q), a, err == nil)
 		}
@@ -152,11 +163,11 @@ func foldAnswer(rng *rand.Rand, b *MaxMin, kind query.Kind, q query.Set, xs []fl
 	case r < 0.85:
 		i := q[rng.Intn(len(q))]
 		if rng.Intn(2) == 0 {
-			if p, ok := b.MaxPredOf(i); ok {
-				return p.Value
+			if v, ok := b.MaxValueOf(i); ok {
+				return v
 			}
-		} else if p, ok := b.MinPredOf(i); ok {
-			return p.Value
+		} else if v, ok := b.MinValueOf(i); ok {
+			return v
 		}
 		return query.Query{Kind: kind, Set: q}.Eval(xs)
 	default:

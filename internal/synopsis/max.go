@@ -209,6 +209,24 @@ func (m *Max) PredOf(i int) (Pred, bool) {
 	return Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op}, true
 }
 
+// PredID returns the ID of the predicate containing element i, if any,
+// without copying the predicate's set.
+func (m *Max) PredID(i int) (int, bool) {
+	id := m.elem[i]
+	return id, id >= 0
+}
+
+// Pinned reports whether element i's predicate is a singleton equality
+// [max({i}) = v], which determines x_i exactly, and returns v.
+func (m *Max) Pinned(i int) (float64, bool) {
+	id := m.elem[i]
+	if id < 0 {
+		return 0, false
+	}
+	p := m.preds[id]
+	return p.Value, p.Op == OpEq && len(p.Set) == 1
+}
+
 // UpperBound returns the upper bound on element i derivable from the
 // synopsis: value v with strict=false meaning x_i ≤ v (equality possible)
 // or strict=true meaning x_i < v. ok is false when i is unconstrained.
@@ -291,27 +309,77 @@ func (m *Max) detach(i int) {
 		return
 	}
 	p := m.preds[id]
+	before := len(p.Set)
 	p.Set = p.Set.Minus(query.Set{i})
 	m.elem[i] = -1
-	if p.Op == OpEq {
-		switch len(p.Set) {
-		case 0:
-			m.singletonEq-- // was a singleton, now gone
-		case 1:
-			m.singletonEq++ // shrank into a singleton
+	m.shrunk(p, before)
+}
+
+// detachAll detaches every element of set at once, filtering each
+// predicate it touches a single time: O(|set| + Σ|S|) over the touched
+// predicates, where a detach per element would rebuild a predicate's
+// set once per removed element. A first pass marks each element with
+// its predicate's ID encoded as -(id+2); the first marked element met
+// in the second pass triggers its predicate's filter, which unmarks all
+// of that predicate's elements of set.
+func (m *Max) detachAll(set query.Set) {
+	for _, i := range set {
+		if id := m.elem[i]; id >= 0 {
+			m.elem[i] = -id - 2
 		}
 	}
-	if len(p.Set) == 0 {
-		if p.Op == OpEq {
-			if id2, ok := m.eqVal[p.Value]; ok && id2 == p.ID {
-				delete(m.eqVal, p.Value)
+	for _, i := range set {
+		if m.elem[i] >= -1 {
+			continue
+		}
+		p := m.preds[-m.elem[i]-2]
+		before := len(p.Set)
+		kept := p.Set[:0]
+		for _, j := range p.Set {
+			if m.elem[j] == p.ID {
+				kept = append(kept, j)
+			} else {
+				m.elem[j] = -1
 			}
 		}
+		p.Set = kept
+		m.shrunk(p, before)
+	}
+}
+
+// shrunk settles the bookkeeping of predicate p after its set shrank
+// from before elements: it deletes an emptied predicate and counts an
+// equality predicate that became a singleton.
+func (m *Max) shrunk(p *Pred, before int) {
+	switch {
+	case len(p.Set) == 0:
+		m.forgetEq(p, before)
 		if p.Op == OpLe {
 			m.leCount--
 		}
 		delete(m.preds, p.ID)
+	case p.Op == OpEq && len(p.Set) == 1:
+		m.singletonEq++
 	}
+}
+
+// subsetOf reports whether every element of the non-empty sorted set s
+// lies in the sorted set q, in one merge walk without allocating.
+func subsetOf(s, q query.Set) bool {
+	if len(s) > len(q) {
+		return false
+	}
+	j := sort.SearchInts(q, s[0])
+	for _, v := range s {
+		for j < len(q) && q[j] < v {
+			j++
+		}
+		if j == len(q) || q[j] != v {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Add folds the answered query [max(Q) = a] into the synopsis. On
@@ -342,7 +410,7 @@ func (m *Max) Add(q query.Set, a float64) error {
 	// (2) No equality predicate with value > a may be wholly inside Q:
 	// that would force max(Q) above a.
 	for _, p := range m.preds {
-		if p.Op == OpEq && p.Value > a && p.Set.Minus(q).Size() == 0 {
+		if p.Op == OpEq && p.Value > a && subsetOf(p.Set, q) {
 			return ErrInconsistent
 		}
 	}
@@ -386,9 +454,7 @@ func (m *Max) Add(q query.Set, a float64) error {
 			nonWitnesses = append(nonWitnesses, i)
 		}
 	}
-	for _, i := range witnesses {
-		m.detach(i)
-	}
+	m.detachAll(witnesses)
 	m.newPred(witnesses, a, OpEq)
 	m.tightenBelow(nonWitnesses, a)
 	return nil
@@ -415,10 +481,10 @@ func (m *Max) tightenBelow(set query.Set, a float64) {
 			// Bound is looser than a; the element cannot be the witness
 			// of its old equality group (it is strictly below a ≤ its
 			// old bound), so detaching is information-preserving.
-			m.detach(i)
 			moved = append(moved, i)
 		}
 	}
+	m.detachAll(moved)
 	if len(moved) > 0 {
 		m.newPred(moved, a, OpLt)
 	}
@@ -466,12 +532,20 @@ func (m *Max) EqValues() map[float64]bool {
 
 // EqPredWithValue returns the equality predicate holding value a, if any.
 func (m *Max) EqPredWithValue(a float64) (Pred, bool) {
-	id, ok := m.eqVal[a]
-	if !ok {
+	p := m.eqPred(a)
+	if p == nil {
 		return Pred{}, false
 	}
-	p := m.preds[id]
 	return Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op}, true
+}
+
+// eqPred returns the live equality predicate holding value a, or nil.
+func (m *Max) eqPred(a float64) *Pred {
+	id, ok := m.eqVal[a]
+	if !ok {
+		return nil
+	}
+	return m.preds[id]
 }
 
 // Update reacts to a modification of record i's sensitive value: every

@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"fmt"
 	"math"
 
 	"queryaudit/internal/query"
@@ -87,30 +88,47 @@ func (b *MaxMin) MaxPreds() []Pred { return b.max.Preds() }
 // MinPreds returns the current min-side predicates (min orientation).
 func (b *MaxMin) MinPreds() []Pred { return b.min.Preds() }
 
-// AddMax folds [max(Q) = a] into the synopsis, applying normalization.
-// On inconsistency the synopsis is unchanged.
-func (b *MaxMin) AddMax(q query.Set, a float64) error {
-	snapMax, snapMin := b.max.Clone(), b.min.Clone()
-	if err := b.max.Add(q, a); err != nil {
-		return err
+// With returns a copy of the synopsis with the answered query
+// [max(Q) = a] (kind query.Max) or [min(Q) = a] (kind query.Min) folded
+// in and normalized. It is the only trial-fold path: the copy is the one
+// clone a trial costs, the fold and the consistency check run on it, and
+// b is never modified. On inconsistency it returns a nil synopsis and
+// ErrInconsistent.
+func (b *MaxMin) With(kind query.Kind, q query.Set, a float64) (*MaxMin, error) {
+	t := b.Clone()
+	var err error
+	switch kind {
+	case query.Max:
+		err = t.max.Add(q, a)
+	case query.Min:
+		err = t.min.Add(q, a)
+	default:
+		return nil, fmt.Errorf("synopsis: cannot fold a %v query", kind)
 	}
-	if err := b.normalizeAndCheck(a); err != nil {
-		b.max, b.min = snapMax, snapMin
-		return err
+	if err == nil {
+		err = t.normalizeAndCheck(a)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
+// AddMax folds [max(Q) = a] into the synopsis, applying normalization.
+// On inconsistency the synopsis is unchanged.
+func (b *MaxMin) AddMax(q query.Set, a float64) error { return b.add(query.Max, q, a) }
+
 // AddMin folds [min(Q) = a] into the synopsis, applying normalization.
-func (b *MaxMin) AddMin(q query.Set, a float64) error {
-	snapMax, snapMin := b.max.Clone(), b.min.Clone()
-	if err := b.min.Add(q, a); err != nil {
+// On inconsistency the synopsis is unchanged.
+func (b *MaxMin) AddMin(q query.Set, a float64) error { return b.add(query.Min, q, a) }
+
+// add commits a fold by swapping in the synopsis With built.
+func (b *MaxMin) add(kind query.Kind, q query.Set, a float64) error {
+	t, err := b.With(kind, q, a)
+	if err != nil {
 		return err
 	}
-	if err := b.normalizeAndCheck(a); err != nil {
-		b.max, b.min = snapMax, snapMin
-		return err
-	}
+	*b = *t
 	return nil
 }
 
@@ -118,9 +136,8 @@ func (b *MaxMin) AddMin(q query.Set, a float64) error {
 // value a fresh Add can newly collide on) and re-verifies global
 // consistency of element ranges and witness feasibility.
 func (b *MaxMin) normalizeAndCheck(a float64) error {
-	maxP, okMax := b.max.EqPredWithValue(a)
-	minP, okMin := b.min.EqPredWithValue(a)
-	if okMax && okMin && !(len(maxP.Set) == 1 && maxP.Set.Equal(minP.Set)) {
+	maxP, minP := b.max.eqPred(a), b.min.inner.eqPred(-a)
+	if maxP != nil && minP != nil && !(len(maxP.Set) == 1 && maxP.Set.Equal(minP.Set)) {
 		inter := maxP.Set.Intersect(minP.Set)
 		if len(inter) != 1 {
 			// Zero common elements would require two distinct elements
@@ -139,7 +156,9 @@ func (b *MaxMin) normalizeAndCheck(a float64) error {
 }
 
 // checkConsistent verifies that every element's range is non-empty and
-// every equality predicate retains a feasible witness.
+// every equality predicate retains a feasible witness. It walks the
+// predicate maps in place: the answer is one boolean over all of them,
+// so their order does not matter.
 func (b *MaxMin) checkConsistent() error {
 	n := b.N()
 	for i := 0; i < n; i++ {
@@ -147,25 +166,25 @@ func (b *MaxMin) checkConsistent() error {
 			return ErrInconsistent
 		}
 	}
-	for _, p := range b.max.Preds() {
-		if p.Eq() && !b.hasFeasibleWitness(p) {
+	for _, p := range b.max.preds {
+		if p.Eq() && !b.hasFeasibleWitness(p.Set, p.Value) {
 			return ErrInconsistent
 		}
 	}
-	for _, p := range b.min.Preds() {
-		if p.Eq() && !b.hasFeasibleWitness(p) {
+	for _, p := range b.min.inner.preds {
+		if p.Eq() && !b.hasFeasibleWitness(p.Set, -p.Value) {
 			return ErrInconsistent
 		}
 	}
 	return nil
 }
 
-// hasFeasibleWitness reports whether some element of the equality
-// predicate p can actually take the value p.Value given the combined
-// bounds from both synopsis sides.
-func (b *MaxMin) hasFeasibleWitness(p Pred) bool {
-	for _, i := range p.Set {
-		if b.RangeOf(i).Contains(p.Value) {
+// hasFeasibleWitness reports whether some element of an equality
+// predicate's set can actually take its value v (min orientation for
+// the min side) given the combined bounds from both synopsis sides.
+func (b *MaxMin) hasFeasibleWitness(set query.Set, v float64) bool {
+	for _, i := range set {
+		if b.RangeOf(i).Contains(v) {
 			return true
 		}
 	}
@@ -196,11 +215,19 @@ func (b *MaxMin) EqValues() map[float64]bool {
 	return out
 }
 
-// MaxPredOf returns the max-side predicate containing i, if any.
-func (b *MaxMin) MaxPredOf(i int) (Pred, bool) { return b.max.PredOf(i) }
+// MaxValueOf returns the value of the max-side predicate containing i,
+// if any, without copying the predicate's set.
+func (b *MaxMin) MaxValueOf(i int) (float64, bool) {
+	v, _, ok := b.max.UpperBound(i)
+	return v, ok
+}
 
-// MinPredOf returns the min-side predicate containing i, if any.
-func (b *MaxMin) MinPredOf(i int) (Pred, bool) { return b.min.PredOf(i) }
+// MinValueOf returns the value of the min-side predicate containing i
+// (min orientation), if any, without copying the predicate's set.
+func (b *MaxMin) MinValueOf(i int) (float64, bool) {
+	v, _, ok := b.min.LowerBound(i)
+	return v, ok
+}
 
 // SingletonEqCount returns the total number of one-element equality
 // predicates on both sides. A pinned element contributes two (one per

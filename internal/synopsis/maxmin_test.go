@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -159,4 +160,36 @@ func TestMaxMinTruthStream(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrialFoldAllocs bounds the allocations of one trial fold: [max(Q)
+// = 50] with |Q| = 1199 into a synopsis holding [max({0..999}) = 100] at
+// n = 3000. The fold detaches 999 elements from one predicate; detaching
+// them one at a time rebuilt the predicate's set per element, about ten
+// thousand allocations, where one filter of the predicate needs none.
+// The count is deterministic, so the bound is safe in plain go test.
+func TestTrialFoldAllocs(t *testing.T) {
+	const n = 3000
+	held := make([]int, 1000)
+	for i := range held {
+		held[i] = i
+	}
+	q := make([]int, 1199)
+	for i := range q {
+		q[i] = i + 1
+	}
+	b := NewMaxMin(n, math.Inf(-1), math.Inf(1))
+	if err := b.AddMax(query.NewSet(held...), 100); err != nil {
+		t.Fatal(err)
+	}
+	qs := query.NewSet(q...)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.With(query.Max, qs, 50); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("trial fold made %.0f allocations, want at most 200", allocs)
+	}
+	t.Logf("trial fold: %.0f allocations", allocs)
 }

@@ -36,15 +36,6 @@ func (m *Min) Preds() []Pred {
 	return ps
 }
 
-// PredOf returns the predicate containing element i, in min orientation.
-func (m *Min) PredOf(i int) (Pred, bool) {
-	p, ok := m.inner.PredOf(i)
-	if ok {
-		p.Value = -p.Value
-	}
-	return p, ok
-}
-
 // LowerBound returns the lower bound on element i: x_i ≥ v
 // (strict=false) or x_i > v (strict=true). ok is false when i is
 // unconstrained.
