@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,7 +118,7 @@ func TestGoldenFoldChain(t *testing.T) {
 }
 
 // writeStep hashes one step's descriptor ahead of its snapshot.
-func writeStep(h interface{ Write([]byte) (int, error) }, op byte, x int, a float64, ok bool) {
+func writeStep(h io.Writer, op byte, x int, a float64, ok bool) {
 	var buf [18]byte
 	buf[0] = op
 	binary.LittleEndian.PutUint64(buf[1:], uint64(x))

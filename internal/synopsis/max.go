@@ -13,14 +13,22 @@
 //
 // whose query sets S are pairwise disjoint; each element of the dataset
 // appears in at most one predicate. The no-duplicates assumption is what
-// allows a new query to be folded into this form in O(|Q|) amortized
-// time: when two equality predicates would share a value, their unique
-// witness must lie in the intersection of their sets.
+// keeps this form closed under new queries: when two equality predicates
+// would share a value, their unique witness must lie in the intersection
+// of their sets.
+//
+// Folding [max(Q) = a] in costs O(|Q| + Σ|S|) over the predicates S that
+// Q touches: each touched predicate's set is filtered once, however many
+// of its elements move. The consistency checks add a merge walk of Q for
+// each touched equality predicate above a and a binary search for every
+// other equality predicate.
 //
 // The combined max+min synopsis additionally applies the paper's
 // normalization: a max predicate and a min predicate with the same value
 // M must share exactly one element x_j, which is pinned to M and split
-// out of both sets.
+// out of both sets. MaxMin.With is its only trial-fold path: it costs
+// one O(n) copy of the synopsis plus an O(n) consistency pass, and
+// AddMax/AddMin commit by swapping in its result.
 package synopsis
 
 import (
