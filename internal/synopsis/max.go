@@ -307,22 +307,6 @@ func (m *Max) forgetEq(p *Pred, setLen int) {
 	}
 }
 
-// detach removes element i from its current predicate (if any),
-// shrinking or deleting the predicate. Detaching a non-witness from an
-// equality predicate is information-preserving because the detached
-// element is known to lie strictly below the predicate's value.
-func (m *Max) detach(i int) {
-	id := m.elem[i]
-	if id < 0 {
-		return
-	}
-	p := m.preds[id]
-	before := len(p.Set)
-	p.Set = p.Set.Minus(query.Set{i})
-	m.elem[i] = -1
-	m.shrunk(p, before)
-}
-
 // detachAll detaches every element of set at once, filtering each
 // predicate it touches a single time: O(|set| + Σ|S|) over the touched
 // predicates, where a detach per element would rebuild a predicate's
@@ -521,7 +505,7 @@ func (m *Max) WeakPredCount() int { return m.leCount }
 // caller must have established that i can achieve a and that no other
 // equality predicate holds a.
 func (m *Max) PinExactly(i int, a float64) {
-	m.detach(i)
+	m.detachAll(query.Set{i})
 	m.newPred(query.Set{i}, a, OpEq)
 }
 
@@ -568,7 +552,7 @@ func (m *Max) Update(i int) {
 	}
 	p := m.preds[id]
 	wasEq := p.Op == OpEq
-	m.detach(i)
+	m.detachAll(query.Set{i})
 	if !wasEq {
 		return
 	}

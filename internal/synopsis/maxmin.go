@@ -1,7 +1,6 @@
 package synopsis
 
 import (
-	"fmt"
 	"math"
 
 	"queryaudit/internal/query"
@@ -97,13 +96,10 @@ func (b *MaxMin) MinPreds() []Pred { return b.min.Preds() }
 func (b *MaxMin) With(kind query.Kind, q query.Set, a float64) (*MaxMin, error) {
 	t := b.Clone()
 	var err error
-	switch kind {
-	case query.Max:
+	if kind == query.Max {
 		err = t.max.Add(q, a)
-	case query.Min:
+	} else {
 		err = t.min.Add(q, a)
-	default:
-		return nil, fmt.Errorf("synopsis: cannot fold a %v query", kind)
 	}
 	if err == nil {
 		err = t.normalizeAndCheck(a)
