@@ -145,6 +145,31 @@ func WeightedIndex(rng *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
+// CumulativeIndex draws an index i with probability
+// (cum[i]−cum[i−1])/cum[len−1] from the prefix sums cum of non-negative
+// weights, summed left to right. It is WeightedIndex over those weights
+// in O(log len) time: it makes the same single draw, scaled by the same
+// total, and binary-searches for the same index, the first i with
+// r < cum[i] (clamped to the last index). It returns -1, without drawing,
+// when cum is empty or its total is not positive.
+func CumulativeIndex(rng *rand.Rand, cum []float64) int {
+	last := len(cum) - 1
+	if last < 0 || cum[last] <= 0 {
+		return -1
+	}
+	r := rng.Float64() * cum[last]
+	lo, hi := 0, last
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r < cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Bernoulli returns true with probability p.
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p

@@ -129,6 +129,81 @@ func TestWeightedIndexDegenerate(t *testing.T) {
 	}
 }
 
+// TestCumulativeIndexMatchesWeightedIndex: over the prefix sums of a
+// positive weight vector, CumulativeIndex picks the same index as
+// WeightedIndex from an equal random state, draw for draw, and leaves the
+// two streams in step. The vectors cover length 1, equal weights, random
+// weights of random length, and weights spanning 1 to 1e300, whose prefix
+// sums stop growing once a huge weight has been added.
+func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
+	gen := New(11)
+	vectors := []struct {
+		name string
+		next func() []float64
+	}{
+		{"length-1", func() []float64 { return []float64{0.1 + gen.Float64()} }},
+		{"all-equal", func() []float64 {
+			w := make([]float64, 1+gen.Intn(300))
+			for i := range w {
+				w[i] = 1.0 / 3
+			}
+			return w
+		}},
+		{"random", func() []float64 {
+			w := make([]float64, 1+gen.Intn(300))
+			for i := range w {
+				w[i] = gen.Float64() + 1e-9
+			}
+			return w
+		}},
+		{"1-to-1e300", func() []float64 {
+			w := make([]float64, 2+gen.Intn(64))
+			for i := range w {
+				w[i] = math.Pow(10, 300*gen.Float64())
+			}
+			w[gen.Intn(len(w))] = 1
+			w[gen.Intn(len(w))] = 1e300
+			return w
+		}},
+	}
+	const vecs, draws = 100, 200
+	for _, vc := range vectors {
+		t.Run(vc.name, func(t *testing.T) {
+			a, b := New(12), New(12)
+			for v := 0; v < vecs; v++ {
+				w := vc.next()
+				cum := make([]float64, len(w))
+				acc := 0.0
+				for i, x := range w {
+					acc += x
+					cum[i] = acc
+				}
+				for d := 0; d < draws; d++ {
+					want, got := WeightedIndex(a, w), CumulativeIndex(b, cum)
+					if got != want {
+						t.Fatalf("vector %d draw %d: CumulativeIndex %d, WeightedIndex %d (weights %v)", v, d, got, want, w)
+					}
+				}
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatal("the two random streams drifted apart")
+			}
+		})
+	}
+}
+
+// TestCumulativeIndexDegenerate: empty or zero-total prefix sums give -1
+// without drawing, as WeightedIndex does.
+func TestCumulativeIndexDegenerate(t *testing.T) {
+	a, b := New(13), New(13)
+	if CumulativeIndex(a, nil) != -1 || CumulativeIndex(a, []float64{0, 0}) != -1 {
+		t.Fatal("degenerate prefix sums must give -1")
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("a degenerate call consumed randomness")
+	}
+}
+
 // TestSubsetSizeBetweenClamping.
 func TestSubsetSizeBetweenClamping(t *testing.T) {
 	rng := New(7)
