@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -194,17 +195,22 @@ func (m *Max) CopyInto(dst *Max) {
 
 // Preds returns the predicates sorted by ID (deep copies).
 func (m *Max) Preds() []Pred {
-	ids := make([]int, 0, len(m.preds))
-	for id := range m.preds {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]Pred, 0, len(ids))
-	for _, id := range ids {
-		p := m.preds[id]
-		out = append(out, Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op})
+	out := m.appendPreds(make([]Pred, 0, len(m.preds)))
+	for i := range out {
+		out[i].Set = out[i].Set.Clone()
 	}
 	return out
+}
+
+// appendPreds appends the predicates to dst sorted by ID. The sets alias
+// m's own.
+func (m *Max) appendPreds(dst []Pred) []Pred {
+	start := len(dst)
+	for _, p := range m.preds {
+		dst = append(dst, *p)
+	}
+	slices.SortFunc(dst[start:], func(a, b Pred) int { return a.ID - b.ID })
+	return dst
 }
 
 // PredOf returns the predicate containing element i, if any.

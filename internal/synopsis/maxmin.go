@@ -2,6 +2,7 @@ package synopsis
 
 import (
 	"math"
+	"slices"
 
 	"queryaudit/internal/query"
 )
@@ -86,6 +87,21 @@ func (b *MaxMin) MaxPreds() []Pred { return b.max.Preds() }
 
 // MinPreds returns the current min-side predicates (min orientation).
 func (b *MaxMin) MinPreds() []Pred { return b.min.Preds() }
+
+// AppendMaxPreds appends the max-side predicates to dst sorted by ID, as
+// MaxPreds orders them, without copying their sets: the sets alias the
+// synopsis and must not be modified or kept past its next change.
+func (b *MaxMin) AppendMaxPreds(dst []Pred) []Pred { return b.max.appendPreds(dst) }
+
+// AppendMinPreds is AppendMaxPreds for the min side (min orientation).
+func (b *MaxMin) AppendMinPreds(dst []Pred) []Pred {
+	start := len(dst)
+	dst = b.min.inner.appendPreds(dst)
+	for i := start; i < len(dst); i++ {
+		dst[i].Value = -dst[i].Value
+	}
+	return dst
+}
 
 // With returns a copy of the synopsis with the answered query
 // [max(Q) = a] (kind query.Max) or [min(Q) = a] (kind query.Min) folded
@@ -198,6 +214,36 @@ func (b *MaxMin) RangeOf(i int) Range {
 		r.Lo, r.LoStrict = v, strict
 	}
 	return r
+}
+
+// Ranges fills dst with RangeOf(i) for every element i, reusing dst's
+// storage, and returns it. It makes one pass over each side's predicates
+// instead of two predicate lookups per element; every element lies in at
+// most one predicate per side, so each bound is applied exactly as
+// RangeOf applies it.
+func (b *MaxMin) Ranges(dst []Range) []Range {
+	n := b.N()
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = Range{Lo: b.alpha, Hi: b.beta}
+	}
+	for _, p := range b.max.preds {
+		v, strict := p.Value, p.Op == OpLt
+		for _, i := range p.Set {
+			if r := &dst[i]; v < r.Hi || (v == r.Hi && strict) {
+				r.Hi, r.HiStrict = v, strict
+			}
+		}
+	}
+	for _, p := range b.min.inner.preds {
+		v, strict := -p.Value, p.Op == OpLt
+		for _, i := range p.Set {
+			if r := &dst[i]; v > r.Lo || (v == r.Lo && strict) {
+				r.Lo, r.LoStrict = v, strict
+			}
+		}
+	}
+	return dst
 }
 
 // EqValues returns every value held by an equality predicate on either

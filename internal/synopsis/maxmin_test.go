@@ -3,6 +3,7 @@ package synopsis
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"queryaudit/internal/query"
@@ -157,6 +158,49 @@ func TestMaxMinTruthStream(t *testing.T) {
 				if r := b.RangeOf(i); !r.Contains(xs[i]) {
 					t.Fatalf("trial %d step %d: range %+v of x%d excludes true value %g", trial, step, r, i, xs[i])
 				}
+			}
+		}
+	}
+}
+
+// TestRangesMatchRangeOf: the one-pass range table equals RangeOf
+// element by element, bit for bit, through random folds and updates
+// (which leave OpLe bounds), under finite and infinite ambient bounds,
+// while reusing one table. The allocation-free predicate listings order
+// predicates as MaxPreds and MinPreds do.
+func TestRangesMatchRangeOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var table []Range
+	var listed []Pred
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + rng.Intn(8)
+		xs := distinctValues(rng, n)
+		b := NewMaxMin(n, -1, 50)
+		if trial%2 == 1 {
+			b = NewMaxMin(n, math.Inf(-1), math.Inf(1))
+		}
+		for step := 0; step < 14; step++ {
+			q := randomSet(rng, n)
+			switch rng.Intn(5) {
+			case 0:
+				b.Update(rng.Intn(n))
+			case 1, 2:
+				_ = b.AddMax(q, maxOf(xs, q))
+			default:
+				_ = b.AddMin(q, minOf(xs, q))
+			}
+			table = b.Ranges(table)
+			if len(table) != n {
+				t.Fatalf("trial %d step %d: table has %d ranges, want %d", trial, step, len(table), n)
+			}
+			for i := 0; i < n; i++ {
+				if got, want := table[i], b.RangeOf(i); got != want {
+					t.Fatalf("trial %d step %d: Ranges[%d] = %+v, RangeOf = %+v", trial, step, i, got, want)
+				}
+			}
+			listed = b.AppendMinPreds(b.AppendMaxPreds(listed[:0]))
+			if want := append(b.MaxPreds(), b.MinPreds()...); len(listed) != len(want) || len(want) > 0 && !reflect.DeepEqual(listed, want) {
+				t.Fatalf("trial %d step %d: listed predicates %v, want %v", trial, step, listed, want)
 			}
 		}
 	}
