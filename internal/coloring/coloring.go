@@ -17,7 +17,9 @@
 //
 // The Markov chain is the paper's Metropolized single-site update: pick a
 // node uniformly, propose a color from its palette with probability
-// proportional to ℓ, accept iff the result stays valid. Lemma 2 gives
+// proportional to ℓ, accept iff the result stays valid. A proposal is one
+// uniform draw and a binary search of the node's prefix sums of ℓ, so a
+// step is O(log |palette|) plus the node's degree. Lemma 2 gives
 // the stationarity of P̃; Lemma 3 gives O(k log k) mixing under the
 // degree condition |S(v)| ≥ d_v + 2 that the auditor enforces by outright
 // denial.
@@ -28,6 +30,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
@@ -46,39 +50,78 @@ type Node struct {
 	IsMax bool
 	// Set is the predicate's full query set S(v).
 	Set query.Set
-	// Colors are the feasible witnesses: elements of Set whose range
-	// admits Value.
+	// Colors are the feasible witnesses, in ascending order: elements of
+	// Set whose range admits Value.
 	Colors []int
 	// Weights[i] is ℓ_{Colors[i]} = 1/|R_{Colors[i]}| (pinned elements
 	// get weight 1; they are forced anyway).
 	Weights []float64
-	// Adj lists adjacent node indices (intersecting sets, different
-	// values).
+	// Cum[i] is Weights[0] + … + Weights[i], summed left to right: the
+	// prefix sums a proposal binary-searches.
+	Cum []float64
+	// Adj lists adjacent node indices in ascending order (intersecting
+	// sets, different values).
 	Adj []int
 }
 
-// Graph is the coloring graph of a synopsis.
+// Graph is the coloring graph of a synopsis. Its nodes' slices are views
+// into flat buffers the graph owns, which BuildInto reuses.
 type Graph struct {
 	Nodes []Node
-	n     int
-	b     *synopsis.MaxMin
+	// ranges[i] is element i's synopsis range.
+	ranges []synopsis.Range
+
+	preds             []synopsis.Pred
+	sets, colors, adj []int
+	weights, cum      []float64
+	meets             []bool
 }
 
 // Build constructs the coloring graph from a combined synopsis. Ranges
 // (and hence weights) use the synopsis's ambient [α, β] bounds, which
 // must be finite for weights to be meaningful.
 func Build(b *synopsis.MaxMin) (*Graph, error) {
-	if math.IsInf(b.Alpha(), 0) || math.IsInf(b.Beta(), 0) {
-		return nil, fmt.Errorf("coloring: synopsis must have finite data range, got [%g,%g]", b.Alpha(), b.Beta())
+	g := new(Graph)
+	if err := BuildInto(g, b); err != nil {
+		return nil, err
 	}
-	g := &Graph{n: b.N(), b: b}
-	add := func(p synopsis.Pred, isMax bool) error {
-		if !p.Eq() {
-			return nil
+	return g, nil
+}
+
+// BuildInto is Build into an existing graph, reusing its node, palette,
+// weight, prefix-sum, adjacency and range buffers: once they have grown
+// to fit, it allocates nothing. The graph copies what it keeps, so it
+// does not alias b. On error g's contents are unspecified.
+func BuildInto(g *Graph, b *synopsis.MaxMin) error {
+	if math.IsInf(b.Alpha(), 0) || math.IsInf(b.Beta(), 0) {
+		return fmt.Errorf("coloring: synopsis must have finite data range, got [%g,%g]", b.Alpha(), b.Beta())
+	}
+	g.ranges = b.Ranges(g.ranges)
+	g.preds = b.AppendMaxPreds(g.preds[:0])
+	maxSide := len(g.preds)
+	g.preds = b.AppendMinPreds(g.preds)
+	// Size the flat buffers up front so that appending never moves them
+	// and the node views taken along the way stay valid.
+	total := 0
+	for _, p := range g.preds {
+		if p.Eq() {
+			total += len(p.Set)
 		}
-		node := Node{Value: p.Value, IsMax: isMax, Set: p.Set}
+	}
+	sets := slices.Grow(g.sets[:0], total)
+	colors := slices.Grow(g.colors[:0], total)
+	weights := slices.Grow(g.weights[:0], total)
+	cum := slices.Grow(g.cum[:0], total)
+	g.Nodes = g.Nodes[:0]
+	for pi, p := range g.preds {
+		if !p.Eq() {
+			continue
+		}
+		s0, c0 := len(sets), len(colors)
+		sets = append(sets, p.Set...)
+		acc := 0.0
 		for _, i := range p.Set {
-			r := b.RangeOf(i)
+			r := g.ranges[i]
 			if !r.Contains(p.Value) {
 				continue
 			}
@@ -86,39 +129,65 @@ func Build(b *synopsis.MaxMin) (*Graph, error) {
 			if l := r.Length(); l > 0 {
 				w = 1 / l
 			}
-			node.Colors = append(node.Colors, i)
-			node.Weights = append(node.Weights, w)
+			acc += w
+			colors = append(colors, i)
+			weights = append(weights, w)
+			cum = append(cum, acc)
 		}
-		if len(node.Colors) == 0 {
+		if len(colors) == c0 {
 			return ErrNoValidColoring
 		}
-		g.Nodes = append(g.Nodes, node)
-		return nil
+		s1, c1 := len(sets), len(colors)
+		g.Nodes = append(g.Nodes, Node{
+			Value:   p.Value,
+			IsMax:   pi < maxSide,
+			Set:     sets[s0:s1:s1],
+			Colors:  colors[c0:c1:c1],
+			Weights: weights[c0:c1:c1],
+			Cum:     cum[c0:c1:c1],
+		})
 	}
-	for _, p := range b.MaxPreds() {
-		if err := add(p, true); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range b.MinPreds() {
-		if err := add(p, false); err != nil {
-			return nil, err
-		}
-	}
+	g.sets, g.colors, g.weights, g.cum = sets, colors, weights, cum
 	// Adjacency: intersecting sets with different values. Same-side sets
 	// are disjoint, so only max–min pairs can meet.
+	k := len(g.Nodes)
+	g.meets = slices.Grow(g.meets[:0], k*k)[:k*k]
+	edges := 0
 	for i := range g.Nodes {
-		for j := i + 1; j < len(g.Nodes); j++ {
-			if g.Nodes[i].Value == g.Nodes[j].Value {
-				continue // the pinned singleton pair shares its witness
-			}
-			if g.Nodes[i].Set.Overlaps(g.Nodes[j].Set) {
-				g.Nodes[i].Adj = append(g.Nodes[i].Adj, j)
-				g.Nodes[j].Adj = append(g.Nodes[j].Adj, i)
+		for j := i + 1; j < k; j++ {
+			// The pinned singleton pair shares its witness.
+			meet := g.Nodes[i].Value != g.Nodes[j].Value && g.Nodes[i].Set.Overlaps(g.Nodes[j].Set)
+			g.meets[i*k+j], g.meets[j*k+i] = meet, meet
+			if meet {
+				edges += 2
 			}
 		}
 	}
-	return g, nil
+	adj := slices.Grow(g.adj[:0], edges)
+	for i := range g.Nodes {
+		a0 := len(adj)
+		for j := 0; j < k; j++ {
+			if j != i && g.meets[i*k+j] {
+				adj = append(adj, j)
+			}
+		}
+		g.Nodes[i].Adj = adj[a0:len(adj):len(adj)]
+	}
+	g.adj = adj
+	return nil
+}
+
+// Range returns element i's synopsis range, read from the table Build
+// computed.
+func (g *Graph) Range(i int) synopsis.Range { return g.ranges[i] }
+
+// paletteIndex returns the position of col in node vi's palette, or -1.
+func (g *Graph) paletteIndex(vi, col int) int {
+	cs := g.Nodes[vi].Colors
+	if k := sort.SearchInts(cs, col); k < len(cs) && cs[k] == col {
+		return k
+	}
+	return -1
 }
 
 // K returns the number of nodes (equality predicates).
@@ -148,14 +217,7 @@ func (g *Graph) Valid(c []int) bool {
 		return false
 	}
 	for vi, v := range g.Nodes {
-		ok := false
-		for _, col := range v.Colors {
-			if col == c[vi] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if g.paletteIndex(vi, c[vi]) < 0 {
 			return false
 		}
 		for _, u := range v.Adj {
@@ -171,11 +233,8 @@ func (g *Graph) Valid(c []int) bool {
 func (g *Graph) Weight(c []int) float64 {
 	w := 1.0
 	for vi, v := range g.Nodes {
-		for k, col := range v.Colors {
-			if col == c[vi] {
-				w *= v.Weights[k]
-				break
-			}
+		if k := g.paletteIndex(vi, c[vi]); k >= 0 {
+			w *= v.Weights[k]
 		}
 	}
 	return w
@@ -206,7 +265,7 @@ func (g *Graph) InitialColoring() ([]int, error) {
 			return true
 		}
 		vi := order[pos]
-		v := g.Nodes[vi]
+		v := &g.Nodes[vi]
 		for _, col := range v.Colors {
 			clash := false
 			for _, u := range v.Adj {
@@ -292,7 +351,7 @@ func ExactWitnessProbs(g *Graph, limit int) (probs [][]float64, ok bool) {
 			}
 			return
 		}
-		node := g.Nodes[v]
+		node := &g.Nodes[v]
 	next:
 		for ci, col := range node.Colors {
 			for _, u := range node.Adj {
@@ -324,6 +383,8 @@ type Sampler struct {
 	//auditlint:allow rngshare sampler is per-worker scratch; mcpar derives a fresh stream per worker per decision
 	rng *rand.Rand
 	c   []int
+	// ci[v] is the position of c[v] in node v's palette.
+	ci []int
 	// steps counts chain steps taken (diagnostics).
 	steps int
 }
@@ -335,7 +396,9 @@ func NewSampler(g *Graph, rng *rand.Rand) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sampler{g: g, rng: rng, c: c}, nil
+	s := &Sampler{g: g, rng: rng}
+	s.load(c)
+	return s, nil
 }
 
 // NewSamplerFrom builds a sampler starting from the given valid coloring
@@ -344,37 +407,49 @@ func NewSamplerFrom(g *Graph, rng *rand.Rand, c []int) (*Sampler, error) {
 	if !g.Valid(c) {
 		return nil, fmt.Errorf("coloring: initial coloring invalid")
 	}
-	return &Sampler{g: g, rng: rng, c: append([]int(nil), c...)}, nil
+	s := &Sampler{g: g, rng: rng}
+	s.load(c)
+	return s, nil
+}
+
+// load copies the valid coloring c, and each color's palette position,
+// into the sampler's buffers.
+func (s *Sampler) load(c []int) {
+	s.c = append(s.c[:0], c...)
+	s.ci = s.ci[:0]
+	for vi, col := range c {
+		s.ci = append(s.ci, s.g.paletteIndex(vi, col))
+	}
 }
 
 // Step performs one transition of the chain: pick a node uniformly,
 // propose a color with probability ∝ ℓ, keep the old color if the
-// proposal collides with a neighbor.
+// proposal collides with a neighbor. The proposal is one draw scaled by
+// the node's weight total and a binary search of its prefix sums, so a
+// step costs O(log |palette| + degree); it picks the index
+// randx.WeightedIndex would pick over the node's weights.
 func (s *Sampler) Step() {
 	k := len(s.g.Nodes)
 	if k == 0 {
 		return
 	}
 	vi := s.rng.Intn(k)
-	v := s.g.Nodes[vi]
+	v := &s.g.Nodes[vi]
+	s.steps++
 	if len(v.Colors) == 1 {
-		s.steps++
 		return
 	}
-	pick := randx.WeightedIndex(s.rng, v.Weights)
+	pick := randx.CumulativeIndex(s.rng, v.Cum)
 	if pick < 0 {
-		s.steps++
 		return
 	}
 	col := v.Colors[pick]
 	for _, u := range v.Adj {
 		if s.c[u] == col {
-			s.steps++
 			return // invalid proposal: stay
 		}
 	}
-	s.c[vi] = col
-	s.steps++
+	s.c[vi], s.ci[vi] = col, pick
 }
 
 // MixSteps returns the O(k log k) step budget with the given constant
@@ -402,6 +477,11 @@ func (s *Sampler) Coloring() []int { return append([]int(nil), s.c...) }
 // the per-iteration copy of Coloring dominates the profile.
 func (s *Sampler) Current() []int { return s.c }
 
+// CurrentIndices is Current as palette positions: entry v is the index
+// of node v's color in its Colors, so per-color tallies need no palette
+// search. The same aliasing rules apply.
+func (s *Sampler) CurrentIndices() []int { return s.ci }
+
 // Reset rebases the sampler for reuse: randomness moves onto rng, the
 // coloring is restored to c (copied into the existing buffer), and the
 // step counter clears. It is the per-sample path of the parallel Monte
@@ -412,7 +492,7 @@ func (s *Sampler) Reset(rng *rand.Rand, c []int) error {
 		return fmt.Errorf("coloring: reset coloring invalid")
 	}
 	s.rng = rng
-	s.c = append(s.c[:0], c...)
+	s.load(c)
 	s.steps = 0
 	return nil
 }
@@ -436,8 +516,8 @@ func (s *Sampler) SampleDatasetInto(rng *rand.Rand, xs []float64, fixed []bool) 
 // DatasetFromColoring implements Lemma 1's steps 2–3 for an arbitrary
 // valid coloring.
 func DatasetFromColoring(g *Graph, c []int, rng *rand.Rand) []float64 {
-	xs := make([]float64, g.n)
-	fixed := make([]bool, g.n)
+	xs := make([]float64, len(g.ranges))
+	fixed := make([]bool, len(g.ranges))
 	DatasetFromColoringInto(g, c, rng, xs, fixed)
 	return xs
 }
@@ -452,11 +532,10 @@ func DatasetFromColoringInto(g *Graph, c []int, rng *rand.Rand, xs []float64, fi
 		xs[c[vi]] = v.Value
 		fixed[c[vi]] = true
 	}
-	for i := 0; i < g.n; i++ {
+	for i, r := range g.ranges {
 		if fixed[i] {
 			continue
 		}
-		r := g.b.RangeOf(i)
 		if r.Pinned() {
 			xs[i] = r.Lo
 			continue

@@ -3,6 +3,7 @@ package coloring
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"queryaudit/internal/query"
@@ -290,5 +291,95 @@ func TestExactWitnessProbsMatchesEnumeration(t *testing.T) {
 	// Limit respected.
 	if _, ok := ExactWitnessProbs(g, 2); ok {
 		t.Fatal("limit must refuse large spaces")
+	}
+}
+
+// wideSynopsis folds the true answers of alternating max and min
+// queries over random sets of 60–300 rows into an n=300 synopsis on
+// [0,1], the prob-300 shape: a handful of nodes with wide palettes.
+func wideSynopsis(t *testing.T, seed int64, queries int) *synopsis.MaxMin {
+	t.Helper()
+	const n = 300
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	for i, r := range rng.Perm(n) {
+		xs[i] = (float64(r) + 0.5) / n
+	}
+	b := synopsis.NewMaxMin(n, 0, 1)
+	for k := 0; k < queries; k++ {
+		q := query.NewSet(rng.Perm(n)[:60+rng.Intn(241)]...)
+		kind := query.Max
+		if k%2 == 1 {
+			kind = query.Min
+		}
+		ans := query.Query{Set: q, Kind: kind}.Eval(xs)
+		add := b.AddMax
+		if kind == query.Min {
+			add = b.AddMin
+		}
+		if err := add(q, ans); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestBuildIntoReuse: BuildInto over a graph last built from a different
+// synopsis equals a fresh Build — nodes, prefix sums, adjacency and the
+// range table — and, warm, allocates nothing.
+func TestBuildIntoReuse(t *testing.T) {
+	var g Graph
+	for seed := int64(1); seed <= 6; seed++ {
+		b := wideSynopsis(t, seed, int(2+seed*2))
+		fresh, err := Build(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := BuildInto(&g, b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Nodes, fresh.Nodes) {
+			t.Fatalf("seed %d: reused graph nodes differ from a fresh build", seed)
+		}
+		for i := 0; i < b.N(); i++ {
+			if g.Range(i) != b.RangeOf(i) {
+				t.Fatalf("seed %d: Range(%d) = %+v, RangeOf = %+v", seed, i, g.Range(i), b.RangeOf(i))
+			}
+		}
+		for _, v := range g.Nodes {
+			acc := 0.0
+			for ci, w := range v.Weights {
+				acc += w
+				if v.Cum[ci] != acc {
+					t.Fatalf("seed %d: Cum[%d] = %g, want %g", seed, ci, v.Cum[ci], acc)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = BuildInto(&g, b) }); allocs != 0 {
+			t.Fatalf("seed %d: warm BuildInto made %.0f allocations, want 0", seed, allocs)
+		}
+	}
+}
+
+// TestStepAllocs: a chain step allocates nothing, and the palette
+// positions the sampler tracks stay those of its colors. Step made 0
+// allocations before prefix sums too (it drew through
+// randx.WeightedIndex over a copy of the node); this pins the count.
+func TestStepAllocs(t *testing.T) {
+	g, err := Build(wideSynopsis(t, 3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(g, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, s.Step); allocs != 0 {
+		t.Fatalf("Step made %.0f allocations, want 0", allocs)
+	}
+	for v, ci := range s.CurrentIndices() {
+		if g.Nodes[v].Colors[ci] != s.Current()[v] {
+			t.Fatalf("node %d: palette index %d names color %d, coloring has %d", v, ci, g.Nodes[v].Colors[ci], s.Current()[v])
+		}
 	}
 }
