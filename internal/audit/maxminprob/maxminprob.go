@@ -31,6 +31,7 @@ package maxminprob
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/coloring"
@@ -210,13 +211,13 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 // Section 3.2 prescribes.
 func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	limit := a.params.enumerateLimit()
+	var g coloring.Graph
 	for _, cand := range a.candidates(q.Set) {
 		trial, err := a.syn.With(q.Kind, q.Set, cand)
 		if err != nil {
 			continue // inconsistent answers cannot occur
 		}
-		g, gerr := coloring.Build(trial)
-		if gerr != nil {
+		if coloring.BuildInto(&g, trial) != nil {
 			return false
 		}
 		if !g.MeetsLemma2() && g.SpaceSize(limit) >= limit {
@@ -226,46 +227,84 @@ func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	return true
 }
 
+// posterior is the reusable state of one posterior estimate: the
+// coloring graph of the synopsis under test, the witness counts behind
+// its witness probabilities, and the per-element witness-mass table
+// safeState reads. Each Monte Carlo worker owns one, so once its buffers
+// have grown an estimate allocates little beyond the chain's start.
+type posterior struct {
+	g coloring.Graph
+	// counts holds every node's witness counts back to back; probs[v]
+	// views node v's run.
+	counts []float64
+	probs  [][]float64
+	// massAt[i]:massAt[i+1] delimits element i's entries in mass.
+	massAt []int
+	mass   []witnessMass
+}
+
+// witnessMass is one node's witness probability on one element.
+type witnessMass struct {
+	value float64
+	p     float64
+}
+
 // witnessProbs computes π_i(v) for a synopsis: exactly (by enumeration)
 // when the graph is small or fails Lemma 2's ergodicity condition, by
-// the Markov chain otherwise.
+// the Markov chain otherwise. It is a one-off estimate on fresh scratch.
 func witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) (*coloring.Graph, [][]float64, error) {
-	g, err := coloring.Build(b)
+	ps := new(posterior)
+	probs, err := ps.witnessProbs(b, params, rng)
 	if err != nil {
 		return nil, nil, err
 	}
+	return &ps.g, probs, nil
+}
+
+// witnessProbs is the package-level witnessProbs over ps's buffers: the
+// graph it estimates is ps.g, and the returned rows alias ps until its
+// next estimate.
+func (ps *posterior) witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) ([][]float64, error) {
+	if err := coloring.BuildInto(&ps.g, b); err != nil {
+		return nil, err
+	}
+	g := &ps.g
 	limit := params.enumerateLimit()
 	if !g.MeetsLemma2() || g.SpaceSize(limit) < limit {
 		if probs, ok := coloring.ExactWitnessProbs(g, limit); ok {
-			return g, probs, nil
+			return probs, nil
 		}
 		if !g.MeetsLemma2() {
-			return nil, nil, fmt.Errorf("maxminprob: graph fails Lemma 2 and exceeds the enumeration limit")
+			return nil, fmt.Errorf("maxminprob: graph fails Lemma 2 and exceeds the enumeration limit")
 		}
 	}
 	s, err := coloring.NewSampler(g, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.Mix(params.mixFactor()) // burn-in
 	inner := params.inner()
-	counts := make([][]float64, g.K())
-	for v := range counts {
-		counts[v] = make([]float64, len(g.Nodes[v].Colors))
+	total := 0
+	for v := range g.Nodes {
+		total += len(g.Nodes[v].Colors)
 	}
+	ps.counts = slices.Grow(ps.counts[:0], total)[:total]
+	clear(ps.counts)
+	ps.probs = ps.probs[:0]
+	for v, off := 0, 0; v < g.K(); v++ {
+		end := off + len(g.Nodes[v].Colors)
+		ps.probs = append(ps.probs, ps.counts[off:end:end])
+		off = end
+	}
+	counts := ps.probs
 	thin := coloring.MixSteps(g.K(), params.mixFactor()/4+0.5)
 	for it := 0; it < inner; it++ {
 		for st := 0; st < thin; st++ {
 			s.Step()
 		}
-		c := s.Current() // no-copy read; consumed before the next Step
-		for v, col := range c {
-			for ci, candidate := range g.Nodes[v].Colors {
-				if candidate == col {
-					counts[v][ci]++
-					break
-				}
-			}
+		// No-copy read; consumed before the next Step.
+		for v, ci := range s.CurrentIndices() {
+			counts[v][ci]++
 		}
 	}
 	for v := range counts {
@@ -273,38 +312,56 @@ func witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) (*coloring.
 			counts[v][ci] /= float64(inner)
 		}
 	}
-	return g, counts, nil
+	return counts, nil
 }
 
 // safeState checks the λ-window for every element × interval given a
-// synopsis state, using Monte Carlo witness probabilities drawn from rng.
-func (a *Auditor) safeState(b *synopsis.MaxMin, rng *rand.Rand) (bool, error) {
-	g, probs, err := witnessProbs(b, a.params, rng)
+// synopsis state, using Monte Carlo witness probabilities drawn from rng
+// on the worker's scratch ps.
+func (a *Auditor) safeState(b *synopsis.MaxMin, rng *rand.Rand, ps *posterior) (bool, error) {
+	probs, err := ps.witnessProbs(b, a.params, rng)
 	if err != nil {
 		return false, err
 	}
-	// Gather, per element, its witness probability mass per node value.
-	type mass struct {
-		value float64
-		p     float64
-	}
-	witMass := make([][]mass, a.n)
-	for v, node := range g.Nodes {
-		for ci, col := range node.Colors {
+	g := &ps.g
+	// Gather, per element, its witness probability mass per node value,
+	// in (node, palette) order. Count each element's entries, turn the
+	// counts into start offsets, place the entries while advancing the
+	// offsets, then shift them back.
+	ps.massAt = slices.Grow(ps.massAt[:0], a.n+1)[:a.n+1]
+	clear(ps.massAt)
+	for v := range g.Nodes {
+		for ci, col := range g.Nodes[v].Colors {
 			if probs[v][ci] > 0 {
-				witMass[col] = append(witMass[col], mass{value: node.Value, p: probs[v][ci]})
+				ps.massAt[col+1]++
 			}
 		}
 	}
+	for i := 0; i < a.n; i++ {
+		ps.massAt[i+1] += ps.massAt[i]
+	}
+	ps.mass = slices.Grow(ps.mass[:0], ps.massAt[a.n])[:ps.massAt[a.n]]
+	for v := range g.Nodes {
+		node := &g.Nodes[v]
+		for ci, col := range node.Colors {
+			if probs[v][ci] > 0 {
+				ps.mass[ps.massAt[col]] = witnessMass{value: node.Value, p: probs[v][ci]}
+				ps.massAt[col]++
+			}
+		}
+	}
+	copy(ps.massAt[1:], ps.massAt[:a.n])
+	ps.massAt[0] = 0
 	prior := a.part.Prior()
 	for i := 0; i < a.n; i++ {
-		r := b.RangeOf(i)
-		constrained := len(witMass[i]) > 0 || r.Lo > 0 || r.Hi < 1
+		r := g.Range(i)
+		wit := ps.mass[ps.massAt[i]:ps.massAt[i+1]]
+		constrained := len(wit) > 0 || r.Lo > 0 || r.Hi < 1
 		if !constrained {
 			continue // posterior equals prior exactly
 		}
 		var witTotal float64
-		for _, m := range witMass[i] {
+		for _, m := range wit {
 			witTotal += m.p
 		}
 		free := 1 - witTotal
@@ -312,7 +369,7 @@ func (a *Auditor) safeState(b *synopsis.MaxMin, rng *rand.Rand) (bool, error) {
 		for j := 1; j <= a.params.Gamma; j++ {
 			cell := a.part.Cell(j)
 			post := free * iv.OverlapFraction(cell)
-			for _, m := range witMass[i] {
+			for _, m := range wit {
 				//auditlint:allow floateq final partition cell is closed at beta; the exact-endpoint test mirrors interval.CellIndex
 				if m.value >= cell.Lo && (m.value < cell.Hi || (j == a.params.Gamma && m.value == cell.Hi)) {
 					post += m.p
@@ -374,27 +431,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			}
 		},
 		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
-			// Draw one dataset from P(X | B) via the coloring chain
-			// (Lemma 1), reusing the worker's sampler rebased onto this
-			// sample's random stream.
-			if sc.sampler == nil {
-				s, serr := coloring.NewSamplerFrom(g, rng, init)
-				if serr != nil {
-					return true
-				}
-				sc.sampler = s
-			} else if sc.sampler.Reset(rng, init) != nil {
-				return true
-			}
-			sc.sampler.Mix(a.params.mixFactor())
-			sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
-			ans := q.Eval(sc.xs)
-			trial, aerr := a.syn.With(q.Kind, q.Set, ans)
-			if aerr != nil {
-				return true // sampled-consistent answers should fold cleanly
-			}
-			ok, serr := a.safeState(trial, rng)
-			return serr != nil || !ok
+			return a.unsafeSample(q, g, init, rng, sc)
 		})
 	if out.Exceeded {
 		return audit.Deny, nil
@@ -402,12 +439,39 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	return audit.Answer, nil
 }
 
+// unsafeSample is one outer Monte Carlo sample of Decide: it draws a
+// dataset from P(X | B) via the coloring chain of the decision graph g
+// (Lemma 1), reusing the worker's sampler rebased onto this sample's
+// random stream, folds q's answer on it into a trial synopsis and reports
+// whether that state breaks the λ-window.
+func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng *rand.Rand, sc *decideScratch) bool {
+	if sc.sampler == nil {
+		s, err := coloring.NewSamplerFrom(g, rng, init)
+		if err != nil {
+			return true
+		}
+		sc.sampler = s
+	} else if sc.sampler.Reset(rng, init) != nil {
+		return true
+	}
+	sc.sampler.Mix(a.params.mixFactor())
+	sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
+	trial, err := a.syn.With(q.Kind, q.Set, q.Eval(sc.xs))
+	if err != nil {
+		return true // sampled-consistent answers should fold cleanly
+	}
+	ok, err := a.safeState(trial, rng, &sc.post)
+	return err != nil || !ok
+}
+
 // decideScratch is the per-worker reusable state of Decide: the chain
-// sampler over the shared decision graph plus the dataset buffers.
+// sampler over the shared decision graph, the dataset buffers and the
+// posterior scratch of the trial synopses.
 type decideScratch struct {
 	sampler *coloring.Sampler
 	xs      []float64
 	fixed   []bool
+	post    posterior
 }
 
 // Record implements audit.Auditor.
