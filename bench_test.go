@@ -411,6 +411,48 @@ func BenchmarkMaxMinProbDecide(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxMinProbWideDecide measures one Section 3.2 decision at the
+// end-to-end prob-300 shape: n=300, the auditserver's prob parameters
+// (λ 0.45, γ 4, δ 0.2, T 12), the auditor's default Monte Carlo budget
+// (32 outer samples, 48 inner samples, mix factor 3) and a history of
+// twelve answered wide max and min queries, so the coloring graph has
+// several nodes with palettes of tens to hundreds of colors. The timed
+// decisions re-ask that history, as prob-300's Zipf-skewed statement pool
+// does, so most are answered and run the full outer budget. One worker,
+// so the figure is the decision's CPU cost.
+func BenchmarkMaxMinProbWideDecide(b *testing.B) {
+	const n = 300
+	rng := randx.New(12)
+	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
+	wide := func(i int) query.Query {
+		kind := query.Max
+		if i%2 == 1 {
+			kind = query.Min
+		}
+		return query.New(kind, randx.SubsetSizeBetween(rng, n, 60, 300)...)
+	}
+	a, err := maxminprob.New(n, maxminprob.Params{
+		Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 6,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var qs []query.Query
+	for t := 0; len(qs) < 12 && t < 200; t++ {
+		q := wide(t)
+		if d, _ := a.Decide(q); d == audit.Answer {
+			a.Record(q, q.Eval(xs))
+			qs = append(qs, q)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBoolRangeOfflineAudit measures the 1-D boolean offline
 // auditor (difference-constraint analysis) on a published-table-sized
 // history.
