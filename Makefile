@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-report ci bench bench-test bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
+.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
 
 build:
 	$(GO) build ./...
@@ -12,11 +12,19 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus auditlint, the repo's custom stdlib-only
-# analyzer suite (cmd/auditlint, docs/LINTING.md) enforcing the
-# determinism, locking and persistence invariants the replay/replication
-# layers depend on. Every run loads and analyzes the whole module.
-lint: vet
+# Formatting gate: fails when gofmt would change any Go file in the tree
+# (bench/ included).
+GOFMT ?= gofmt
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files (run gofmt -w):"; echo "$$out"; exit 1; fi
+
+# Static analysis: the gofmt gate, go vet, and auditlint, the repo's
+# custom stdlib-only analyzer suite (cmd/auditlint, docs/LINTING.md)
+# enforcing the determinism, locking and persistence invariants the
+# replay/replication layers depend on. Every run loads and analyzes the
+# whole module.
+lint: fmt-check vet
 	$(GO) run ./cmd/auditlint ./...
 
 # Machine-readable findings report (schema 3, with witness chains) for

@@ -198,4 +198,3 @@ func TestExactFieldAgrees(t *testing.T) {
 		}
 	}
 }
-

@@ -16,7 +16,7 @@ import (
 // quote or truncated record never takes the rest of the file with it.
 func TestParsePGAuditFixtures(t *testing.T) {
 	cases := []struct {
-		file                       string
+		file                        string
 		entries, malformed, skipped int
 	}{
 		{"pgaudit_valid.csv", 4, 0, 2},     // comment + WRITE row skipped

@@ -158,8 +158,8 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // Registry holds named counters, gauges and histograms.
 type Registry struct {
 	mu     sync.Mutex
-	ctrs   map[string]*Counter // auditlint:guardedby(mu)
-	gauges map[string]*Gauge // auditlint:guardedby(mu)
+	ctrs   map[string]*Counter   // auditlint:guardedby(mu)
+	gauges map[string]*Gauge     // auditlint:guardedby(mu)
 	hists  map[string]*Histogram // auditlint:guardedby(mu)
 }
 

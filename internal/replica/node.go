@@ -67,15 +67,15 @@ type Observer interface {
 // NopObserver is an Observer that ignores everything.
 type NopObserver struct{}
 
-func (NopObserver) ObserveRole(bool, uint64)             {}
-func (NopObserver) ObserveShipped(int)                   {}
-func (NopObserver) ObserveStreamPoll()                   {}
-func (NopObserver) ObserveApplied(int, time.Duration)    {}
-func (NopObserver) ObserveLag(uint64)                    {}
-func (NopObserver) ObserveDivergence()                   {}
-func (NopObserver) ObserveQuarantine(int)                {}
-func (NopObserver) ObserveResync()                       {}
-func (NopObserver) ObserveReconnect()                    {}
+func (NopObserver) ObserveRole(bool, uint64)          {}
+func (NopObserver) ObserveShipped(int)                {}
+func (NopObserver) ObserveStreamPoll()                {}
+func (NopObserver) ObserveApplied(int, time.Duration) {}
+func (NopObserver) ObserveLag(uint64)                 {}
+func (NopObserver) ObserveDivergence()                {}
+func (NopObserver) ObserveQuarantine(int)             {}
+func (NopObserver) ObserveResync()                    {}
+func (NopObserver) ObserveReconnect()                 {}
 
 // Config tunes a replication node. Zero values take the defaults below.
 type Config struct {
@@ -158,7 +158,7 @@ type Node struct {
 
 	// mu serializes role transitions and follower start/stop.
 	mu           sync.Mutex
-	stopFollower func() // auditlint:guardedby(mu)
+	stopFollower func()        // auditlint:guardedby(mu)
 	followerDone chan struct{} // auditlint:guardedby(mu)
 
 	// ackMu guards pending follower acks, drained into each stream poll.

@@ -318,7 +318,9 @@ func TestDivergenceQuarantine(t *testing.T) {
 
 	// Only now drive traffic, so every record arrives via the corrupting
 	// stream rather than inside the (clean) snapshot.
-	waitFor(t, "initial resync", func() bool { return fnode.Status().Applied >= 0 && reg.Snapshot().Counters["replica_resync_total"] >= 1 })
+	waitFor(t, "initial resync", func() bool {
+		return fnode.Status().Applied >= 0 && reg.Snapshot().Counters["replica_resync_total"] >= 1
+	})
 	steps := script(33, fam.n, fam.rounds, fam.kinds, false)
 	drive(t, pm, steps)
 	waitFor(t, "follower catch-up", caughtUp(pnode, fnode))
