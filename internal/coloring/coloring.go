@@ -59,22 +59,17 @@ type Node struct {
 	// Cum[i] is Weights[0] + … + Weights[i], summed left to right: the
 	// prefix sums a proposal binary-searches.
 	Cum []float64
-	// Adj lists adjacent node indices in ascending order (intersecting
-	// sets, different values).
+	// Adj lists adjacent node indices (intersecting sets, different
+	// values).
 	Adj []int
 }
 
-// Graph is the coloring graph of a synopsis. Its nodes' slices are views
-// into flat buffers the graph owns, which BuildInto reuses.
+// Graph is the coloring graph of a synopsis.
 type Graph struct {
 	Nodes []Node
 	// ranges[i] is element i's synopsis range.
 	ranges []synopsis.Range
-
-	preds             []synopsis.Pred
-	sets, colors, adj []int
-	weights, cum      []float64
-	meets             []bool
+	preds  []synopsis.Pred
 }
 
 // Build constructs the coloring graph from a combined synopsis. Ranges
@@ -88,10 +83,11 @@ func Build(b *synopsis.MaxMin) (*Graph, error) {
 	return g, nil
 }
 
-// BuildInto is Build into an existing graph, reusing its node, palette,
-// weight, prefix-sum, adjacency and range buffers: once they have grown
-// to fit, it allocates nothing. The graph copies what it keeps, so it
-// does not alias b. On error g's contents are unspecified.
+// BuildInto is Build into an existing graph, reusing its nodes' set,
+// palette, weight, prefix-sum and adjacency slices and its range table:
+// once they have grown to fit, it allocates nothing. The graph copies
+// what it keeps, so it does not alias b. On error g's contents are
+// unspecified.
 func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 	if math.IsInf(b.Alpha(), 0) || math.IsInf(b.Beta(), 0) {
 		return fmt.Errorf("coloring: synopsis must have finite data range, got [%g,%g]", b.Alpha(), b.Beta())
@@ -100,25 +96,23 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 	g.preds = b.AppendMaxPreds(g.preds[:0])
 	maxSide := len(g.preds)
 	g.preds = b.AppendMinPreds(g.preds)
-	// Size the flat buffers up front so that appending never moves them
-	// and the node views taken along the way stay valid.
-	total := 0
-	for _, p := range g.preds {
-		if p.Eq() {
-			total += len(p.Set)
-		}
-	}
-	sets := slices.Grow(g.sets[:0], total)
-	colors := slices.Grow(g.colors[:0], total)
-	weights := slices.Grow(g.weights[:0], total)
-	cum := slices.Grow(g.cum[:0], total)
-	g.Nodes = g.Nodes[:0]
+	k := 0
 	for pi, p := range g.preds {
 		if !p.Eq() {
 			continue
 		}
-		s0, c0 := len(sets), len(colors)
-		sets = append(sets, p.Set...)
+		if k < cap(g.Nodes) {
+			g.Nodes = g.Nodes[:k+1]
+		} else {
+			g.Nodes = append(g.Nodes[:k], Node{})
+		}
+		v := &g.Nodes[k]
+		v.Value, v.IsMax = p.Value, pi < maxSide
+		v.Set = append(v.Set[:0], p.Set...)
+		v.Colors = slices.Grow(v.Colors[:0], len(p.Set))
+		v.Weights = slices.Grow(v.Weights[:0], len(p.Set))
+		v.Cum = slices.Grow(v.Cum[:0], len(p.Set))
+		v.Adj = v.Adj[:0]
 		acc := 0.0
 		for _, i := range p.Set {
 			r := g.ranges[i]
@@ -130,50 +124,29 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 				w = 1 / l
 			}
 			acc += w
-			colors = append(colors, i)
-			weights = append(weights, w)
-			cum = append(cum, acc)
+			v.Colors = append(v.Colors, i)
+			v.Weights = append(v.Weights, w)
+			v.Cum = append(v.Cum, acc)
 		}
-		if len(colors) == c0 {
+		if len(v.Colors) == 0 {
 			return ErrNoValidColoring
 		}
-		s1, c1 := len(sets), len(colors)
-		g.Nodes = append(g.Nodes, Node{
-			Value:   p.Value,
-			IsMax:   pi < maxSide,
-			Set:     sets[s0:s1:s1],
-			Colors:  colors[c0:c1:c1],
-			Weights: weights[c0:c1:c1],
-			Cum:     cum[c0:c1:c1],
-		})
+		k++
 	}
-	g.sets, g.colors, g.weights, g.cum = sets, colors, weights, cum
+	g.Nodes = g.Nodes[:k]
 	// Adjacency: intersecting sets with different values. Same-side sets
 	// are disjoint, so only max–min pairs can meet.
-	k := len(g.Nodes)
-	g.meets = slices.Grow(g.meets[:0], k*k)[:k*k]
-	edges := 0
 	for i := range g.Nodes {
-		for j := i + 1; j < k; j++ {
-			// The pinned singleton pair shares its witness.
-			meet := g.Nodes[i].Value != g.Nodes[j].Value && g.Nodes[i].Set.Overlaps(g.Nodes[j].Set)
-			g.meets[i*k+j], g.meets[j*k+i] = meet, meet
-			if meet {
-				edges += 2
+		for j := i + 1; j < len(g.Nodes); j++ {
+			if g.Nodes[i].Value == g.Nodes[j].Value {
+				continue // the pinned singleton pair shares its witness
+			}
+			if g.Nodes[i].Set.Overlaps(g.Nodes[j].Set) {
+				g.Nodes[i].Adj = append(g.Nodes[i].Adj, j)
+				g.Nodes[j].Adj = append(g.Nodes[j].Adj, i)
 			}
 		}
 	}
-	adj := slices.Grow(g.adj[:0], edges)
-	for i := range g.Nodes {
-		a0 := len(adj)
-		for j := 0; j < k; j++ {
-			if j != i && g.meets[i*k+j] {
-				adj = append(adj, j)
-			}
-		}
-		g.Nodes[i].Adj = adj[a0:len(adj):len(adj)]
-	}
-	g.adj = adj
 	return nil
 }
 
