@@ -134,6 +134,7 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 		k++
 	}
 	g.Nodes = g.Nodes[:k]
+	clear(g.preds) // drop the listing's references into b's sets
 	// Adjacency: intersecting sets with different values. Same-side sets
 	// are disjoint, so only max–min pairs can meet.
 	for i := range g.Nodes {
