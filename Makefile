@@ -13,10 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Formatting gate: fails when gofmt would change any Go file in the tree
-# (bench/ included).
-GOFMT ?= gofmt
+# (bench/ included). It runs the gofmt of the toolchain GO selects.
 fmt-check:
-	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
+	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -l lists unformatted files (run gofmt -w):"; echo "$$out"; exit 1; fi
 
 # Static analysis: the gofmt gate, go vet, and auditlint, the repo's

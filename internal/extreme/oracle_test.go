@@ -11,9 +11,9 @@ package extreme
 
 import "sort"
 
-// slot encoding: even s = 2j   → open interval number j (j = 0..m),
-//
-//	odd  s = 2k+1 → exactly the k-th smallest answer value.
+// slot encoding: an even slot s = 2j is open interval number j
+// (j = 0..m); an odd slot s = 2k+1 is exactly the k-th smallest answer
+// value.
 type oracle struct {
 	n      int
 	cons   []Constraint
