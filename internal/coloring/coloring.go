@@ -93,21 +93,16 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 		return fmt.Errorf("coloring: synopsis must have finite data range, got [%g,%g]", b.Alpha(), b.Beta())
 	}
 	g.ranges = b.Ranges(g.ranges)
-	g.preds = b.AppendMaxPreds(g.preds[:0])
-	maxSide := len(g.preds)
-	g.preds = b.AppendMinPreds(g.preds)
-	k := 0
-	for pi, p := range g.preds {
-		if !p.Eq() {
-			continue
-		}
+	var nmax int
+	g.preds, nmax = b.AppendEqPreds(g.preds[:0])
+	for k, p := range g.preds {
 		if k < cap(g.Nodes) {
 			g.Nodes = g.Nodes[:k+1]
 		} else {
 			g.Nodes = append(g.Nodes[:k], Node{})
 		}
 		v := &g.Nodes[k]
-		v.Value, v.IsMax = p.Value, pi < maxSide
+		v.Value, v.IsMax = p.Value, k < nmax
 		v.Set = append(v.Set[:0], p.Set...)
 		v.Colors = slices.Grow(v.Colors[:0], len(p.Set))
 		v.Weights = slices.Grow(v.Weights[:0], len(p.Set))
@@ -131,9 +126,8 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 		if len(v.Colors) == 0 {
 			return ErrNoValidColoring
 		}
-		k++
 	}
-	g.Nodes = g.Nodes[:k]
+	g.Nodes = g.Nodes[:len(g.preds)]
 	clear(g.preds) // drop the listing's references into b's sets
 	// Adjacency: intersecting sets with different values. Same-side sets
 	// are disjoint, so only max–min pairs can meet.

@@ -208,13 +208,14 @@ func (m *Max) Preds() []Pred {
 	return out
 }
 
-// appendPreds is Preds without copies and into dst: it appends the
-// predicates sorted by ID, and the sets alias m's own. (Preds keeps its
-// own sort of the IDs: rebuilt on this one it measured slower.)
-func (m *Max) appendPreds(dst []Pred) []Pred {
+// appendEqPreds appends the equality predicates to dst sorted by ID,
+// without copies: the sets alias m's own.
+func (m *Max) appendEqPreds(dst []Pred) []Pred {
 	start := len(dst)
 	for _, p := range m.preds {
-		dst = append(dst, *p)
+		if p.Eq() {
+			dst = append(dst, *p)
+		}
 	}
 	slices.SortFunc(dst[start:], func(a, b Pred) int { return a.ID - b.ID })
 	return dst

@@ -88,19 +88,20 @@ func (b *MaxMin) MaxPreds() []Pred { return b.max.Preds() }
 // MinPreds returns the current min-side predicates (min orientation).
 func (b *MaxMin) MinPreds() []Pred { return b.min.Preds() }
 
-// AppendMaxPreds appends the max-side predicates to dst sorted by ID, as
-// MaxPreds orders them, without copying their sets: the sets alias the
-// synopsis and must not be modified or kept past its next change.
-func (b *MaxMin) AppendMaxPreds(dst []Pred) []Pred { return b.max.appendPreds(dst) }
-
-// AppendMinPreds is AppendMaxPreds for the min side (min orientation).
-func (b *MaxMin) AppendMinPreds(dst []Pred) []Pred {
+// AppendEqPreds appends the equality predicates to dst, the max side's
+// sorted by ID and then the min side's (min orientation) sorted by ID,
+// and returns the extended slice and the number of max-side predicates
+// it appended. It copies no sets: they alias the synopsis and must not
+// be modified or kept past its next change.
+func (b *MaxMin) AppendEqPreds(dst []Pred) ([]Pred, int) {
 	start := len(dst)
-	dst = b.min.inner.appendPreds(dst)
-	for i := start; i < len(dst); i++ {
+	dst = b.max.appendEqPreds(dst)
+	mid := len(dst)
+	dst = b.min.inner.appendEqPreds(dst)
+	for i := mid; i < len(dst); i++ {
 		dst[i].Value = -dst[i].Value
 	}
-	return dst
+	return dst, mid - start
 }
 
 // With returns a copy of the synopsis with the answered query

@@ -166,8 +166,8 @@ func TestMaxMinTruthStream(t *testing.T) {
 // TestRangesMatchRangeOf: the one-pass range table equals RangeOf
 // element by element, bit for bit, through random folds and updates
 // (which leave OpLe bounds), under finite and infinite ambient bounds,
-// while reusing one table. The allocation-free predicate listings order
-// predicates as MaxPreds and MinPreds do.
+// while reusing one table. The allocation-free equality listing orders
+// predicates as MaxPreds and then MinPreds do, and counts the max side.
 func TestRangesMatchRangeOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var table []Range
@@ -198,12 +198,27 @@ func TestRangesMatchRangeOf(t *testing.T) {
 					t.Fatalf("trial %d step %d: Ranges[%d] = %+v, RangeOf = %+v", trial, step, i, got, want)
 				}
 			}
-			listed = b.AppendMinPreds(b.AppendMaxPreds(listed[:0]))
-			if want := append(b.MaxPreds(), b.MinPreds()...); len(listed) != len(want) || len(want) > 0 && !reflect.DeepEqual(listed, want) {
-				t.Fatalf("trial %d step %d: listed predicates %v, want %v", trial, step, listed, want)
+			var nmax int
+			listed, nmax = b.AppendEqPreds(listed[:0])
+			want := eqOnly(b.MaxPreds())
+			wantMax := len(want)
+			want = append(want, eqOnly(b.MinPreds())...)
+			if nmax != wantMax || len(listed) != len(want) || len(want) > 0 && !reflect.DeepEqual(listed, want) {
+				t.Fatalf("trial %d step %d: listed predicates %v (%d max-side), want %v (%d)", trial, step, listed, nmax, want, wantMax)
 			}
 		}
 	}
+}
+
+// eqOnly keeps the equality predicates of ps, in order.
+func eqOnly(ps []Pred) []Pred {
+	var out []Pred
+	for _, p := range ps {
+		if p.Eq() {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestTrialFoldAllocs bounds the allocations of one trial fold: [max(Q)
