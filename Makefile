@@ -1,10 +1,12 @@
-# Build/test entry points. `make ci` is the gate CI runs: it includes
-# the race detector, which protects the engine locking discipline and
-# the concurrent-load tests in internal/server.
+# Build/test entry points. `make ci` runs every step of the CI workflow
+# (.github/workflows/ci.yml) except govulncheck, which needs the network;
+# the workflow calls these same targets. It includes the race detector,
+# which protects the engine locking discipline and the concurrent-load
+# tests in internal/server.
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
+.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke cluster-smoke report-smoke
 
 build:
 	$(GO) build ./...
@@ -38,7 +40,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-ci: build lint race bench-test loadgen-smoke report-smoke
+ci: build lint race replication-smoke loadgen-smoke report-smoke cluster-smoke cover mc-fixtures bench-test bench-smoke
+
+# Golden-decision drift gate: the scripted games' decisions must match
+# testdata/mc_decisions.json at worker counts {1,4}. Any drift
+# invalidates persisted session journals — regenerate only for an
+# intentional semantic change (-update-mc-fixtures).
+mc-fixtures:
+	$(GO) test -run TestMCDecisionFixtures -count=1 .
 
 # End-to-end failover drill across real OS processes: build the binary,
 # run a primary and a streaming replica, push 50 queries, diff the
@@ -82,15 +91,22 @@ report-smoke:
 # {1,2,4,8} with samples-evaluated columns, the deployment-default
 # budget latency, the multi-analyst aggregate-QPS sweep over the shared
 # scheduler, and the coloring chain — plus the session-manager
-# benchmarks (hot-path lookup and the 1000-analyst eviction/replay
-# churn) and the query-resolution benchmarks (naive scan vs indexed
+# benchmarks (hot-path lookup, the 1000-analyst eviction/replay churn
+# and eviction at the live-engine cap) and the query-resolution benchmarks (naive scan vs indexed
 # resolver, and the full HTTP Ask path with allocs/op), archived as a
 # dated JSON stream of test2json events so runs are diffable across
 # machines and commits.
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
+BENCH_PATTERN = Decide$$|DecideDefaultBudget$$|AggregateDecideQPS$$|ColoringChain|^BenchmarkSession|^BenchmarkResolve|^BenchmarkServeAsk
+BENCH_PKGS = . ./internal/session ./internal/server
 bench:
-	$(GO) test -run='^$$' -bench='Decide$$|DecideDefaultBudget$$|AggregateDecideQPS$$|ColoringChain|^BenchmarkSession|^BenchmarkResolve|^BenchmarkServeAsk' -benchmem -json . ./internal/session ./internal/server > $(BENCH_OUT)
+	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -json $(BENCH_PKGS) > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
+
+# One iteration of every `make bench` benchmark: catches bit-rot in the
+# benchmark code without paying for a measurement run.
+bench-smoke:
+	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchtime=1x -benchmem $(BENCH_PKGS)
 
 # Unit and smoke tests of the end-to-end benchmark (bench/). It is a
 # separate Go module, so the root `go test ./...` never runs them.

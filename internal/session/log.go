@@ -279,6 +279,12 @@ func (s LogSnapshot) Validate() error {
 		}
 		d = ev.chain(d)
 	}
+	return s.checkPosition(d)
+}
+
+// checkPosition compares the snapshot's recorded seq and digest, when
+// present, with its event count and the recomputed chain digest d.
+func (s LogSnapshot) checkPosition(d core.Digest) error {
 	if s.Seq != 0 && s.Seq != uint64(len(s.Events)) {
 		return fmt.Errorf("session: snapshot seq %d does not match %d events", s.Seq, len(s.Events))
 	}
@@ -295,19 +301,20 @@ func (s LogSnapshot) Validate() error {
 }
 
 // logFromSnapshot rebuilds a Log (with recomputed tallies, seq and
-// digest) from a validated snapshot.
+// digest) from a snapshot, decoding and chaining each event once. It
+// refuses the snapshot with the errors Validate reports.
 func logFromSnapshot(s LogSnapshot) (*Log, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	l := NewLog()
 	l.events = make([]Event, 0, len(s.Events))
-	for _, es := range s.Events {
+	for i, es := range s.Events {
 		ev, err := DecodeEvent(es)
 		if err != nil {
-			return nil, err // unreachable after Validate; defensive
+			return nil, fmt.Errorf("session: event %d: %w", i, err)
 		}
 		l.append(ev)
+	}
+	if err := s.checkPosition(l.digest); err != nil {
+		return nil, err
 	}
 	return l, nil
 }

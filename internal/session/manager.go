@@ -123,7 +123,8 @@ type Config struct {
 type Session struct {
 	analyst string
 	// mu serializes this session's protocol steps and engine lifecycle
-	// (materialize/evict). Lock order: Manager.dsMu → shard.mu → mu.
+	// (materialize/evict). Lock order: Manager.dsMu → shard.mu → mu →
+	// Manager.lruMu.
 	mu sync.Mutex
 	// log is internally synchronized and its pointer is only swapped
 	// (Restore) with mu held before the session serves traffic, so it is
@@ -139,9 +140,15 @@ type Session struct {
 	// pointer must retry the lookup.
 	// auditlint:guardedby(mu)
 	gone bool
-	// liveFlag mirrors eng != nil for lock-free eviction scans.
+	// liveFlag mirrors eng != nil for lock-free stats and listing reads.
 	liveFlag  atomic.Bool
 	lastTouch atomic.Int64 // unix nanos of last access
+	// lruPrev/lruNext link the session into the manager's recency list
+	// while it is live and unpinned (only when MaxLive > 0); both are nil
+	// otherwise. They are guarded by Manager.lruMu, which is not a
+	// sibling field, so they are deliberately not guardedby-annotated.
+	// A session joins or leaves the list only with its mu held.
+	lruPrev, lruNext *Session
 }
 
 func (s *Session) touch(t time.Time) { s.lastTouch.Store(t.UnixNano()) }
@@ -167,10 +174,17 @@ type Manager struct {
 	// dsMu guards the shared dataset's mutable half (sensitive values):
 	// queries hold it shared, updates exclusively — an update is a global
 	// barrier across every session. Lock order: dsMu before shard.mu
-	// before Session.mu.
+	// before Session.mu before lruMu.
 	dsMu  sync.RWMutex
 	total atomic.Int64 // tracked sessions
 	live  atomic.Int64 // materialized engines
+
+	// lruMu guards the recency list of live, unpinned sessions, kept only
+	// when MaxLive > 0: lru is its sentinel, lru.lruNext the most recently
+	// used session and lru.lruPrev the next eviction victim. It is a leaf
+	// lock: while holding it, code may only TryLock a Session.mu.
+	lruMu sync.Mutex
+	lru   Session
 
 	// tap is the replication feed (a Tap), installed once before the
 	// manager serves traffic; nil Value means no feed.
@@ -259,6 +273,7 @@ func newManager(ds *dataset.Dataset, spec *core.EngineSpec, cfg Config) *Manager
 	for i := range m.shards {
 		m.shards[i] = &shard{sessions: map[string]*Session{}}
 	}
+	m.lru.lruPrev, m.lru.lruNext = &m.lru, &m.lru
 	return m
 }
 
@@ -339,6 +354,7 @@ func (m *Manager) AdoptDefault(eng *core.Engine) {
 	s.eng = eng
 	s.liveFlag.Store(true)
 	s.pinned = true
+	m.lruUnlink(s) // a pinned session is never an eviction candidate
 	s.touch(m.clock())
 	m.supportsUpdates = eng.SupportsUpdates()
 }
@@ -398,7 +414,7 @@ func (m *Manager) lookupOrCreate(analyst string) (*Session, error) {
 				sh.mu.Unlock()
 				return nil, ErrMultiAnalystDisabled
 			}
-			if m.cfg.MaxSessions > 0 && int(m.total.Load()) >= m.cfg.MaxSessions {
+			if !m.reserveSession() {
 				sh.mu.Unlock()
 				m.obs.ObserveSessionRejected()
 				return nil, fmt.Errorf("%w (max %d analysts)", ErrTooManySessions, m.cfg.MaxSessions)
@@ -407,7 +423,6 @@ func (m *Manager) lookupOrCreate(analyst string) (*Session, error) {
 			m.wireLog(analyst, s.log)
 			s.touch(m.clock())
 			sh.sessions[analyst] = s
-			m.total.Add(1)
 			created = true
 		}
 		sh.mu.Unlock()
@@ -421,7 +436,26 @@ func (m *Manager) lookupOrCreate(analyst string) (*Session, error) {
 			continue
 		}
 		s.touch(m.clock())
+		if s.eng != nil {
+			m.lruFront(s)
+		}
 		return s, nil
+	}
+}
+
+// reserveSession counts one more tracked session, or reports false if
+// that would exceed MaxSessions. The compare-and-swap makes the check
+// and the increment one step, so admissions racing on different shards
+// cannot overshoot the cap together.
+func (m *Manager) reserveSession() bool {
+	for {
+		n := m.total.Load()
+		if m.cfg.MaxSessions > 0 && n >= int64(m.cfg.MaxSessions) {
+			return false
+		}
+		if m.total.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -453,6 +487,7 @@ func (m *Manager) materializeLocked(s *Session) error {
 	eng.SetRecorder(s.log)
 	s.eng = eng
 	s.liveFlag.Store(true)
+	m.lruFront(s)
 	m.live.Add(1)
 	m.obs.ObserveLive(1)
 	if len(events) > 0 {
@@ -474,44 +509,70 @@ func (m *Manager) evictForCapacity() {
 	}
 }
 
-// evictOldest finds the least-recently-touched live, unpinned, idle
-// session and evicts its engine down to the log. Busy sessions (mutex
-// held by an in-flight request) are skipped via TryLock, which also
-// rules out deadlock with concurrent materializations.
+// evictOldest evicts the least recently used idle session's engine down
+// to its log. It walks the recency list from the tail and drops the
+// first session whose mutex it can take: a busy session (mutex held by
+// an in-flight request, or by the caller materializing it) is skipped,
+// and TryLock also rules out deadlock with concurrent materializations.
+// The cost does not depend on how many sessions are tracked.
 func (m *Manager) evictOldest() bool {
-	type cand struct {
-		s     *Session
-		touch int64
-	}
-	var cands []cand
-	for idx, sh := range m.shards {
-		m.lockShard(sh, idx)
-		for _, s := range sh.sessions {
-			if s.liveFlag.Load() && !s.pinned {
-				cands = append(cands, cand{s, s.lastTouch.Load()})
-			}
+	var victim *Session
+	m.lruMu.Lock()
+	for s := m.lru.lruPrev; s != &m.lru; s = s.lruPrev {
+		if s.mu.TryLock() {
+			victim = s
+			break
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
-	for _, c := range cands {
-		if !c.s.mu.TryLock() {
-			continue
-		}
-		if c.s.eng == nil || c.s.pinned || c.s.gone {
-			c.s.mu.Unlock()
-			continue
-		}
-		m.dropEngineLocked(c.s)
-		m.obs.ObserveSessionEvicted()
-		c.s.mu.Unlock()
-		return true
+	m.lruMu.Unlock()
+	if victim == nil {
+		return false
 	}
-	return false
+	// A listed session is live, unpinned and not gone, and stays listed
+	// while its mutex is held.
+	m.dropEngineLocked(victim)
+	m.obs.ObserveSessionEvicted()
+	victim.mu.Unlock()
+	return true
+}
+
+// lruFront moves s to the front of the recency list, linking it if it
+// is not listed yet; s is live and s.mu is held. Pinned sessions are
+// never listed.
+func (m *Manager) lruFront(s *Session) {
+	if m.cfg.MaxLive <= 0 || s.pinned {
+		return
+	}
+	m.lruMu.Lock()
+	s.lruSplice()
+	s.lruPrev, s.lruNext = &m.lru, m.lru.lruNext
+	m.lru.lruNext.lruPrev = s
+	m.lru.lruNext = s
+	m.lruMu.Unlock()
+}
+
+// lruUnlink takes s off the recency list if it is listed; s.mu is held.
+func (m *Manager) lruUnlink(s *Session) {
+	if m.cfg.MaxLive <= 0 {
+		return
+	}
+	m.lruMu.Lock()
+	s.lruSplice()
+	m.lruMu.Unlock()
+}
+
+// lruSplice takes s out of the recency list if it is listed; the caller
+// holds Manager.lruMu.
+func (s *Session) lruSplice() {
+	if s.lruNext != nil {
+		s.lruPrev.lruNext, s.lruNext.lruPrev = s.lruNext, s.lruPrev
+		s.lruPrev, s.lruNext = nil, nil
+	}
 }
 
 // dropEngineLocked discards s's engine (the log remains); s.mu is held.
 func (m *Manager) dropEngineLocked(s *Session) {
+	m.lruUnlink(s)
 	s.eng = nil
 	s.liveFlag.Store(false)
 	m.live.Add(-1)
@@ -934,7 +995,8 @@ func (m *Manager) RestoreSensitiveState(st dataset.SensitiveState) error {
 // fresh engine, eagerly, so a ready-gated server only starts answering
 // once every analyst's privacy state is reconstructed. Call before
 // serving traffic. Restoring the default session replaces its eager
-// empty journal.
+// empty journal. Each analyst costs one engine build and at most one
+// eviction.
 func (m *Manager) Restore(snaps []LogSnapshot) error {
 	if m.spec == nil {
 		return ErrMultiAnalystDisabled
@@ -947,15 +1009,17 @@ func (m *Manager) Restore(snaps []LogSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("session: restoring %q: %w", snap.Analyst, err)
 		}
+		m.wireLog(snap.Analyst, lg)
 		m.dsMu.RLock()
-		s, err := m.acquire(snap.Analyst)
+		s, err := m.lookupOrCreate(snap.Analyst)
 		if err != nil {
 			m.dsMu.RUnlock()
 			return fmt.Errorf("session: restoring %q: %w", snap.Analyst, err)
 		}
 		// Swap in the restored journal and rebuild from it.
-		m.dropEngineLocked(s)
-		m.wireLog(snap.Analyst, lg)
+		if s.eng != nil {
+			m.dropEngineLocked(s)
+		}
 		s.log = lg
 		err = m.materializeLocked(s)
 		s.mu.Unlock()

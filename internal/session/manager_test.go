@@ -134,18 +134,20 @@ func TestLRUEviction(t *testing.T) {
 	total := query.New(query.Sum, 0, 1, 2, 3, 4)
 	rest := query.New(query.Sum, 1, 2, 3, 4)
 
-	if _, err := m.Ask("alice", total); err != nil { // default evicted or alice builds
+	if _, err := m.Ask("alice", total); err != nil { // default + alice live
 		t.Fatal(err)
 	}
-	if _, err := m.Ask("bob", query.New(query.Count, 0)); err != nil {
+	if _, err := m.Ask("bob", query.New(query.Count, 0)); err != nil { // evicts default
 		t.Fatal(err)
 	}
-	if m.Live() > 2 {
-		t.Fatalf("live=%d exceeds MaxLive=2", m.Live())
+	if m.Live() != 2 || m.Stats(DefaultAnalyst).Live || !m.Stats("alice").Live {
+		t.Fatalf("live=%d, default live %v, alice live %v; want 2, false, true",
+			m.Live(), m.Stats(DefaultAnalyst).Live, m.Stats("alice").Live)
 	}
-	// Alice was evicted at some point or not; force it, then her denial
-	// decision must be identical post-replay.
-	m.EvictEngine("alice")
+	// Evict alice too; her denial decision must be identical post-replay.
+	if !m.EvictEngine("alice") {
+		t.Fatal("evicting alice failed")
+	}
 	if resp, err := m.Ask("alice", rest); err != nil || !resp.Denied {
 		t.Fatalf("post-replay complement should be denied: %+v %v", resp, err)
 	}
