@@ -323,10 +323,12 @@ func BenchmarkMaxAuditorDecide(b *testing.B) {
 }
 
 // BenchmarkMaxMinFullWideDecide measures one Section 4 max∧min decision
-// at the end-to-end wide-3k shape: n=3000, query sets of 800–1200 rows,
-// and a warmed history of about 40 answered max and min queries. Every
-// candidate answer is a trial fold of a ~1000-row set into the synopsis,
-// so this is the bench that shows the fold's cost.
+// at the wide-3k table and set sizes: n=3000, query sets of 800–1200
+// rows, and a warmed history of about 40 answered max and min queries.
+// Every candidate answer is a trial fold of a ~1000-row set into the
+// synopsis, so this is the bench that shows the fold's cost. Its history
+// is saturated (40 wide answers cover the table many times over); a
+// wide-3k analyst's history is only one benchmark round long.
 func BenchmarkMaxMinFullWideDecide(b *testing.B) {
 	const n = 3000
 	rng := randx.New(11)
@@ -349,6 +351,43 @@ func BenchmarkMaxMinFullWideDecide(b *testing.B) {
 	qs := make([]query.Query, 32)
 	for i := range qs {
 		qs[i] = wide(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaxMinFullNarrowDecide measures one Section 4 max∧min
+// decision at the narrow-300 shape: n=300, query sets of 2–3 rows, and a
+// history of about 60 answered max and min queries, as narrow-300 builds
+// per analyst per round. Each trial fold moves a few rows, so the
+// per-trial cost of the fold machinery itself (undo state, consistency
+// check) dominates rather than the fold.
+func BenchmarkMaxMinFullNarrowDecide(b *testing.B) {
+	const n = 300
+	rng := randx.New(13)
+	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
+	narrow := func(i int) query.Query {
+		kind := query.Max
+		if i%2 == 1 {
+			kind = query.Min
+		}
+		return query.New(kind, randx.SubsetSizeBetween(rng, n, 2, 3)...)
+	}
+	a := maxminfull.New(n)
+	for t, answered := 0, 0; answered < 60 && t < 2000; t++ {
+		q := narrow(t)
+		if d, _ := a.Decide(q); d == audit.Answer {
+			a.Record(q, q.Eval(xs))
+			answered++
+		}
+	}
+	qs := make([]query.Query, 64)
+	for i := range qs {
+		qs[i] = narrow(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

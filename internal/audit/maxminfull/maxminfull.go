@@ -7,12 +7,12 @@
 // the l answers of history predicates intersecting Q plus one
 // representative per open interval they delimit (representatives chosen
 // to dodge every equality value in the synopsis; see
-// audit.CandidateAnswers for why a collision would be a privacy hole). A
-// candidate is folded into a clone of the combined synopsis
-// B = (B_max, B_min); inconsistent candidates are skipped (they cannot be
-// the true answer), and if any consistent candidate would uniquely
-// determine some element — per the Theorem 3 characterization — the
-// query is denied. The synopsis keeps the audit trail at O(n) in place
+// audit.CandidateAnswers for why a collision would be a privacy hole).
+// Each candidate is folded into the combined synopsis B = (B_max, B_min)
+// in place and rolled back after inspection; inconsistent candidates are
+// skipped (they cannot be the true answer), and if any consistent
+// candidate would uniquely determine some element — per the Theorem 3
+// characterization — the query is denied. The synopsis keeps the audit trail at O(n) in place
 // of the raw query log (Section 4, "no duplicates" discussion).
 package maxminfull
 
@@ -94,12 +94,13 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	}
 	anyConsistent := false
 	for _, cand := range a.Candidates(q.Set) {
-		trial, err := a.syn.With(q.Kind, q.Set, cand)
-		if err != nil {
+		if a.syn.Fold(q.Kind, q.Set, cand) != nil {
 			continue
 		}
 		anyConsistent = true
-		if compromised(trial) {
+		c := compromised(a.syn)
+		a.syn.Rollback()
+		if c {
 			return audit.Deny, nil
 		}
 	}

@@ -213,14 +213,12 @@ func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	limit := a.params.enumerateLimit()
 	var g coloring.Graph
 	for _, cand := range a.candidates(q.Set) {
-		trial, err := a.syn.With(q.Kind, q.Set, cand)
-		if err != nil {
+		if a.syn.Fold(q.Kind, q.Set, cand) != nil {
 			continue // inconsistent answers cannot occur
 		}
-		if coloring.BuildInto(&g, trial) != nil {
-			return false
-		}
-		if !g.MeetsLemma2() && g.SpaceSize(limit) >= limit {
+		err := coloring.BuildInto(&g, a.syn)
+		a.syn.Rollback()
+		if err != nil || !g.MeetsLemma2() && g.SpaceSize(limit) >= limit {
 			return false
 		}
 	}
@@ -428,6 +426,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			return &decideScratch{
 				xs:    make([]float64, a.n),
 				fixed: make([]bool, a.n),
+				syn:   a.syn.Clone(),
 			}
 		},
 		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
@@ -442,8 +441,9 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 // unsafeSample is one outer Monte Carlo sample of Decide: it draws a
 // dataset from P(X | B) via the coloring chain of the decision graph g
 // (Lemma 1), reusing the worker's sampler rebased onto this sample's
-// random stream, folds q's answer on it into a trial synopsis and reports
-// whether that state breaks the λ-window.
+// random stream, folds q's answer on it into the lane's copy of the
+// synopsis, reports whether that state breaks the λ-window and rolls the
+// fold back. The shared synopsis a.syn is only read.
 func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng *rand.Rand, sc *decideScratch) bool {
 	if sc.sampler == nil {
 		s, err := coloring.NewSamplerFrom(g, rng, init)
@@ -456,21 +456,25 @@ func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng
 	}
 	sc.sampler.Mix(a.params.mixFactor())
 	sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
-	trial, err := a.syn.With(q.Kind, q.Set, q.Eval(sc.xs))
-	if err != nil {
+	if sc.syn.Fold(q.Kind, q.Set, q.Eval(sc.xs)) != nil {
 		return true // sampled-consistent answers should fold cleanly
 	}
-	ok, err := a.safeState(trial, rng, &sc.post)
+	ok, err := a.safeState(sc.syn, rng, &sc.post)
+	sc.syn.Rollback()
 	return err != nil || !ok
 }
 
-// decideScratch is the per-worker reusable state of Decide: the chain
-// sampler over the shared decision graph, the dataset buffers and the
-// posterior scratch of the trial synopses.
+// decideScratch is the per-lane reusable state of one Decide: the chain
+// sampler over the shared decision graph, the dataset buffers, the
+// lane's copy of the synopsis, which each sample folds its answer into
+// and rolls back, and the posterior scratch of those trial states. A
+// lane is made once per Decide, so its copy is the synopsis the
+// decision started from.
 type decideScratch struct {
 	sampler *coloring.Sampler
 	xs      []float64
 	fixed   []bool
+	syn     *synopsis.MaxMin
 	post    posterior
 }
 

@@ -296,22 +296,19 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			return &decideScratch{
 				xs:          make([]float64, a.n),
 				constrained: make([]bool, a.n),
-				trial:       synopsis.NewMax(a.n),
+				trial:       a.syn.Clone(),
 			}
 		},
 		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
 			samplePreds(preds, sc.xs, sc.constrained, rng)
-			ans := maxOver(sc.xs, q.Set)
-			// Reset the lane's scratch synopsis to the trail instead of
-			// deep-cloning it: the clone's map and slice churn was the
-			// dominant allocation of the sample loop.
-			a.syn.CopyInto(sc.trial)
-			if err := sc.trial.Add(q.Set, ans); err != nil {
+			if err := sc.trial.Fold(q.Set, maxOver(sc.xs, q.Set)); err != nil {
 				// A sampled dataset is consistent by construction; Add can
 				// only fail on float pathologies. Count as unsafe.
 				return true
 			}
-			return !SafeSynopsis(sc.trial, a.part, a.window)
+			safe := SafeSynopsis(sc.trial, a.part, a.window)
+			sc.trial.Rollback()
+			return !safe
 		})
 	if out.Exceeded {
 		return audit.Deny, nil
@@ -319,7 +316,9 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	return audit.Answer, nil
 }
 
-// decideScratch is the per-worker reusable sample buffer of Decide.
+// decideScratch is the per-lane reusable sample state of one Decide:
+// the dataset buffers and the lane's copy of the trail, which each
+// sample folds its answer into and rolls back.
 type decideScratch struct {
 	xs          []float64
 	constrained []bool

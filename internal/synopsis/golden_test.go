@@ -37,8 +37,8 @@ func foldSnapshot(t *testing.T, b *MaxMin) []byte {
 // true extreme of the set, a bound already in the synopsis (which drives
 // the equality-merge and max/min shared-value paths) or a random value,
 // so many folds are inconsistent; each of those must leave the snapshot
-// byte-identical. Every fold is also tried through With first, which
-// must leave its receiver untouched.
+// byte-identical. Every fold is also tried first as a trial, Fold then
+// Rollback, which must leave the snapshot byte-identical too.
 func TestGoldenFoldChain(t *testing.T) {
 	const (
 		n     = 3000
@@ -76,9 +76,12 @@ func TestGoldenFoldChain(t *testing.T) {
 			}
 			q := wideSet(rng, n)
 			a := foldAnswer(rng, b, kind, q, xs)
-			trial, werr := b.With(kind, q, a)
+			werr := b.Fold(kind, q, a)
+			if werr == nil {
+				b.Rollback()
+			}
 			if got := foldSnapshot(t, b); !bytes.Equal(got, prev) {
-				t.Fatalf("step %d: With %v(|Q|=%d)=%g changed its receiver", step, kind, len(q), a)
+				t.Fatalf("step %d: trial %v(|Q|=%d)=%g changed the snapshot", step, kind, len(q), a)
 			}
 			var err error
 			if kind == query.Max {
@@ -94,8 +97,8 @@ func TestGoldenFoldChain(t *testing.T) {
 			} else {
 				accepted++
 			}
-			if (trial == nil) != (werr != nil) {
-				t.Fatalf("step %d: With returned (%v, %v)", step, trial != nil, werr)
+			if (werr == nil) != (err == nil) {
+				t.Fatalf("step %d: trial fold returned %v, commit %v", step, werr, err)
 			}
 			writeStep(h, byte(kind), len(q), a, err == nil)
 		}

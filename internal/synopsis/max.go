@@ -26,9 +26,15 @@
 // The combined max+min synopsis additionally applies the paper's
 // normalization: a max predicate and a min predicate with the same value
 // M must share exactly one element x_j, which is pinned to M and split
-// out of both sets. MaxMin.With is its only trial-fold path: it costs
-// one O(n) copy of the synopsis plus an O(n) consistency pass, and
-// AddMax/AddMin commit by swapping in its result.
+// out of both sets.
+//
+// A trial fold runs in place: Fold folds, normalizes and checks, then
+// Rollback undoes it or Commit keeps it (AddMax and AddMin are Fold plus
+// Commit). The undo state is one copy of each side's element index plus
+// a short log of predicate-level changes, and the consistency check
+// visits only the elements and equality predicates the fold touched.
+// A trial therefore allocates little beyond the predicates it creates,
+// where a copy of the synopsis per trial cloned every map and set.
 package synopsis
 
 import (
@@ -107,6 +113,8 @@ type Max struct {
 	singletonEq int
 	// leCount counts OpLe predicates (they exist only after updates).
 	leCount int
+	// trail is the undo state of the open fold, nil between folds.
+	trail *trail
 }
 
 // NewMax returns an empty synopsis over n elements.
@@ -148,51 +156,6 @@ func (m *Max) Clone() *Max {
 	return c
 }
 
-// CopyInto overwrites dst with a deep copy of m, reusing dst's maps,
-// predicate objects and set slices — the allocation-lean sibling of
-// Clone for hot loops that repeatedly reset one scratch synopsis to a
-// base state (the probabilistic max auditor re-copies the trail once per
-// Monte Carlo sample). dst must not share structure with m.
-func (m *Max) CopyInto(dst *Max) {
-	dst.n = m.n
-	dst.nextID = m.nextID
-	dst.singletonEq = m.singletonEq
-	dst.leCount = m.leCount
-	if cap(dst.elem) < m.n {
-		dst.elem = make([]int, m.n)
-	}
-	dst.elem = dst.elem[:m.n]
-	copy(dst.elem, m.elem)
-	if dst.preds == nil {
-		dst.preds = make(map[int]*Pred, len(m.preds))
-	}
-	for id := range dst.preds {
-		if _, ok := m.preds[id]; !ok {
-			delete(dst.preds, id)
-		}
-	}
-	for id, p := range m.preds {
-		cp := dst.preds[id]
-		if cp == nil {
-			cp = &Pred{}
-			dst.preds[id] = cp
-		}
-		cp.ID = p.ID
-		cp.Set = append(cp.Set[:0], p.Set...)
-		cp.Value = p.Value
-		cp.Op = p.Op
-	}
-	if dst.eqVal == nil {
-		dst.eqVal = make(map[float64]int, len(m.eqVal))
-	}
-	for v := range dst.eqVal {
-		delete(dst.eqVal, v)
-	}
-	for v, id := range m.eqVal {
-		dst.eqVal[v] = id
-	}
-}
-
 // Preds returns the predicates sorted by ID (deep copies).
 func (m *Max) Preds() []Pred {
 	ids := make([]int, 0, len(m.preds))
@@ -229,6 +192,14 @@ func (m *Max) PredOf(i int) (Pred, bool) {
 	}
 	p := m.preds[id]
 	return Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op}, true
+}
+
+// pred returns the predicate containing element i, or nil.
+func (m *Max) pred(i int) *Pred {
+	if id := m.elem[i]; id >= 0 {
+		return m.preds[id]
+	}
+	return nil
 }
 
 // PredID returns the ID of the predicate containing element i, if any,
@@ -279,10 +250,12 @@ func (m *Max) newPred(set query.Set, value float64, op Op) *Pred {
 	p := &Pred{ID: m.nextID, Set: set, Value: value, Op: op}
 	m.nextID++
 	m.preds[p.ID] = p
+	m.note(change{kind: predAdded, p: p})
 	for _, i := range set {
 		m.elem[i] = p.ID
 	}
 	if op == OpEq {
+		m.noteEqVal(value)
 		m.eqVal[value] = p.ID
 		if len(set) == 1 {
 			m.singletonEq++
@@ -305,6 +278,7 @@ func (m *Max) deletePred(p *Pred) {
 		m.leCount--
 	}
 	delete(m.preds, p.ID)
+	m.note(change{kind: predDeleted, p: p})
 }
 
 // forgetEq clears equality bookkeeping for p, whose set had the given
@@ -314,6 +288,7 @@ func (m *Max) forgetEq(p *Pred, setLen int) {
 		return
 	}
 	if id, ok := m.eqVal[p.Value]; ok && id == p.ID {
+		m.noteEqVal(p.Value)
 		delete(m.eqVal, p.Value)
 	}
 	if setLen == 1 {
@@ -340,6 +315,7 @@ func (m *Max) detachAll(set query.Set) {
 		}
 		p := m.preds[-m.elem[i]-2]
 		before := len(p.Set)
+		m.noteFilter(p)
 		kept := p.Set[:0]
 		for _, j := range p.Set {
 			if m.elem[j] == p.ID {
@@ -364,6 +340,7 @@ func (m *Max) shrunk(p *Pred, before int) {
 			m.leCount--
 		}
 		delete(m.preds, p.ID)
+		m.note(change{kind: predDeleted, p: p})
 	case p.Op == OpEq && len(p.Set) == 1:
 		m.singletonEq++
 	}
@@ -712,6 +689,11 @@ func RestoreMaxMin(s MaxMinSnapshot) (*MaxMin, error) {
 	}
 	b := &MaxMin{max: mx, min: mn, alpha: alpha, beta: beta}
 	if err := b.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("synopsis: combined snapshot invalid: %w", err)
+	}
+	// Folds check only what they touch, which is exact only from a
+	// consistent synopsis: a snapshot must not bring in a contradiction.
+	if err := b.checkConsistent(); err != nil {
 		return nil, fmt.Errorf("synopsis: combined snapshot invalid: %w", err)
 	}
 	return b, nil

@@ -104,29 +104,6 @@ func (b *MaxMin) AppendEqPreds(dst []Pred) ([]Pred, int) {
 	return dst, mid - start
 }
 
-// With returns a copy of the synopsis with the answered query
-// [max(Q) = a] (kind query.Max) or [min(Q) = a] (kind query.Min) folded
-// in and normalized. It is the only trial-fold path: the copy is the one
-// clone a trial costs, the fold and the consistency check run on it, and
-// b is never modified. On inconsistency it returns a nil synopsis and
-// ErrInconsistent.
-func (b *MaxMin) With(kind query.Kind, q query.Set, a float64) (*MaxMin, error) {
-	t := b.Clone()
-	var err error
-	if kind == query.Max {
-		err = t.max.Add(q, a)
-	} else {
-		err = t.min.Add(q, a)
-	}
-	if err == nil {
-		err = t.normalizeAndCheck(a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // AddMax folds [max(Q) = a] into the synopsis, applying normalization.
 // On inconsistency the synopsis is unchanged.
 func (b *MaxMin) AddMax(q query.Set, a float64) error { return b.add(query.Max, q, a) }
@@ -135,20 +112,18 @@ func (b *MaxMin) AddMax(q query.Set, a float64) error { return b.add(query.Max, 
 // On inconsistency the synopsis is unchanged.
 func (b *MaxMin) AddMin(q query.Set, a float64) error { return b.add(query.Min, q, a) }
 
-// add commits a fold by swapping in the synopsis With built.
+// add is Fold plus Commit.
 func (b *MaxMin) add(kind query.Kind, q query.Set, a float64) error {
-	t, err := b.With(kind, q, a)
-	if err != nil {
+	if err := b.Fold(kind, q, a); err != nil {
 		return err
 	}
-	*b = *t
+	b.Commit()
 	return nil
 }
 
-// normalizeAndCheck applies the shared-value split for value a (the only
-// value a fresh Add can newly collide on) and re-verifies global
-// consistency of element ranges and witness feasibility.
-func (b *MaxMin) normalizeAndCheck(a float64) error {
+// normalize applies the shared-value split for value a, the only value a
+// fresh Add can newly collide on.
+func (b *MaxMin) normalize(a float64) error {
 	maxP, minP := b.max.eqPred(a), b.min.inner.eqPred(-a)
 	if maxP != nil && minP != nil && !(len(maxP.Set) == 1 && maxP.Set.Equal(minP.Set)) {
 		inter := maxP.Set.Intersect(minP.Set)
@@ -165,13 +140,15 @@ func (b *MaxMin) normalizeAndCheck(a float64) error {
 		b.max.ForceStrictBelow(maxP.Set.Minus(query.Set{j}), a)
 		b.min.ForceStrictAbove(minP.Set.Minus(query.Set{j}), a)
 	}
-	return b.checkConsistent()
+	return nil
 }
 
 // checkConsistent verifies that every element's range is non-empty and
 // every equality predicate retains a feasible witness. It walks the
 // predicate maps in place: the answer is one boolean over all of them,
-// so their order does not matter.
+// so their order does not matter. Folds run checkTouched, its
+// restriction to what they changed; RestoreMaxMin and the tests run
+// this full pass.
 func (b *MaxMin) checkConsistent() error {
 	n := b.N()
 	for i := 0; i < n; i++ {
@@ -207,12 +184,22 @@ func (b *MaxMin) hasFeasibleWitness(set query.Set, v float64) bool {
 // RangeOf returns the range element i is confined to, combining both
 // synopsis sides with the ambient data range [alpha, beta].
 func (b *MaxMin) RangeOf(i int) Range {
+	return b.rangeIn(b.max.pred(i), b.min.inner.pred(i))
+}
+
+// rangeIn is the range of an element in max-side predicate px and
+// min-side predicate pn (either nil when the element has none).
+func (b *MaxMin) rangeIn(px, pn *Pred) Range {
 	r := Range{Lo: b.alpha, Hi: b.beta}
-	if v, strict, ok := b.max.UpperBound(i); ok && (v < r.Hi || (v == r.Hi && strict)) {
-		r.Hi, r.HiStrict = v, strict
+	if px != nil {
+		if v, strict := px.Value, px.Op == OpLt; v < r.Hi || (v == r.Hi && strict) {
+			r.Hi, r.HiStrict = v, strict
+		}
 	}
-	if v, strict, ok := b.min.LowerBound(i); ok && (v > r.Lo || (v == r.Lo && strict)) {
-		r.Lo, r.LoStrict = v, strict
+	if pn != nil {
+		if v, strict := -pn.Value, pn.Op == OpLt; v > r.Lo || (v == r.Lo && strict) {
+			r.Lo, r.LoStrict = v, strict
+		}
 	}
 	return r
 }
