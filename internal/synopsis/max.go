@@ -32,9 +32,8 @@
 // Rollback undoes it or Commit keeps it (AddMax and AddMin are Fold plus
 // Commit). The undo state is one copy of each side's element index plus
 // a short log of predicate-level changes, and the consistency check
-// visits only the elements and equality predicates the fold touched.
-// A trial therefore allocates little beyond the predicates it creates,
-// where a copy of the synopsis per trial cloned every map and set.
+// visits only the elements and equality predicates the fold touched, so
+// a trial allocates little beyond the predicates it creates.
 package synopsis
 
 import (
