@@ -24,25 +24,24 @@ type trail struct {
 	eqs []int
 }
 
-// change is one predicate-level change of an open fold.
+// change is one predicate-level change of an open fold. A fold
+// registers an equality value exactly when it inserts an equality
+// predicate and forgets one exactly when it deletes one, so undoing the
+// insert or delete undoes the eqVal change too. Only Update changes a
+// predicate's Op, and Update never runs inside a fold.
 type change struct {
 	kind changeKind
 	p    *Pred
 	// from, to delimit the old contents of a filtered set in trail.saved.
 	from, to int
-	// v, id, had are an eqVal entry's key and old state.
-	v   float64
-	id  int
-	had bool
 }
 
 type changeKind uint8
 
 const (
-	predAdded    changeKind = iota // p was inserted into preds
-	predDeleted                    // p was removed from preds
-	setFiltered                    // p.Set was filtered in place
-	eqValChanged                   // eqVal[v] was written or deleted
+	predAdded   changeKind = iota // p was inserted into preds
+	predDeleted                   // p was removed from preds
+	setFiltered                   // p.Set was filtered in place
 )
 
 var trailPool = sync.Pool{New: func() any { return new(trail) }}
@@ -63,14 +62,6 @@ func (m *Max) begin() {
 func (m *Max) note(c change) {
 	if m.trail != nil {
 		m.trail.log = append(m.trail.log, c)
-	}
-}
-
-// noteEqVal logs eqVal[v]'s current state ahead of a write or delete.
-func (m *Max) noteEqVal(v float64) {
-	if m.trail != nil {
-		id, had := m.eqVal[v]
-		m.note(change{kind: eqValChanged, v: v, id: id, had: had})
 	}
 }
 
@@ -112,16 +103,16 @@ func (m *Max) Rollback() {
 		switch c.kind {
 		case predAdded:
 			delete(m.preds, c.p.ID)
+			if c.p.Eq() {
+				delete(m.eqVal, c.p.Value)
+			}
 		case predDeleted:
 			m.preds[c.p.ID] = c.p
+			if c.p.Eq() {
+				m.eqVal[c.p.Value] = c.p.ID
+			}
 		case setFiltered:
 			c.p.Set = append(c.p.Set[:0], t.saved[c.from:c.to]...)
-		case eqValChanged:
-			if c.had {
-				m.eqVal[c.v] = c.id
-			} else {
-				delete(m.eqVal, c.v)
-			}
 		}
 	}
 	copy(m.elem, t.elem)

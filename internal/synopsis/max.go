@@ -254,7 +254,6 @@ func (m *Max) newPred(set query.Set, value float64, op Op) *Pred {
 		m.elem[i] = p.ID
 	}
 	if op == OpEq {
-		m.noteEqVal(value)
 		m.eqVal[value] = p.ID
 		if len(set) == 1 {
 			m.singletonEq++
@@ -287,7 +286,6 @@ func (m *Max) forgetEq(p *Pred, setLen int) {
 		return
 	}
 	if id, ok := m.eqVal[p.Value]; ok && id == p.ID {
-		m.noteEqVal(p.Value)
 		delete(m.eqVal, p.Value)
 	}
 	if setLen == 1 {
