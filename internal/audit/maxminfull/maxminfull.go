@@ -12,8 +12,9 @@
 // in place and rolled back after inspection; inconsistent candidates are
 // skipped (they cannot be the true answer), and if any consistent
 // candidate would uniquely determine some element — per the Theorem 3
-// characterization — the query is denied. The synopsis keeps the audit trail at O(n) in place
-// of the raw query log (Section 4, "no duplicates" discussion).
+// characterization — the query is denied. The synopsis keeps the audit
+// trail at O(n) in place of the raw query log (Section 4, "no
+// duplicates" discussion).
 package maxminfull
 
 import (

@@ -15,11 +15,11 @@ import (
 // TestDecideLeavesSharedSynopsis runs Decide at four workers on a private
 // scheduler, so samples run concurrently on lanes of their own, over a
 // seeded stream of wide max and min queries until twelve are answered,
-// at the prob-300 shape of TestSampleAllocs.
-// Every sample folds into its lane's copy of the synopsis; the shared
-// a.syn must read byte-identical before and after each Decide, and the
-// decisions must equal those at one worker. Under the race detector it
-// also guards that no sample writes shared state.
+// at the prob-300 shape of TestSampleAllocs. Every sample folds into its
+// lane's copy of the synopsis; the shared a.syn must read byte-identical
+// before and after each Decide, and the decisions must equal those at
+// one worker. Under the race detector it also guards that no sample
+// writes shared state.
 func TestDecideLeavesSharedSynopsis(t *testing.T) {
 	sched := mcpar.NewScheduler(4)
 	defer sched.Close()
