@@ -123,15 +123,6 @@ func (s *foldScenario) update() {
 	s.b.Update(i)
 }
 
-func snapshotJSON(t *testing.T, b *MaxMin) []byte {
-	t.Helper()
-	raw, err := json.Marshal(b.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 // TestFoldRollbackRestores drives seeded random sequences of trial folds
 // of both kinds, commits of true answers and updates, on bounded and
 // unbounded synopses. After every Rollback, and after every rejected
@@ -161,7 +152,7 @@ func TestFoldRollbackRestores(t *testing.T) {
 					t.Fatalf("seed %d step %d: committed synopsis inconsistent", seed, step)
 				}
 			default:
-				before := snapshotJSON(t, s.b)
+				before := foldSnapshot(t, s.b)
 				kind, q, a := s.fold()
 				trials++
 				if s.b.Fold(kind, q, a) == nil {
@@ -171,7 +162,7 @@ func TestFoldRollbackRestores(t *testing.T) {
 					s.b.Rollback()
 					rolled++
 				}
-				if got := snapshotJSON(t, s.b); !bytes.Equal(got, before) {
+				if got := foldSnapshot(t, s.b); !bytes.Equal(got, before) {
 					t.Fatalf("seed %d step %d: trial %v(%v)=%g changed the snapshot\n got %s\nwant %s", seed, step, kind, q, a, got, before)
 				}
 			}
