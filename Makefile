@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke cluster-smoke report-smoke
+.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke cluster-smoke report-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-ci: build lint race replication-smoke loadgen-smoke report-smoke cluster-smoke cover mc-fixtures bench-test bench-smoke
+ci: build lint race replication-smoke loadgen-smoke report-smoke cluster-smoke examples-smoke cover mc-fixtures bench-test bench-smoke
 
 # Golden-decision drift gate: the scripted games' decisions must match
 # testdata/mc_decisions.json at worker counts {1,4}. Any drift
@@ -86,6 +86,13 @@ cluster-smoke:
 # inputs produce byte-identical reports.
 report-smoke:
 	$(GO) test -run TestReportSmoke -count=1 -v ./cmd/auditreport
+
+# Runs every program under examples/ end to end: `make build` only
+# compiles them. A non-zero exit from any example fails the target.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$${d%/}"; $(GO) run ./$${d%/} > /dev/null || exit 1; \
+	done
 
 # Monte Carlo engine benchmarks — the per-worker Decide sweeps
 # {1,2,4,8} with samples-evaluated columns, the deployment-default

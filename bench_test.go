@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -21,7 +20,6 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/experiments"
-	"queryaudit/internal/persist"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -523,31 +521,4 @@ func BenchmarkBoolRangeOfflineAudit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPersistRoundTrip measures snapshotting and restoring a
-// saturated sum audit trail (n = 300).
-func BenchmarkPersistRoundTrip(b *testing.B) {
-	const n = 300
-	rng := randx.New(9)
-	a := sumfull.New(n)
-	for t := 0; t < 2*n; t++ {
-		q := query.Query{Set: query.NewSet(randx.Subset(rng, n)...), Kind: query.Sum}
-		if d, _ := a.Decide(q); d == audit.Answer {
-			a.Record(q, 0)
-		}
-	}
-	var snapshotBytes int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := persist.Save(&buf, a); err != nil {
-			b.Fatal(err)
-		}
-		snapshotBytes = buf.Len()
-		if _, _, err := persist.Load(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(snapshotBytes), "snapshot-bytes")
 }

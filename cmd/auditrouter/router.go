@@ -293,8 +293,8 @@ func (rt *router) do(r *http.Request, base, pathAndQuery string, body []byte) (*
 }
 
 // handleAnalyst forwards one analyst-scoped request to its owning
-// shard, relaying the response verbatim (denials included — a 403 is an
-// auditor decision, not a proxy failure).
+// shard, relaying the response verbatim (denials included — a denial is
+// a 200 with "denied": true, an auditor decision, not a proxy failure).
 func (rt *router) handleAnalyst(w http.ResponseWriter, r *http.Request) {
 	analyst, err := analystID(r)
 	if err != nil {

@@ -18,10 +18,7 @@ import (
 //   - -cluster-config without -shard-id (or vice versa): the node would
 //     not know which ring slice is its own.
 //   - -shard-id absent from the descriptor: every request would 421.
-//   - clustered + the legacy single-session -snapshot mode: that mode
-//     pins the shared default session locally, which cannot move during
-//     a rebalance.
-func clusterSetup(configPath, shardID, legacySnapshot string) (*cluster.NodeView, *cluster.Fleet, error) {
+func clusterSetup(configPath, shardID string) (*cluster.NodeView, *cluster.Fleet, error) {
 	if configPath == "" && shardID == "" {
 		return nil, nil, nil
 	}
@@ -30,9 +27,6 @@ func clusterSetup(configPath, shardID, legacySnapshot string) (*cluster.NodeView
 	}
 	if shardID == "" {
 		return nil, nil, errors.New("-cluster-config requires -shard-id (which shard of the descriptor this node serves)")
-	}
-	if legacySnapshot != "" {
-		return nil, nil, errors.New("-cluster-config is incompatible with the legacy single-session -snapshot mode (its pinned default session cannot migrate; use -session-snapshot)")
 	}
 	fleet, err := cluster.LoadFleet(configPath)
 	if err != nil {

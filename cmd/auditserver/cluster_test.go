@@ -25,22 +25,20 @@ const testFleetDoc = `{
 
 // TestClusterSetup pins the boot-time flag validation: every
 // misconfiguration that would let a node serve analysts it does not own
-// (or pin a session that cannot migrate) must fail fast with a message
+// must fail fast with a message
 // naming the offending flag, not surface as 421s or forked timelines
 // at request time.
 func TestClusterSetup(t *testing.T) {
 	good := writeFleetFile(t, testFleetDoc)
 	cases := []struct {
-		name                    string
-		config, shard, snapshot string
-		wantErr                 string // "" = success expected
+		name          string
+		config, shard string
+		wantErr       string // "" = success expected
 	}{
 		{name: "unclustered", config: "", shard: ""},
 		{name: "clustered", config: good, shard: "shard-a"},
 		{name: "shard-id without config", shard: "shard-a", wantErr: "-shard-id requires -cluster-config"},
 		{name: "config without shard-id", config: good, wantErr: "requires -shard-id"},
-		{name: "legacy snapshot mode", config: good, shard: "shard-a", snapshot: "/tmp/snap.json",
-			wantErr: "incompatible with the legacy single-session -snapshot"},
 		{name: "shard absent from descriptor", config: good, shard: "shard-z",
 			wantErr: "shard-a, shard-b"}, // error must list the descriptor's shards
 		{name: "descriptor unreadable", config: filepath.Join(t.TempDir(), "missing.json"), shard: "shard-a",
@@ -48,7 +46,7 @@ func TestClusterSetup(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			view, fleet, err := clusterSetup(tc.config, tc.shard, tc.snapshot)
+			view, fleet, err := clusterSetup(tc.config, tc.shard)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -46,15 +46,13 @@
 // startup (if the file exists) and written back on SIGINT/SIGTERM; the
 // server reports ready on /readyz only after replay completes. Works for
 // both auditor families (replay reconstructs Monte Carlo state exactly,
-// given the same -prob-seed and parameters). The older -snapshot flag
-// persists the default session's sum auditor trail directly
-// (full-disclosure only) and is mutually exclusive with
-// -session-snapshot.
+// given the same -prob-seed and parameters). The removed -snapshot flag
+// is still recognized, only to exit at startup naming -session-snapshot.
 //
 // Shutdown is graceful: on the first SIGINT/SIGTERM the server stops
 // accepting connections, drains in-flight requests (bounded by
-// -shutdown-timeout), flushes the snapshots, and logs the final protocol
-// and HTTP counters. A second signal aborts immediately.
+// -shutdown-timeout), flushes the session snapshot, and logs the final
+// protocol and HTTP counters. A second signal aborts immediately.
 package main
 
 import (
@@ -70,14 +68,11 @@ import (
 	"syscall"
 	"time"
 
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/auditlog"
 	"queryaudit/internal/core"
-	"queryaudit/internal/field"
 	"queryaudit/internal/mcpar"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/persist"
-	"queryaudit/internal/query"
 	"queryaudit/internal/replica"
 	"queryaudit/internal/server"
 	"queryaudit/internal/session"
@@ -88,7 +83,7 @@ func main() {
 		n           = flag.Int("n", 300, "number of records in the synthetic table")
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic table")
 		addr        = flag.String("addr", ":8080", "listen address")
-		snapshot    = flag.String("snapshot", "", "path for the default session's sum auditor trail (full auditors only; see -session-snapshot)")
+		snapshot    = flag.String("snapshot", "", "removed: use -session-snapshot (setting it exits at startup)")
 		sessSnap    = flag.String("session-snapshot", "", "path for the per-analyst session logs (restored by replay at startup)")
 		maxSessions = flag.Int("max-sessions", 4096, "maximum admitted analyst sessions (0 = unlimited; beyond it new analysts get 503)")
 		maxLive     = flag.Int("session-max-live", 256, "maximum materialized session engines before LRU eviction to logs (0 = unlimited)")
@@ -122,10 +117,10 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "auditserver ", log.LstdFlags|log.Lmsgprefix)
-	if *snapshot != "" && *sessSnap != "" {
-		logger.Fatalf("-snapshot and -session-snapshot are mutually exclusive (the session snapshot already carries the default session)")
+	if *snapshot != "" {
+		logger.Fatalf("-snapshot has been removed: use -session-snapshot, which persists every session's journal and restores it by replay")
 	}
-	cview, fleetDesc, err := clusterSetup(*clusterConfig, *shardID, *snapshot)
+	cview, fleetDesc, err := clusterSetup(*clusterConfig, *shardID)
 	if err != nil {
 		logger.Fatalf("cluster: %v", err)
 	}
@@ -156,9 +151,6 @@ func main() {
 	}
 	if err := stack.Validate(); err != nil {
 		logger.Fatalf("%v (unknown -auditors? want full or prob)", err)
-	}
-	if *auditors == "prob" && *snapshot != "" {
-		logger.Fatalf("-snapshot only supports -auditors=full (use -session-snapshot, which replays either family)")
 	}
 	ds := stack.NewDataset()
 
@@ -194,23 +186,6 @@ func main() {
 		logger.Fatalf("sessions: %v", err)
 	}
 	defer mgr.Close()
-
-	// Legacy single-analyst trail: restore the sum auditor directly and
-	// pin it as the default session (a hand-restored engine is not
-	// rebuildable from factories, so it must never be evicted).
-	var sumAud *sumfull.Auditor[field.Elem61, field.GF61]
-	if *snapshot != "" {
-		sumAud = sumfull.New(*n)
-		if a, ok := loadSnapshot(logger, *snapshot, *n); ok {
-			sumAud = a
-		}
-		eng, err := spec.Build()
-		if err != nil {
-			logger.Fatalf("engine: %v", err)
-		}
-		eng.Use(sumAud, query.Sum)
-		mgr.AdoptDefault(eng)
-	}
 
 	// Replication node: wired before the server so role gating and the
 	// /v1/replication endpoints are in place for the first request. The
@@ -318,19 +293,11 @@ func main() {
 	}
 
 	// Post-drain: stop replication first so no shipped record lands
-	// mid-snapshot, then flush the audit trails and report counters.
+	// mid-snapshot, then flush the session logs and report counters.
 	if node != nil {
 		node.StopFollower()
 	}
 	exit := 0
-	if *snapshot != "" {
-		if err := saveSnapshot(*snapshot, sumAud); err != nil {
-			logger.Printf("snapshot save failed: %v", err)
-			exit = 1
-		} else {
-			logger.Printf("audit trail saved to %s (rank %d)", *snapshot, sumAud.Rank())
-		}
-	}
 	if *sessSnap != "" {
 		logs := mgr.LogSnapshots()
 		var epoch uint64
@@ -394,40 +361,5 @@ func restoreSessions(logger *log.Logger, mgr *session.Manager, path string) (uin
 func saveSessions(path string, logs []session.LogSnapshot, epoch uint64) error {
 	return persist.WriteAtomic(path, func(w io.Writer) error {
 		return persist.SaveSessionState(w, logs, epoch)
-	})
-}
-
-// loadSnapshot restores the sum auditor from path when present and
-// compatible; a missing file is a clean first boot.
-func loadSnapshot(logger *log.Logger, path string, n int) (*sumfull.Auditor[field.Elem61, field.GF61], bool) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false
-	}
-	if err != nil {
-		logger.Printf("snapshot: %v (starting fresh)", err)
-		return nil, false
-	}
-	defer f.Close()
-	restored, kind, err := persist.Load(f)
-	if err != nil {
-		logger.Printf("snapshot: %v (starting fresh)", err)
-		return nil, false
-	}
-	a, ok := restored.(*sumfull.Auditor[field.Elem61, field.GF61])
-	if !ok || kind != persist.KindSumFull || a.N() != n {
-		logger.Printf("snapshot: kind %q / n mismatch (starting fresh)", kind)
-		return nil, false
-	}
-	logger.Printf("restored sum audit trail from %s (rank %d)", path, a.Rank())
-	return a, true
-}
-
-// saveSnapshot writes the trail durably (temp file + fsync + atomic
-// rename), so a crash mid-write cannot truncate a previously good
-// snapshot and a crash just after cannot lose the rename.
-func saveSnapshot(path string, a *sumfull.Auditor[field.Elem61, field.GF61]) error {
-	return persist.WriteAtomic(path, func(w io.Writer) error {
-		return persist.Save(w, a)
 	})
 }

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -132,17 +130,7 @@ func ask(t *testing.T, base, analyst string, indices []int) {
 // the replica over HTTP, and keep serving writes — the §2.2
 // simulatability argument exercised across real process boundaries.
 func TestReplicationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping e2e binary test in -short mode")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "auditserver")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("build: %v", err)
-	}
-
+	bin := buildServer(t)
 	primary := startServer(t, bin, "-role", "primary")
 	replica := startServer(t, bin,
 		"-role", "replica",

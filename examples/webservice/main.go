@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 
+	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
@@ -18,6 +19,7 @@ import (
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/server"
+	"queryaudit/internal/session"
 )
 
 func main() {
@@ -25,10 +27,15 @@ func main() {
 	// auditors, exactly as cmd/auditserver wires it.
 	n := 80
 	ds := dataset.GenerateHospital(randx.New(3), dataset.DefaultHospitalConfig(n))
-	eng := core.NewEngine(ds)
-	eng.Use(sumfull.New(n), query.Sum)
-	eng.Use(maxminfull.New(n), query.Max, query.Min)
-	srv := httptest.NewServer(server.New(core.NewSDB(eng, "severity")))
+	spec := core.NewEngineSpec(ds)
+	spec.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
+	spec.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	mgr, err := session.NewManager(spec, session.Config{})
+	if err != nil {
+		panic(err)
+	}
+	defer mgr.Close()
+	srv := httptest.NewServer(server.NewWithSessions(mgr, "severity"))
 	defer srv.Close()
 	fmt.Printf("service up at %s (in-process for the example)\n\n", srv.URL)
 

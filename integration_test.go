@@ -1,7 +1,7 @@
 // Integration test: one long randomized session through the whole stack
-// — HTTP server → SDB → engine → auditors — with trail persistence and
-// trace replay, asserting the global privacy invariant (no record ever
-// determined) and protocol bookkeeping at every step.
+// — HTTP server → session manager → engine → auditors — with journal
+// persistence and trace replay, asserting the global privacy invariant
+// (no record ever determined) and protocol bookkeeping at every step.
 package main
 
 import (
@@ -19,25 +19,52 @@ import (
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/extreme"
+	"queryaudit/internal/field"
 	"queryaudit/internal/persist"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/server"
+	"queryaudit/internal/session"
 	"queryaudit/internal/trace"
 )
+
+// integrationSpec guards ds with the sum and max∧min auditors. built, if
+// non-nil, receives each sum auditor the spec builds.
+func integrationSpec(ds *dataset.Dataset, built func(*sumfull.Auditor[field.Elem61, field.GF61])) *core.EngineSpec {
+	n := ds.N()
+	sp := core.NewEngineSpec(ds)
+	sp.Register(func() (audit.Auditor, error) {
+		a := sumfull.New(n)
+		if built != nil {
+			built(a)
+		}
+		return a, nil
+	}, query.Sum)
+	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	return sp
+}
+
+// newIntegrationManager serves spec with no session limits.
+func newIntegrationManager(t *testing.T, spec *core.EngineSpec) *session.Manager {
+	t.Helper()
+	mgr, err := session.NewManager(spec, session.Config{NoJanitor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	return mgr
+}
 
 func TestEndToEndSession(t *testing.T) {
 	const n = 60
 	rng := randx.New(12)
 	ds := dataset.GenerateHospital(rng, dataset.DefaultHospitalConfig(n))
 
-	eng := core.NewEngine(ds)
-	sumAud := sumfull.New(n)
-	mmAud := maxminfull.New(n)
-	eng.Use(sumAud, query.Sum)
-	eng.Use(mmAud, query.Max, query.Min)
-
-	srv := httptest.NewServer(server.New(core.NewSDB(eng, "severity")))
+	// Only the default session is served and nothing is evicted, so the
+	// spec builds exactly one sum auditor: the one every query reaches.
+	var sumAud *sumfull.Auditor[field.Elem61, field.GF61]
+	mgr := newIntegrationManager(t, integrationSpec(ds, func(a *sumfull.Auditor[field.Elem61, field.GF61]) { sumAud = a }))
+	srv := httptest.NewServer(server.NewWithSessions(mgr, "severity"))
 	defer srv.Close()
 
 	var answeredMaxMin []extreme.Constraint
@@ -111,41 +138,19 @@ func TestEndToEndSession(t *testing.T) {
 	if answered == 0 || denied == 0 {
 		t.Fatalf("degenerate session: answered=%d denied=%d", answered, denied)
 	}
-	if eng.Answered() != answered || eng.Denied() != denied {
-		t.Fatalf("counter drift: engine (%d,%d) vs observed (%d,%d)",
-			eng.Answered(), eng.Denied(), answered, denied)
-	}
-
-	// Persist the sum trail, restore it, and check decision agreement.
-	var snap bytes.Buffer
-	if err := persist.Save(&snap, sumAud); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := snap.Len()
-	restoredAny, _, err := persist.Load(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := restoredAny.(interface {
-		Decide(query.Query) (audit.Decision, error)
-	})
-	for probe := 0; probe < 40; probe++ {
-		set := query.NewSet(randx.SubsetSizeBetween(rng, n, 2, n)...)
-		q := query.Query{Set: set, Kind: query.Sum}
-		d1, _ := sumAud.Decide(q)
-		d2, _ := restored.Decide(q)
-		if d1 != d2 {
-			t.Fatalf("restored sum auditor diverged on %v", q)
-		}
+	if st := mgr.Stats(session.DefaultAnalyst); st.Answered != answered || st.Denied != denied {
+		t.Fatalf("counter drift: session (%d,%d) vs observed (%d,%d)",
+			st.Answered, st.Denied, answered, denied)
 	}
 
 	// Replay the recorded trace against a fresh identical stack: every
 	// decision must reproduce (simulatability makes them functions of
 	// the history alone) and answers must match (same data).
 	ds2 := dataset.GenerateHospital(randx.New(12), dataset.DefaultHospitalConfig(n))
-	eng2 := core.NewEngine(ds2)
-	eng2.Use(sumfull.New(n), query.Sum)
-	eng2.Use(maxminfull.New(n), query.Max, query.Min)
+	eng2, err := integrationSpec(ds2, nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := trace.Replay(bytes.NewReader(traceBuf.Bytes()), eng2)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +169,7 @@ func TestEndToEndSession(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&know); err != nil {
 		t.Fatal(err)
 	}
-	ks, ok := know.Auditors[mmAud.Name()]
+	ks, ok := know.Auditors[maxminfull.New(n).Name()]
 	if !ok || len(ks) != n {
 		t.Fatalf("knowledge report missing or wrong size: %v", know.Auditors)
 	}
@@ -178,6 +183,31 @@ func TestEndToEndSession(t *testing.T) {
 				k.Index, v, k.Lower, k.Upper)
 		}
 	}
-	fmt.Printf("integration session: %d answered, %d denied, trail %d bytes\n",
+
+	// Persist the session journals, restore them into a fresh manager,
+	// and check that both decide a probe battery of every kind alike.
+	var snap bytes.Buffer
+	if err := persist.SaveSessionState(&snap, mgr.LogSnapshots(), 0); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes := snap.Len()
+	logs, _, err := persist.LoadSessionState(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds3 := dataset.GenerateHospital(randx.New(12), dataset.DefaultHospitalConfig(n))
+	restored := newIntegrationManager(t, integrationSpec(ds3, nil))
+	if err := restored.Restore(logs); err != nil {
+		t.Fatal(err)
+	}
+	for probe := 0; probe < 60; probe++ {
+		q := query.Query{Set: query.NewSet(randx.SubsetSizeBetween(rng, n, 2, n)...), Kind: kinds[probe%len(kinds)]}
+		r1, err1 := mgr.Ask(session.DefaultAnalyst, q)
+		r2, err2 := restored.Ask(session.DefaultAnalyst, q)
+		if err1 != nil || err2 != nil || r1 != r2 {
+			t.Fatalf("probe %d %v: original %+v (%v), restored %+v (%v)", probe, q, r1, err1, r2, err2)
+		}
+	}
+	fmt.Printf("integration session: %d answered, %d denied, journal %d bytes\n",
 		answered, denied, snapBytes)
 }

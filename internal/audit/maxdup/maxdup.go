@@ -186,52 +186,6 @@ func (a *Auditor) CheckInvariants() error {
 	return nil
 }
 
-// Snapshot is a serializable image of the duplicates-allowed auditor:
-// the answered query log (bounds and extreme counts are re-derived).
-type Snapshot struct {
-	N       int          `json:"n"`
-	Queries []QueryImage `json:"queries"`
-}
-
-// QueryImage is one answered query in a Snapshot.
-type QueryImage struct {
-	Set    []int   `json:"set"`
-	Answer float64 `json:"answer"`
-}
-
-// Snapshot captures the answered history.
-func (a *Auditor) Snapshot() Snapshot {
-	s := Snapshot{N: a.n}
-	for _, q := range a.queries {
-		s.Queries = append(s.Queries, QueryImage{Set: q.set, Answer: q.ans})
-	}
-	return s
-}
-
-// Restore replays the answered history into a fresh auditor.
-func Restore(s Snapshot) (*Auditor, error) {
-	if s.N < 0 {
-		return nil, fmt.Errorf("maxdup: negative n in snapshot")
-	}
-	a := New(s.N)
-	for _, qi := range s.Queries {
-		set := query.NewSet(qi.Set...)
-		if len(set) == 0 {
-			return nil, fmt.Errorf("maxdup: empty query set in snapshot")
-		}
-		for _, i := range set {
-			if i < 0 || i >= s.N {
-				return nil, fmt.Errorf("maxdup: index %d out of range in snapshot", i)
-			}
-		}
-		a.Record(query.Query{Set: set, Kind: query.Max}, qi.Answer)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("maxdup: snapshot invalid: %w", err)
-	}
-	return a, nil
-}
-
 // Knowledge implements audit.KnowledgeReporter: per-element upper bounds
 // μ_j, with Pinned set when the element is some query's lone witness.
 func (a *Auditor) Knowledge() []audit.ElementKnowledge {

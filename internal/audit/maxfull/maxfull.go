@@ -241,18 +241,6 @@ func (a *Auditor) NoteUpdate(idx int) {
 // (never after a run of correct decisions; used by tests and demos).
 func (a *Auditor) Compromised() bool { return a.syn.SingletonEqCount() > 0 }
 
-// Snapshot captures the auditor's audit trail for persistence.
-func (a *Auditor) Snapshot() synopsis.Snapshot { return a.syn.Snapshot() }
-
-// Restore rebuilds an auditor from a snapshot, re-validating it.
-func Restore(s synopsis.Snapshot) (*Auditor, error) {
-	syn, err := synopsis.RestoreMax(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Auditor{n: syn.N(), syn: syn}, nil
-}
-
 // Knowledge implements audit.KnowledgeReporter: upper bounds derived
 // from the synopsis (max queries give no lower bounds).
 func (a *Auditor) Knowledge() []audit.ElementKnowledge {

@@ -138,18 +138,6 @@ func (a *Auditor) NoteUpdate(idx int) {
 // Compromised reports whether the committed trail already pins a value.
 func (a *Auditor) Compromised() bool { return compromised(a.syn) }
 
-// Snapshot captures the auditor's combined audit trail for persistence.
-func (a *Auditor) Snapshot() synopsis.MaxMinSnapshot { return a.syn.Snapshot() }
-
-// Restore rebuilds an auditor from a snapshot, re-validating it.
-func Restore(s synopsis.MaxMinSnapshot) (*Auditor, error) {
-	syn, err := synopsis.RestoreMaxMin(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Auditor{n: syn.N(), syn: syn}, nil
-}
-
 // Knowledge implements audit.KnowledgeReporter using the combined
 // synopsis ranges.
 func (a *Auditor) Knowledge() []audit.ElementKnowledge {

@@ -13,7 +13,6 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/maxfull"
 	"queryaudit/internal/query"
-	"queryaudit/internal/synopsis"
 )
 
 // Auditor is the simulatable min auditor.
@@ -50,18 +49,6 @@ func (a *Auditor) NoteUpdate(idx int) { a.inner.NoteUpdate(idx) }
 
 // Compromised reports whether the committed trail pins a value.
 func (a *Auditor) Compromised() bool { return a.inner.Compromised() }
-
-// Snapshot captures the auditor's audit trail for persistence.
-func (a *Auditor) Snapshot() synopsis.Snapshot { return a.inner.Snapshot() }
-
-// Restore rebuilds an auditor from a snapshot.
-func Restore(s synopsis.Snapshot) (*Auditor, error) {
-	inner, err := maxfull.Restore(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Auditor{inner: inner}, nil
-}
 
 // Knowledge implements audit.KnowledgeReporter, mirroring the inner max
 // auditor's bounds back into min orientation.

@@ -128,69 +128,3 @@ func (a *Auditor[E, F]) Compromised() bool {
 	_, ok := a.ech.ElementaryInSpan()
 	return ok
 }
-
-// Snapshot is a serializable image of the auditor's state. Basis rows
-// are stored as field elements; restoring re-adds them, which re-derives
-// all RREF bookkeeping and re-validates invariants.
-type Snapshot struct {
-	N    int        `json:"n"`
-	Cols []int      `json:"cols"`
-	Rows [][]uint64 `json:"rows"`
-}
-
-// Snapshot captures the current state (GF(2^61−1) auditors only).
-func (a *Auditor[E, F]) Snapshot() (Snapshot, error) {
-	s := Snapshot{N: a.n, Cols: append([]int(nil), a.col...)}
-	for _, row := range a.ech.Rows() {
-		out := make([]uint64, len(row))
-		for j, v := range row {
-			e, ok := any(v).(field.Elem61)
-			if !ok {
-				return Snapshot{}, fmt.Errorf("sumfull: snapshots support the GF(2^61-1) auditor only")
-			}
-			out[j] = uint64(e)
-		}
-		s.Rows = append(s.Rows, out)
-	}
-	return s, nil
-}
-
-// Restore rebuilds a GF(2^61−1) auditor from a snapshot.
-func Restore(s Snapshot) (*Auditor[field.Elem61, field.GF61], error) {
-	if s.N < 0 || len(s.Cols) != s.N {
-		return nil, fmt.Errorf("sumfull: snapshot has %d cols for n=%d", len(s.Cols), s.N)
-	}
-	a := New(s.N)
-	ncols := s.N
-	for _, c := range s.Cols {
-		if c < 0 {
-			return nil, fmt.Errorf("sumfull: negative column in snapshot")
-		}
-		if c+1 > ncols {
-			ncols = c + 1
-		}
-	}
-	for _, row := range s.Rows {
-		if len(row) > ncols {
-			ncols = len(row)
-		}
-	}
-	if ncols > s.N {
-		a.ech.AppendColumns(ncols - s.N)
-	}
-	copy(a.col, s.Cols)
-	for _, row := range s.Rows {
-		v := make([]field.Elem61, ncols)
-		for j, x := range row {
-			if x >= field.Mersenne61 {
-				return nil, fmt.Errorf("sumfull: element %d out of field range", x)
-			}
-			v[j] = field.Elem61(x)
-		}
-		a.ech.Add(v)
-	}
-	if err := a.ech.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sumfull: snapshot invalid: %w", err)
-	}
-	return a, nil
-}

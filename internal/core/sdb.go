@@ -46,9 +46,6 @@ func NewSDB(eng *Engine, sensitive string) *SDB {
 // Engine exposes the underlying engine.
 func (s *SDB) Engine() *Engine { return s.eng }
 
-// Sensitive returns the aggregate target column name.
-func (s *SDB) Sensitive() string { return s.sensitive }
-
 // Resolver returns the SQL resolution front-end the SDB routes through.
 func (s *SDB) Resolver() *SQLResolver { return s.res }
 

@@ -4,35 +4,52 @@ import (
 	"bytes"
 	"fmt"
 
+	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/maxfull"
+	"queryaudit/internal/core"
+	"queryaudit/internal/dataset"
 	"queryaudit/internal/persist"
 	"queryaudit/internal/query"
+	"queryaudit/internal/session"
 )
 
-// Example round-trips a max auditor's trail through a snapshot: the
-// restored auditor remembers exactly what was answered and keeps
-// denying the same probes.
+// Example persists a max auditor's session journal and restores it into
+// a fresh deployment by replay: the restored session remembers exactly
+// what was answered and keeps denying the same probes.
 func Example() {
-	a := maxfull.New(3)
-	q := query.New(query.Max, 0, 1, 2)
-	if d, _ := a.Decide(q); d == 1 {
-		a.Record(q, 9)
+	newManager := func() *session.Manager {
+		sp := core.NewEngineSpec(dataset.FromValues([]float64{3, 9, 4}))
+		sp.Register(func() (audit.Auditor, error) { return maxfull.New(3), nil }, query.Max)
+		m, err := session.NewManager(sp, session.Config{})
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+	orig := newManager()
+	defer orig.Close()
+	if _, err := orig.Ask(session.DefaultAnalyst, query.New(query.Max, 0, 1, 2)); err != nil {
+		panic(err)
 	}
 
 	var buf bytes.Buffer
-	if err := persist.Save(&buf, a); err != nil {
+	if err := persist.SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
 		panic(err)
 	}
-	restored, kind, err := persist.Load(&buf)
+	logs, _, err := persist.LoadSessionState(&buf)
 	if err != nil {
 		panic(err)
 	}
-	b := restored.(*maxfull.Auditor)
+	restored := newManager()
+	defer restored.Close()
+	if err := restored.Restore(logs); err != nil {
+		panic(err)
+	}
 
 	probe := query.New(query.Max, 0, 1) // would localize the witness
-	d1, _ := a.Decide(probe)
-	d2, _ := b.Decide(probe)
-	fmt.Println(kind, d1, d2)
+	r1, _ := orig.Ask(session.DefaultAnalyst, probe)
+	r2, _ := restored.Ask(session.DefaultAnalyst, probe)
+	fmt.Println(len(logs), r1.Denied, r2.Denied)
 	// Output:
-	// max-full deny deny
+	// 1 true true
 }

@@ -2,8 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"queryaudit/internal/audit"
@@ -12,138 +10,102 @@ import (
 	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/minfull"
 	"queryaudit/internal/audit/sumfull"
-	"queryaudit/internal/field"
+	"queryaudit/internal/core"
+	"queryaudit/internal/dataset"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
+	"queryaudit/internal/session"
 )
 
-// driveAuditor runs a random answered history against any auditor.
-func driveAuditor(a audit.Auditor, kinds []query.Kind, xs []float64, steps int, seed int64) []query.Query {
-	rng := rand.New(rand.NewSource(seed))
-	var answered []query.Query
-	n := len(xs)
-	for s := 0; s < steps; s++ {
-		set := randx.SubsetSizeBetween(rng, n, 2, n)
-		q := query.Query{Set: query.NewSet(set...), Kind: kinds[rng.Intn(len(kinds))]}
-		if d, err := a.Decide(q); err == nil && d == audit.Answer {
-			a.Record(q, q.Eval(xs))
-			answered = append(answered, q)
+// roundTrip drives a random history through a manager whose engines
+// guard xs with one auditor built by newAuditor, persists every session
+// journal, restores them into a fresh manager over the same data, and
+// checks that both answer a probe battery identically. update, if
+// non-nil, runs on the original manager halfway through the history.
+func roundTrip(t *testing.T, xs []float64, kinds []query.Kind, newAuditor func(n int) audit.Auditor, update func(*session.Manager), seed int64) {
+	t.Helper()
+	newManager := func() *session.Manager {
+		sp := core.NewEngineSpec(dataset.FromValues(xs))
+		sp.Register(func() (audit.Auditor, error) { return newAuditor(len(xs)), nil }, kinds...)
+		m, err := session.NewManager(sp, session.Config{NoJanitor: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		return m
+	}
+	rng := randx.New(seed)
+	randomQuery := func() query.Query {
+		return query.New(kinds[rng.Intn(len(kinds))], randx.SubsetSizeBetween(rng, len(xs), 2, len(xs))...)
+	}
+	orig := newManager()
+	for step := 0; step < 40; step++ {
+		if step == 20 && update != nil {
+			update(orig)
+		}
+		for _, analyst := range []string{session.DefaultAnalyst, "alice"} {
+			if _, err := orig.Ask(analyst, randomQuery()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	return answered
-}
 
-// probeAgreement checks that two auditors decide identically on a probe
-// battery.
-func probeAgreement(t *testing.T, a, b audit.Auditor, kinds []query.Kind, n int, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	for s := 0; s < 60; s++ {
-		set := randx.SubsetSizeBetween(rng, n, 1, n)
-		q := query.Query{Set: query.NewSet(set...), Kind: kinds[rng.Intn(len(kinds))]}
-		d1, e1 := a.Decide(q)
-		d2, e2 := b.Decide(q)
-		if d1 != d2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("probe %v: original=%v(%v) restored=%v(%v)", q, d1, e1, d2, e2)
-		}
-	}
-}
-
-func roundTrip(t *testing.T, a any) any {
-	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, a); err != nil {
-		t.Fatalf("save: %v", err)
+	if err := SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
+		t.Fatal(err)
 	}
-	restored, _, err := Load(&buf)
+	logs, _, err := LoadSessionState(&buf)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatal(err)
 	}
-	return restored
+	restored := newManager()
+	_, values := orig.ReplicaSnapshot()
+	if err := restored.RestoreSensitiveState(values); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(logs); err != nil {
+		t.Fatal(err)
+	}
+	for probe := 0; probe < 60; probe++ {
+		q := randomQuery()
+		r1, err1 := orig.Ask("alice", q)
+		r2, err2 := restored.Ask("alice", q)
+		if r1 != r2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("probe %v: original %+v (%v), restored %+v (%v)", q, r1, err1, r2, err2)
+		}
+	}
 }
 
 func TestRoundTripSumFull(t *testing.T) {
-	const n = 20
-	xs := randx.UniformDataset(randx.New(1), n, 0, 1)
-	a := sumfull.New(n)
-	driveAuditor(a, []query.Kind{query.Sum}, xs, 30, 2)
-	a.NoteUpdate(3)
-	driveAuditor(a, []query.Kind{query.Sum}, xs, 10, 3)
-	b := roundTrip(t, a).(*sumfull.Auditor[gfElem, gfField])
-	probeAgreement(t, a, b, []query.Kind{query.Sum}, n, 4)
+	xs := randx.UniformDataset(randx.New(1), 20, 0, 1)
+	update := func(m *session.Manager) {
+		if err := m.Update(3, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip(t, xs, []query.Kind{query.Sum}, func(n int) audit.Auditor { return sumfull.New(n) }, update, 2)
 }
 
 func TestRoundTripMaxFull(t *testing.T) {
-	const n = 15
-	xs := randx.DuplicateFreeDataset(randx.New(5), n, 0, 1)
-	a := maxfull.New(n)
-	driveAuditor(a, []query.Kind{query.Max}, xs, 25, 6)
-	b := roundTrip(t, a).(*maxfull.Auditor)
-	probeAgreement(t, a, b, []query.Kind{query.Max}, n, 7)
+	xs := randx.DuplicateFreeDataset(randx.New(5), 15, 0, 1)
+	roundTrip(t, xs, []query.Kind{query.Max}, func(n int) audit.Auditor { return maxfull.New(n) }, nil, 6)
 }
 
 func TestRoundTripMinFull(t *testing.T) {
-	const n = 15
-	xs := randx.DuplicateFreeDataset(randx.New(8), n, 0, 1)
-	a := minfull.New(n)
-	driveAuditor(a, []query.Kind{query.Min}, xs, 25, 9)
-	b := roundTrip(t, a).(*minfull.Auditor)
-	probeAgreement(t, a, b, []query.Kind{query.Min}, n, 10)
+	xs := randx.DuplicateFreeDataset(randx.New(8), 15, 0, 1)
+	roundTrip(t, xs, []query.Kind{query.Min}, func(n int) audit.Auditor { return minfull.New(n) }, nil, 9)
 }
 
 func TestRoundTripMaxMinFull(t *testing.T) {
-	const n = 12
-	xs := randx.DuplicateFreeDataset(randx.New(11), n, 0, 1)
-	a := maxminfull.New(n)
-	driveAuditor(a, []query.Kind{query.Max, query.Min}, xs, 25, 12)
-	b := roundTrip(t, a).(*maxminfull.Auditor)
-	probeAgreement(t, a, b, []query.Kind{query.Max, query.Min}, n, 13)
+	xs := randx.DuplicateFreeDataset(randx.New(11), 12, 0, 1)
+	roundTrip(t, xs, []query.Kind{query.Max, query.Min}, func(n int) audit.Auditor { return maxminfull.New(n) }, nil, 12)
 }
 
 func TestRoundTripMaxDup(t *testing.T) {
-	const n = 15
 	rng := randx.New(14)
-	xs := make([]float64, n)
+	xs := make([]float64, 15)
 	for i := range xs {
 		xs[i] = float64(rng.Intn(10)) // duplicates welcome
 	}
-	a := maxdup.New(n)
-	driveAuditor(a, []query.Kind{query.Max}, xs, 25, 15)
-	b := roundTrip(t, a).(*maxdup.Auditor)
-	probeAgreement(t, a, b, []query.Kind{query.Max}, n, 16)
+	roundTrip(t, xs, []query.Kind{query.Max}, func(n int) audit.Auditor { return maxdup.New(n) }, nil, 15)
 }
-
-func TestRejectsGarbage(t *testing.T) {
-	cases := []string{
-		``,
-		`{"version":99,"kind":"sum-full","payload":{}}`,
-		`{"version":1,"kind":"who-knows","payload":{}}`,
-		// Overlapping predicate sets violate the synopsis invariant.
-		`{"version":1,"kind":"max-full","payload":{"n":3,"next_id":2,"preds":[
-			{"id":0,"set":[0,1],"value":5,"op":0},
-			{"id":1,"set":[1,2],"value":7,"op":0}]}}`,
-		// Duplicate equality values.
-		`{"version":1,"kind":"max-full","payload":{"n":4,"next_id":2,"preds":[
-			{"id":0,"set":[0,1],"value":5,"op":0},
-			{"id":1,"set":[2,3],"value":5,"op":0}]}}`,
-		// Out-of-range element.
-		`{"version":1,"kind":"max-dup","payload":{"n":2,"queries":[{"set":[0,9],"answer":3}]}}`,
-	}
-	for _, raw := range cases {
-		if _, _, err := Load(strings.NewReader(raw)); err == nil {
-			t.Errorf("garbage accepted: %s", raw)
-		}
-	}
-}
-
-func TestUnsupportedSave(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, 42); err == nil {
-		t.Fatal("saving a non-auditor must fail")
-	}
-}
-
-// Aliases for readability of the generic sum auditor type in tests.
-type gfElem = field.Elem61
-
-type gfField = field.GF61

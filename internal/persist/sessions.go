@@ -1,3 +1,16 @@
+// Package persist writes the session journals to disk so a statistical
+// database can restart without forgetting what it has already answered —
+// forgetting would let an attacker replay complementary queries against
+// a fresh auditor and stitch the answers together offline.
+//
+// Every auditor is simulatable (§2.2 of the paper): its state is a
+// function of the answered/denied history alone. So the per-analyst
+// journals are the complete persisted state, and session.Manager.Restore
+// rebuilds any auditor stack from them by replay. A snapshot is JSON in
+// a versioned envelope; loading re-validates each journal's structure
+// and digest chain (snapshots may come from untrusted storage), and a
+// snapshot that fails validation is rejected rather than partially
+// loaded. WriteAtomic makes the write itself crash-safe.
 package persist
 
 import (
@@ -7,6 +20,19 @@ import (
 
 	"queryaudit/internal/session"
 )
+
+// Version is the envelope schema version.
+const Version = 1
+
+// Kind names the payload an envelope carries.
+type Kind string
+
+// envelope wraps a payload with identification.
+type envelope struct {
+	Version int             `json:"version"`
+	Kind    Kind            `json:"kind"`
+	Payload json.RawMessage `json:"payload"`
+}
 
 // KindSessionLogs names the multi-analyst session-journal snapshot: the
 // complete set of per-analyst query/decision logs, from which every
@@ -21,12 +47,6 @@ const KindSessionLogs Kind = "session-logs"
 type sessionLogsPayload struct {
 	Sessions []session.LogSnapshot `json:"sessions"`
 	Epoch    uint64                `json:"epoch,omitempty"`
-}
-
-// SaveSessions writes every session journal to w under the standard
-// versioned envelope (standalone form; epoch 0).
-func SaveSessions(w io.Writer, logs []session.LogSnapshot) error {
-	return SaveSessionState(w, logs, 0)
 }
 
 // SaveSessionState writes every session journal plus the replication

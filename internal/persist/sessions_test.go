@@ -24,7 +24,7 @@ func sampleLogs() []session.LogSnapshot {
 func TestSessionLogsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	logs := sampleLogs()
-	if err := SaveSessions(&buf, logs); err != nil {
+	if err := SaveSessionState(&buf, logs, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSessions(&buf)
@@ -48,11 +48,16 @@ func TestSessionLogsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSessionsRejectsInvalid: wrong kinds, versions, duplicate or
+// TestLoadSessionsRejectsInvalid: malformed input, wrong kinds (the
+// retired per-auditor snapshots among them), versions, duplicate or
 // empty analysts, and structurally invalid events are all refused.
 func TestLoadSessionsRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
+		"empty input":   ``,
+		"not json":      `{`,
 		"wrong kind":    `{"version":1,"kind":"sum-full","payload":{"sessions":[]}}`,
+		"max-full":      `{"version":1,"kind":"max-full","payload":{"n":3,"next_id":1,"preds":[{"id":0,"set":[0,1],"value":5,"op":0}]}}`,
+		"max-dup":       `{"version":1,"kind":"max-duplicates","payload":{"n":2,"queries":[{"set":[0,1],"answer":3}]}}`,
 		"wrong version": `{"version":9,"kind":"session-logs","payload":{"sessions":[]}}`,
 		"empty analyst": `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"","events":[]}]}}`,
 		"duplicate":     `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"a"},{"analyst":"a"}]}}`,

@@ -33,7 +33,7 @@ const maxImportBody = 64 << 20
 func WithCluster(v *cluster.NodeView) Option { return func(s *Server) { s.cview = v } }
 
 // clusterRoutes are the node-side cluster endpoints, mounted when a
-// NodeView is attached (see newServer).
+// NodeView is attached (see NewWithSessions).
 func (s *Server) clusterRoutes() {
 	s.clusterM = metrics.NewClusterNodeMetrics(s.reg)
 	s.mux.HandleFunc("GET /v1/cluster/node", s.handleClusterNode)

@@ -108,7 +108,7 @@ func TestKnowledgeRace(t *testing.T) {
 // responses the clients saw (no lost updates, no double counts, no torn
 // stats).
 func TestConcurrentLoad(t *testing.T) {
-	srv, eng := newTestServer(t, 50)
+	srv, mgr := newTestServer(t, 50)
 	var answered, denied atomic.Int64
 	var wg sync.WaitGroup
 	client := srv.Client()
@@ -164,7 +164,7 @@ func TestConcurrentLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := eng.Stats()
+	st := mgr.Stats(session.DefaultAnalyst)
 	if int64(st.Answered) != answered.Load() || int64(st.Denied) != denied.Load() {
 		t.Fatalf("accounting breach: engine answered=%d denied=%d, clients saw answered=%d denied=%d",
 			st.Answered, st.Denied, answered.Load(), denied.Load())
@@ -282,14 +282,8 @@ func TestMetricsPromScrapeBuffered(t *testing.T) {
 // tests.
 func newLimitedServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
-	n := 20
-	ds := dataset.GenerateCompany(randx.New(1), dataset.DefaultCompanyConfig(n))
-	eng := core.NewEngine(ds)
-	eng.Use(sumfull.New(n), query.Sum)
-	eng.Use(maxfull.New(n), query.Max)
-	srv := httptest.NewServer(New(core.NewSDB(eng, "salary"), WithOptions(opts)))
-	t.Cleanup(srv.Close)
-	return srv
+	hs, _, _ := newSessionServer(t, companySpec(20), session.Config{}, WithOptions(opts))
+	return hs
 }
 
 // TestBodyTooLarge: oversized POST bodies are 413, not 400.
@@ -352,17 +346,19 @@ func (a *slowAuditor) Decide(query.Query) (audit.Decision, error) {
 }
 func (a *slowAuditor) Record(query.Query, float64) {}
 
+// slowSpec serves sum queries over n zeros through a slowAuditor.
+func slowSpec(n int, delay time.Duration) *core.EngineSpec {
+	sp := core.NewEngineSpec(dataset.FromValues(make([]float64, n)))
+	sp.Register(func() (audit.Auditor, error) { return &slowAuditor{delay: delay}, nil }, query.Sum)
+	return sp
+}
+
 // TestPerClientThrottle: with a concurrency cap of 1, parallel requests
 // from the same client get 429s while one is in flight.
 func TestPerClientThrottle(t *testing.T) {
-	n := 10
-	ds := dataset.FromValues(make([]float64, n))
-	eng := core.NewEngine(ds)
-	eng.Use(&slowAuditor{delay: 300 * time.Millisecond}, query.Sum)
 	opts := Defaults()
 	opts.PerClientConcurrency = 1
-	srv := httptest.NewServer(New(core.NewSDB(eng, "salary"), WithOptions(opts)))
-	t.Cleanup(srv.Close)
+	srv, _, _ := newSessionServer(t, slowSpec(10, 300*time.Millisecond), session.Config{}, WithOptions(opts))
 
 	var ok200, throttled atomic.Int64
 	var wg sync.WaitGroup
@@ -487,11 +483,12 @@ func TestConcurrentAnalystChurn(t *testing.T) {
 // TestRunGracefulShutdown: Run drains an in-flight request after ctx
 // cancellation and returns nil.
 func TestRunGracefulShutdown(t *testing.T) {
-	n := 10
-	ds := dataset.FromValues(make([]float64, n))
-	eng := core.NewEngine(ds)
-	eng.Use(&slowAuditor{delay: 200 * time.Millisecond}, query.Sum)
-	s := New(core.NewSDB(eng, "salary"))
+	mgr, err := session.NewManager(slowSpec(10, 200*time.Millisecond), session.Config{NoJanitor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	s := NewWithSessions(mgr, "salary")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)

@@ -8,13 +8,13 @@ import (
 	"sync"
 	"time"
 
-	"queryaudit/internal/mcpar"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/replica"
 )
 
 // Options are the serving-path knobs. Zero values mean "use Defaults()";
-// New applies Defaults first, so callers only override what they need.
+// NewWithSessions applies Defaults first, so callers only override what
+// they need.
 type Options struct {
 	// MaxBodyBytes caps every POST body via http.MaxBytesReader.
 	MaxBodyBytes int64
@@ -29,25 +29,6 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured line per request
 	// (method, path, status, bytes, duration, client).
 	AccessLog *log.Logger
-	// InstrumentEngine installs a metrics.EngineCollector as the
-	// engine's observer (on by default; disable when the caller wires
-	// its own core.Observer).
-	InstrumentEngine bool
-	// InstrumentMC installs a metrics.MCCollector as the Monte Carlo
-	// observer on every MC-tunable auditor (on by default; a no-op when
-	// no probabilistic auditor is registered).
-	InstrumentMC bool
-	// MCWorkers caps each decision's share of the shared Monte Carlo
-	// scheduler: 0 leaves the auditors as configured (their own default
-	// is GOMAXPROCS), 1 forces sequential decisions, n > 1 bounds the
-	// per-decision cap. Decisions are identical at any setting for a
-	// fixed seed.
-	MCWorkers int
-	// MCScheduler, when non-nil, is the shared assist pool installed on
-	// every schedulable auditor (single-engine constructor only; session
-	// deployments install it via the core.EngineSpec). Nil leaves
-	// auditors on the process-wide default pool.
-	MCScheduler *mcpar.Scheduler
 	// DisableQueryIndex resolves /v1/query statements through the naive
 	// per-request dataset scan instead of the shared indexed resolver —
 	// the pre-index behaviour, kept as a kill switch and as the baseline
@@ -76,8 +57,6 @@ func Defaults() Options {
 		MaxBodyBytes:      1 << 20, // 1 MiB
 		MaxIndices:        100_000,
 		MaxPrimeQueries:   1024,
-		InstrumentEngine:  true,
-		InstrumentMC:      true,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -102,8 +81,7 @@ func WithAccessLog(l *log.Logger) Option { return func(s *Server) { s.opts.Acces
 
 // WithReadinessGate starts the server not-ready: /readyz and every
 // session-scoped endpoint answer 503 until MarkReady is called. Use it
-// when boot-time restoration (auditor snapshot, session-log replay)
-// runs after the listener is already accepting.
+// when boot-time restoration (session-log replay) runs after the listener is already accepting.
 func WithReadinessGate() Option { return func(s *Server) { s.gated = true } }
 
 // WithReplication attaches a replication node: the /v1/replication/*

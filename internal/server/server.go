@@ -58,7 +58,7 @@
 // GET /readyz additionally reflects boot-time state restoration: a
 // server constructed with WithReadinessGate answers 503 on /readyz and
 // on every session-scoped endpoint until MarkReady is called (after
-// snapshot and session-log replay finish), so a load balancer never
+// session-log replay finishes), so a load balancer never
 // routes an analyst to a server that has not finished reconstructing
 // audit state — answering before replay completes would let an attacker
 // rerun complementary queries against an amnesiac auditor.
@@ -120,44 +120,10 @@ type Server struct {
 	gated bool
 }
 
-// New builds a single-analyst server over a pre-built SDB — the legacy
-// constructor, kept for deployments that wire one engine by hand (e.g.
-// restoring a persisted auditor that no factory can rebuild). Requests
-// carrying a non-default analyst identity fail with 403: multi-analyst
-// serving requires NewWithSessions. The engine is instrumented with a
-// metrics.EngineCollector unless Options disable it; instrumentation is
-// installed here, before the handler is exposed, so no request can race
-// an observer swap.
-func New(sdb *core.SDB, opts ...Option) *Server {
-	s := newServer(session.Single(sdb.Engine(), session.Config{}), sdb.Sensitive(), opts)
-	if s.opts.InstrumentEngine {
-		sdb.Engine().SetObserver(metrics.NewEngineCollector(s.reg))
-	}
-	if s.opts.InstrumentMC {
-		sdb.Engine().SetMCObserver(metrics.NewMCCollector(s.reg))
-	}
-	if s.opts.MCWorkers != 0 {
-		sdb.Engine().SetMCWorkers(s.opts.MCWorkers)
-	}
-	if s.opts.MCScheduler != nil {
-		sdb.Engine().SetMCScheduler(s.opts.MCScheduler)
-	}
-	return s
-}
-
-// NewWithSessions builds a multi-analyst server over a session manager.
-// Engine observers are NOT installed here: session engines are built on
-// demand, so observers must come from the manager's core.EngineSpec
-// (spec.SetObserver / SetMCObserver / SetMCWorkers / SetMCScheduler),
-// which installs them at construction time — before the engine serves a
-// single query — rather than racing a SetObserver call against in-flight
-// requests. Options.InstrumentEngine / InstrumentMC / MCWorkers /
-// MCScheduler are ignored.
+// NewWithSessions builds a server over a session manager. Engine
+// observers and Monte Carlo settings come from the manager's
+// core.EngineSpec, which installs them as each engine is built.
 func NewWithSessions(mgr *session.Manager, sensitive string, opts ...Option) *Server {
-	return newServer(mgr, sensitive, opts)
-}
-
-func newServer(mgr *session.Manager, sensitive string, opts []Option) *Server {
 	s := &Server{mgr: mgr, sensitive: sensitive, mux: http.NewServeMux(), opts: Defaults()}
 	for _, o := range opts {
 		o(s)
@@ -252,8 +218,8 @@ func (s *Server) Sessions() *session.Manager { return s.mgr }
 func (s *Server) Resolver() *core.SQLResolver { return s.sqlRes }
 
 // MarkReady opens the session-scoped endpoints on a readiness-gated
-// server. Call it once boot-time state restoration (auditor snapshot,
-// session-log replay) has finished.
+// server. Call it once boot-time state restoration (session-log replay)
+// has finished.
 func (s *Server) MarkReady() { s.ready.Store(true) }
 
 // whenReady wraps a session-scoped handler with the readiness gate.
@@ -321,19 +287,15 @@ func (s *Server) analyst(w http.ResponseWriter, r *http.Request) (string, bool) 
 	return a, true
 }
 
-// writeSessionErr maps session-layer failures; reports whether err was
-// one.
+// writeSessionErr maps a refused session admission to 503; reports
+// whether err was one.
 func (s *Server) writeSessionErr(w http.ResponseWriter, err error) bool {
-	switch {
-	case errors.Is(err, session.ErrTooManySessions):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return true
-	case errors.Is(err, session.ErrMultiAnalystDisabled):
-		s.writeJSON(w, http.StatusForbidden, errorResponse{Error: err.Error()})
-		return true
+	if !errors.Is(err, session.ErrTooManySessions) {
+		return false
 	}
-	return false
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+	return true
 }
 
 // QueryRequest is the body of POST /v1/query.

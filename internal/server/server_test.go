@@ -9,23 +9,36 @@ import (
 	"sync"
 	"testing"
 
+	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/maxfull"
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
+	"queryaudit/internal/session"
 )
 
-func newTestServer(t *testing.T, n int) (*httptest.Server, *core.Engine) {
-	t.Helper()
+// companySpec registers a sum and a max auditor over an n-record company
+// table; it serves min queries with no auditor (422).
+func companySpec(n int) *core.EngineSpec {
 	ds := dataset.GenerateCompany(randx.New(1), dataset.DefaultCompanyConfig(n))
-	eng := core.NewEngine(ds)
-	eng.Use(sumfull.New(n), query.Sum)
-	eng.Use(maxfull.New(n), query.Max)
-	srv := httptest.NewServer(New(core.NewSDB(eng, "salary")))
-	t.Cleanup(srv.Close)
-	return srv, eng
+	sp := core.NewEngineSpec(ds)
+	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
+	sp.Register(func() (audit.Auditor, error) { return maxfull.New(n), nil }, query.Max)
+	return sp
+}
+
+// newTestServer serves companySpec(n) with its engine decisions counted
+// in the server's metrics registry.
+func newTestServer(t *testing.T, n int) (*httptest.Server, *session.Manager) {
+	t.Helper()
+	sp := companySpec(n)
+	reg := metrics.NewRegistry()
+	sp.SetObserver(metrics.NewEngineCollector(reg))
+	hs, _, mgr := newSessionServer(t, sp, session.Config{}, WithMetrics(reg))
+	return hs, mgr
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
@@ -82,7 +95,7 @@ func TestQuerySetEndpoint(t *testing.T) {
 
 // TestUpdateAndStats: updates flow through and counters move.
 func TestUpdateAndStats(t *testing.T) {
-	srv, eng := newTestServer(t, 20)
+	srv, mgr := newTestServer(t, 20)
 	if _, out := postJSON(t, srv.URL+"/v1/update", UpdateRequest{Index: 3, Value: 99999}); out["ok"] != true {
 		t.Fatalf("update failed: %v", out)
 	}
@@ -98,7 +111,7 @@ func TestUpdateAndStats(t *testing.T) {
 	if stats.Records != 20 || stats.Modifications != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if eng.Dataset().Sensitive(3) != 99999 {
+	if mgr.Dataset().Sensitive(3) != 99999 {
 		t.Fatal("update did not reach the dataset")
 	}
 }
@@ -138,7 +151,7 @@ func TestMalformedBodies(t *testing.T) {
 // TestConcurrentQueriesSafe: hammer the server from many goroutines; the
 // engine's lock must keep the auditors consistent (run with -race).
 func TestConcurrentQueriesSafe(t *testing.T) {
-	srv, eng := newTestServer(t, 40)
+	srv, mgr := newTestServer(t, 40)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -156,7 +169,7 @@ func TestConcurrentQueriesSafe(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if eng.Answered()+eng.Denied() == 0 {
+	if st := mgr.Stats(session.DefaultAnalyst); st.Answered+st.Denied == 0 {
 		t.Fatal("no queries were processed")
 	}
 }

@@ -258,19 +258,6 @@ func TestSessionAdmission503(t *testing.T) {
 	}
 }
 
-// TestLegacySingleModeRejectsAnalysts: the legacy New(sdb) constructor
-// serves the default session only; named analysts get 403.
-func TestLegacySingleModeRejectsAnalysts(t *testing.T) {
-	srv, _ := newTestServer(t, 10)
-	code, out := askAs(t, srv.URL, "alice", "sum", []int{0, 1})
-	if code != http.StatusForbidden {
-		t.Fatalf("analyst on single-mode server: %d %v, want 403", code, out)
-	}
-	if code, _ := askAs(t, srv.URL, "", "sum", []int{0, 1}); code != http.StatusOK {
-		t.Fatal("default session must keep working")
-	}
-}
-
 // TestReadyzGate: a readiness-gated server answers 503 on /readyz and
 // session-scoped endpoints (healthz and metrics stay open) until
 // MarkReady.

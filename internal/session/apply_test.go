@@ -198,7 +198,7 @@ func TestApplyDecisionOrdering(t *testing.T) {
 }
 
 // TestDropSession: Drop removes a session so its timeline can restart,
-// refuses pinned sessions, and reports unknown analysts.
+// the default one included, and reports unknown analysts.
 func TestDropSession(t *testing.T) {
 	f := determinismFamilies()[0]
 	m := f.newManager(t)
@@ -217,29 +217,10 @@ func TestDropSession(t *testing.T) {
 	if m.Drop("nobody") {
 		t.Fatal("drop of unknown analyst reported success")
 	}
-	// A spec-built default session is droppable like any other (the
-	// primary may legitimately restart its timeline)...
+	// The default session is droppable like any other (the primary may
+	// legitimately restart its timeline).
 	if !m.Drop(DefaultAnalyst) {
-		t.Fatal("spec-built default session refused Drop")
-	}
-	// ...but an adopted (hand-built, pinned) default is not rebuildable
-	// from factories and must survive Drop.
-	spec := f.makeSpec(f.makeDS())
-	m2, err := NewManager(spec, Config{NoJanitor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m2.Close)
-	eng, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.AdoptDefault(eng)
-	if m2.Drop(DefaultAnalyst) {
-		t.Fatal("pinned default session dropped")
-	}
-	if _, ok := m2.SeqOf(DefaultAnalyst); !ok {
-		t.Fatal("pinned default session gone")
+		t.Fatal("default session refused Drop")
 	}
 }
 

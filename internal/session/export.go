@@ -47,9 +47,6 @@ func (m *Manager) Export(analyst string) (LogSnapshot, bool) {
 // is replaced (or, at equal seq, kept as-is). Any other existing
 // timeline fails with ErrImportConflict — the caller must not retry.
 func (m *Manager) Import(snap LogSnapshot) (uint64, core.Digest, error) {
-	if m.spec == nil {
-		return 0, core.Digest{}, ErrMultiAnalystDisabled
-	}
 	if snap.Analyst == "" {
 		return 0, core.Digest{}, errors.New("session: import with empty analyst id")
 	}
@@ -66,9 +63,6 @@ func (m *Manager) Import(snap LogSnapshot) (uint64, core.Digest, error) {
 		return 0, core.Digest{}, err
 	}
 	defer s.mu.Unlock()
-	if s.pinned {
-		return 0, core.Digest{}, fmt.Errorf("session: importing %q: session is pinned", snap.Analyst)
-	}
 	curSeq, curDigest := s.log.Position()
 	if curSeq > 0 {
 		if curSeq > newSeq {
@@ -121,8 +115,7 @@ func prefixDigest(snap LogSnapshot, seq uint64) core.Digest {
 // only if its journal is still exactly at (seq, digest): the atomic cut
 // of a migration handoff. An absent session reports success (the drop
 // is idempotent); a session at any other position fails with
-// ErrPositionMoved and the caller re-exports. Pinned sessions are
-// refused outright.
+// ErrPositionMoved and the caller re-exports.
 func (m *Manager) DropIfAt(analyst string, seq uint64, digest core.Digest) error {
 	sh, idx := m.shardOf(analyst)
 	m.lockShard(sh, idx)
@@ -135,9 +128,6 @@ func (m *Manager) DropIfAt(analyst string, seq uint64, digest core.Digest) error
 	defer s.mu.Unlock()
 	if s.gone {
 		return nil
-	}
-	if s.pinned {
-		return fmt.Errorf("session: %q is pinned and cannot be dropped", analyst)
 	}
 	curSeq, curDigest := s.log.Position()
 	if curSeq != seq || curDigest != digest {

@@ -34,7 +34,7 @@ func (c *stepClock) read() time.Time {
 }
 
 // checkLRU walks the recency list and fails t unless it holds exactly
-// the tracked live, unpinned sessions, most recently touched first, with
+// the tracked live sessions, most recently touched first, with
 // consistent back links. Without a MaxLive cap the list must be empty.
 func checkLRU(t *testing.T, m *Manager) {
 	t.Helper()
@@ -61,18 +61,18 @@ func checkLRU(t *testing.T, m *Manager) {
 	for idx, sh := range m.shards {
 		m.lockShard(sh, idx)
 		for _, s := range sh.sessions {
-			if m.cfg.MaxLive > 0 && s.liveFlag.Load() && !s.pinned {
+			if m.cfg.MaxLive > 0 && s.liveFlag.Load() {
 				want[s] = true
 			}
 		}
 		sh.mu.Unlock()
 	}
 	if len(list) != len(want) {
-		t.Fatalf("recency list has %d sessions, want %d live unpinned", len(list), len(want))
+		t.Fatalf("recency list has %d sessions, want %d live", len(list), len(want))
 	}
 	for i, s := range list {
 		if !want[s] {
-			t.Fatalf("recency list holds %q, which is not a tracked live unpinned session", s.analyst)
+			t.Fatalf("recency list holds %q, which is not a tracked live session", s.analyst)
 		}
 		if i > 0 && list[i-1].lastTouch.Load() <= s.lastTouch.Load() {
 			t.Fatalf("recency list out of order at %d: %q touched no later than %q", i, list[i-1].analyst, s.analyst)
@@ -110,7 +110,6 @@ func TestLRUListInvariant(t *testing.T) {
 				clk := &stepClock{now: time.Unix(1000, 0), step: time.Second}
 				m := newTestManager(t, Config{MaxLive: maxLive, TTL: 40 * time.Second, Clock: clk.read}, vals)
 				checkLRU(t, m)
-				adopted := false
 				for step := 0; step < 300; step++ {
 					a := fmt.Sprintf("a%d", rng.Intn(8))
 					switch op := rng.Intn(10); op {
@@ -141,25 +140,12 @@ func TestLRUListInvariant(t *testing.T) {
 							t.Fatalf("step %d: restore: %v", step, err)
 						}
 					case 9:
-						if !adopted && step > 100 {
-							eng, err := m.spec.Build()
-							if err != nil {
-								t.Fatal(err)
-							}
-							m.AdoptDefault(eng)
-							adopted = true
-						} else if _, err := m.Ask(DefaultAnalyst, randomQuery(rng)); err != nil {
+						if _, err := m.Ask(DefaultAnalyst, randomQuery(rng)); err != nil {
 							t.Fatalf("step %d: ask default: %v", step, err)
 						}
 					}
 					checkLRU(t, m)
-					// AdoptDefault adds a pinned engine without evicting
-					// one, so the cap can be overshot by that engine.
-					bound := maxLive
-					if adopted {
-						bound++
-					}
-					if maxLive > 0 && m.Live() > bound {
+					if maxLive > 0 && m.Live() > maxLive {
 						t.Fatalf("step %d: live=%d exceeds MaxLive=%d", step, m.Live(), maxLive)
 					}
 				}
@@ -224,28 +210,6 @@ func TestLRUSkipsBusySession(t *testing.T) {
 		t.Fatalf("live engines %v, want %v", got, want)
 	}
 	checkLRU(t, m)
-}
-
-// TestLRUPinnedDefaultNeverEvicted: an adopted default session leaves
-// the recency list, so churn through the cap never evicts it.
-func TestLRUPinnedDefaultNeverEvicted(t *testing.T) {
-	m := lruManager(t, 2)
-	eng, err := m.spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AdoptDefault(eng)
-	checkLRU(t, m)
-	for i := 0; i < 10; i++ {
-		askOrFatal(t, m, fmt.Sprintf("a%d", i))
-		if !m.Stats(DefaultAnalyst).Live {
-			t.Fatalf("pinned default evicted after analyst %d", i)
-		}
-		if m.Live() > 2 {
-			t.Fatalf("live=%d exceeds MaxLive=2", m.Live())
-		}
-		checkLRU(t, m)
-	}
 }
 
 // TestAdmissionCapConcurrent: new analysts racing on different shards

@@ -24,9 +24,6 @@ var (
 	// ErrTooManySessions reports admission-control refusal; HTTP callers
 	// map it to 503 with Retry-After.
 	ErrTooManySessions = errors.New("session: session limit reached")
-	// ErrMultiAnalystDisabled reports that this deployment wraps a single
-	// pre-built engine and cannot construct per-analyst sessions.
-	ErrMultiAnalystDisabled = errors.New("session: multi-analyst sessions are disabled (single-engine deployment)")
 	// ErrApplyStale reports a replicated event whose sequence number the
 	// session has already applied (harmless re-delivery after a snapshot
 	// resync; the caller skips it).
@@ -133,9 +130,6 @@ type Session struct {
 	// eng is nil when evicted to the log.
 	// auditlint:guardedby(mu)
 	eng *core.Engine
-	// pinned sessions (an adopted single-engine default) are never
-	// evicted or expired — their engine is not rebuildable from the log.
-	pinned bool
 	// gone marks a session removed from its shard; holders of a stale
 	// pointer must retry the lookup.
 	// auditlint:guardedby(mu)
@@ -144,7 +138,7 @@ type Session struct {
 	liveFlag  atomic.Bool
 	lastTouch atomic.Int64 // unix nanos of last access
 	// lruPrev/lruNext link the session into the manager's recency list
-	// while it is live and unpinned (only when MaxLive > 0); both are nil
+	// while it is live (only when MaxLive > 0); both are nil
 	// otherwise. They are guarded by Manager.lruMu, which is not a
 	// sibling field, so they are deliberately not guardedby-annotated.
 	// A session joins or leaves the list only with its mu held.
@@ -164,7 +158,7 @@ type shard struct {
 // bounds memory by evicting idle engines down to their logs, and
 // reconstructs evicted sessions bit-identically by replay.
 type Manager struct {
-	spec  *core.EngineSpec // nil in single-engine (adopted) mode
+	spec  *core.EngineSpec
 	ds    *dataset.Dataset
 	cfg   Config
 	obs   Observer
@@ -179,7 +173,7 @@ type Manager struct {
 	total atomic.Int64 // tracked sessions
 	live  atomic.Int64 // materialized engines
 
-	// lruMu guards the recency list of live, unpinned sessions, kept only
+	// lruMu guards the recency list of live sessions, kept only
 	// when MaxLive > 0: lru is its sentinel, lru.lruNext the most recently
 	// used session and lru.lruPrev the next eviction victim. It is a leaf
 	// lock: while holding it, code may only TryLock a Session.mu.
@@ -191,11 +185,6 @@ type Manager struct {
 	tap atomic.Value
 
 	supportsUpdates bool
-
-	// resOnce/res back Resolver in single-engine mode (no spec to own
-	// the deployment-shared resolver).
-	resOnce sync.Once
-	res     *qindex.Resolver
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -209,7 +198,30 @@ func NewManager(spec *core.EngineSpec, cfg Config) (*Manager, error) {
 	if spec == nil {
 		return nil, errors.New("session: nil EngineSpec")
 	}
-	m := newManager(spec.Dataset(), spec, cfg)
+	if cfg.Shards <= 0 {
+		cfg.Shards = 16
+	}
+	obs := cfg.Observer
+	if obs == nil {
+		obs = nopObserver{}
+	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = time.Now
+	}
+	m := &Manager{
+		spec:   spec,
+		ds:     spec.Dataset(),
+		cfg:    cfg,
+		obs:    obs,
+		clock:  clock,
+		shards: make([]*shard, cfg.Shards),
+		stop:   make(chan struct{}),
+	}
+	for i := range m.shards {
+		m.shards[i] = &shard{sessions: map[string]*Session{}}
+	}
+	m.lru.lruPrev, m.lru.lruNext = &m.lru, &m.lru
 	// Eager default: also determines once whether the stack supports
 	// updates (factories are homogeneous across sessions).
 	m.dsMu.RLock()
@@ -224,57 +236,6 @@ func NewManager(spec *core.EngineSpec, cfg Config) (*Manager, error) {
 		go m.janitor()
 	}
 	return m, nil
-}
-
-// Single wraps one pre-built engine as a manager serving only the
-// default session (pinned: never evicted, never expired, not replayable
-// — the engine was not built from a spec). Requests for any other
-// analyst fail with ErrMultiAnalystDisabled. The engine's journal is
-// installed here, so install Single before the engine serves traffic.
-func Single(eng *core.Engine, cfg Config) *Manager {
-	m := newManager(eng.Dataset(), nil, cfg)
-	s := &Session{analyst: DefaultAnalyst, log: NewLog(), pinned: true}
-	m.wireLog(DefaultAnalyst, s.log)
-	s.touch(m.clock())
-	eng.SetRecorder(s.log)
-	s.eng = eng //auditlint:allow lockcheck fresh session, not yet published to its shard
-	s.liveFlag.Store(true)
-	sh, _ := m.shardOf(DefaultAnalyst)
-	sh.sessions[DefaultAnalyst] = s //auditlint:allow lockcheck constructor runs before the manager serves traffic
-	m.total.Store(1)
-	m.live.Store(1)
-	m.obs.ObserveSessionCreated()
-	m.obs.ObserveLive(1)
-	m.supportsUpdates = eng.SupportsUpdates()
-	return m
-}
-
-func newManager(ds *dataset.Dataset, spec *core.EngineSpec, cfg Config) *Manager {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	obs := cfg.Observer
-	if obs == nil {
-		obs = nopObserver{}
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
-	m := &Manager{
-		spec:   spec,
-		ds:     ds,
-		cfg:    cfg,
-		obs:    obs,
-		clock:  clock,
-		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
-	}
-	for i := range m.shards {
-		m.shards[i] = &shard{sessions: map[string]*Session{}}
-	}
-	m.lru.lruPrev, m.lru.lruNext = &m.lru, &m.lru
-	return m
 }
 
 // Close stops the background TTL sweeper (idempotent).
@@ -310,54 +271,15 @@ func (m *Manager) Dataset() *dataset.Dataset { return m.ds }
 // Resolver returns the deployment-shared indexed query resolver over
 // the dataset: one index and one interner for ALL sessions, so the
 // transport layer resolves each statement once and routes the interned
-// set to any analyst's engine. Spec-backed managers share the spec's
-// resolver (so out-of-band consumers of the spec see the same canonical
-// sets); single-engine managers build their own lazily.
-func (m *Manager) Resolver() *qindex.Resolver {
-	if m.spec != nil {
-		return m.spec.Resolver()
-	}
-	m.resOnce.Do(func() { m.res = qindex.NewResolver(m.ds, qindex.Options{}) })
-	return m.res
-}
+// set to any analyst's engine. It is the spec's resolver, so out-of-band
+// consumers of the spec see the same canonical sets.
+func (m *Manager) Resolver() *qindex.Resolver { return m.spec.Resolver() }
 
 // Live returns the number of materialized engines.
 func (m *Manager) Live() int { return int(m.live.Load()) }
 
 // Tracked returns the number of tracked sessions (live + evicted logs).
 func (m *Manager) Tracked() int { return int(m.total.Load()) }
-
-// AdoptDefault replaces the default session's engine with a pre-built,
-// pinned one — the legacy path for a deployment restoring a persisted
-// single-analyst audit trail that a factory cannot reproduce. Call
-// before serving traffic; a pinned session is never evicted, so the
-// adopted auditor instances stay addressable for shutdown snapshots.
-func (m *Manager) AdoptDefault(eng *core.Engine) {
-	sh, idx := m.shardOf(DefaultAnalyst)
-	m.lockShard(sh, idx)
-	s := sh.sessions[DefaultAnalyst]
-	if s == nil {
-		s = &Session{analyst: DefaultAnalyst, log: NewLog()}
-		m.wireLog(DefaultAnalyst, s.log)
-		sh.sessions[DefaultAnalyst] = s
-		m.total.Add(1)
-		m.obs.ObserveSessionCreated()
-	}
-	sh.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		m.live.Add(1)
-		m.obs.ObserveLive(1)
-	}
-	eng.SetRecorder(s.log)
-	s.eng = eng
-	s.liveFlag.Store(true)
-	s.pinned = true
-	m.lruUnlink(s) // a pinned session is never an eviction candidate
-	s.touch(m.clock())
-	m.supportsUpdates = eng.SupportsUpdates()
-}
 
 func (m *Manager) shardOf(analyst string) (*shard, int) {
 	h := fnv.New32a()
@@ -410,10 +332,6 @@ func (m *Manager) lookupOrCreate(analyst string) (*Session, error) {
 		s := sh.sessions[analyst]
 		created := false
 		if s == nil {
-			if m.spec == nil {
-				sh.mu.Unlock()
-				return nil, ErrMultiAnalystDisabled
-			}
 			if !m.reserveSession() {
 				sh.mu.Unlock()
 				m.obs.ObserveSessionRejected()
@@ -461,9 +379,6 @@ func (m *Manager) reserveSession() bool {
 
 // materializeLocked rebuilds s's engine from its journal; s.mu is held.
 func (m *Manager) materializeLocked(s *Session) error {
-	if m.spec == nil {
-		return ErrMultiAnalystDisabled
-	}
 	m.evictForCapacity()
 	start := time.Now()
 	eng, err := m.spec.Build()
@@ -504,7 +419,7 @@ func (m *Manager) evictForCapacity() {
 	}
 	for int(m.live.Load()) >= m.cfg.MaxLive {
 		if !m.evictOldest() {
-			return // every candidate busy or pinned: soft bound
+			return // every candidate busy: soft bound
 		}
 	}
 }
@@ -528,7 +443,7 @@ func (m *Manager) evictOldest() bool {
 	if victim == nil {
 		return false
 	}
-	// A listed session is live, unpinned and not gone, and stays listed
+	// A listed session is live and not gone, and stays listed
 	// while its mutex is held.
 	m.dropEngineLocked(victim)
 	m.obs.ObserveSessionEvicted()
@@ -537,10 +452,9 @@ func (m *Manager) evictOldest() bool {
 }
 
 // lruFront moves s to the front of the recency list, linking it if it
-// is not listed yet; s is live and s.mu is held. Pinned sessions are
-// never listed.
+// is not listed yet; s is live and s.mu is held.
 func (m *Manager) lruFront(s *Session) {
-	if m.cfg.MaxLive <= 0 || s.pinned {
+	if m.cfg.MaxLive <= 0 {
 		return
 	}
 	m.lruMu.Lock()
@@ -580,8 +494,8 @@ func (m *Manager) dropEngineLocked(s *Session) {
 }
 
 // EvictEngine forcibly evicts one session's engine down to its log
-// (admin/testing hook). Reports whether an engine was dropped; pinned
-// sessions and unknown analysts are left alone.
+// (admin/testing hook). Reports whether an engine was dropped; unknown
+// analysts are left alone.
 func (m *Manager) EvictEngine(analyst string) bool {
 	sh, idx := m.shardOf(analyst)
 	m.lockShard(sh, idx)
@@ -592,7 +506,7 @@ func (m *Manager) EvictEngine(analyst string) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eng == nil || s.pinned || s.gone {
+	if s.eng == nil || s.gone {
 		return false
 	}
 	m.dropEngineLocked(s)
@@ -830,7 +744,7 @@ func (m *Manager) PositionOf(analyst string) (uint64, core.Digest, bool) {
 }
 
 // Drop removes one session outright — engine AND journal — regardless of
-// TTL (pinned sessions are refused). Replication uses it when a primary
+// TTL. Replication uses it when a primary
 // restarts an analyst's timeline (a shipped event with sequence number 1
 // for a session this node knows at a higher sequence) and when an
 // operator clears a quarantined session. Reports whether a session was
@@ -845,7 +759,7 @@ func (m *Manager) Drop(analyst string) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pinned || s.gone {
+	if s.gone {
 		return false
 	}
 	if s.eng != nil {
@@ -902,7 +816,6 @@ func (m *Manager) Stats(analyst string) Stats {
 type Info struct {
 	Analyst   string  `json:"analyst"`
 	Live      bool    `json:"live"`
-	Pinned    bool    `json:"pinned"`
 	LogEvents int     `json:"log_events"`
 	Seq       uint64  `json:"seq"`
 	Digest    string  `json:"digest,omitempty"`
@@ -924,7 +837,6 @@ func (m *Manager) Sessions() []Info {
 			out = append(out, Info{
 				Analyst:   s.analyst,
 				Live:      s.liveFlag.Load(),
-				Pinned:    s.pinned,
 				LogEvents: s.log.Len(),
 				Seq:       seq,
 				Digest:    dig.Hex(),
@@ -940,9 +852,7 @@ func (m *Manager) Sessions() []Info {
 }
 
 // LogSnapshots exports every session's journal (sorted by analyst) for
-// persistence. Pinned adopted sessions are included: their journal is
-// valid even though this process adopted their engine, and a restoring
-// process WITH a spec can replay it.
+// persistence.
 //
 // The dataset lock is held shared across the WHOLE export, so a
 // concurrent Update (which appends a marker to every journal under the
@@ -998,9 +908,6 @@ func (m *Manager) RestoreSensitiveState(st dataset.SensitiveState) error {
 // empty journal. Each analyst costs one engine build and at most one
 // eviction.
 func (m *Manager) Restore(snaps []LogSnapshot) error {
-	if m.spec == nil {
-		return ErrMultiAnalystDisabled
-	}
 	for _, snap := range snaps {
 		if snap.Analyst == "" {
 			return errors.New("session: snapshot with empty analyst id")
@@ -1043,7 +950,7 @@ func (m *Manager) Sweep(now time.Time) int {
 	for idx, sh := range m.shards {
 		m.lockShard(sh, idx)
 		for name, s := range sh.sessions {
-			if s.pinned || s.lastTouch.Load() > cutoff {
+			if s.lastTouch.Load() > cutoff {
 				continue
 			}
 			if !s.mu.TryLock() {

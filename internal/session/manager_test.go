@@ -172,8 +172,7 @@ func TestTTLSweep(t *testing.T) {
 		t.Fatalf("nothing should expire yet, swept %d", n)
 	}
 	now = now.Add(2 * time.Minute)
-	// The default session is pinned only in single mode; here it is spec
-	// built and expires alongside alice.
+	// The default session expires alongside alice.
 	if n := m.Sweep(now); n != 2 {
 		t.Fatalf("swept %d, want 2 (alice + default)", n)
 	}
@@ -189,34 +188,6 @@ func TestTTLSweep(t *testing.T) {
 	}
 	if obs.expired != 2 {
 		t.Fatalf("expired=%d, want 2", obs.expired)
-	}
-}
-
-// TestSingleMode: a wrapped pre-built engine serves only the default
-// analyst; it is pinned (never evicted/expired) and other analysts are
-// refused.
-func TestSingleMode(t *testing.T) {
-	ds := dataset.FromValues([]float64{1, 2, 3})
-	eng, err := fullSpec(ds).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Single(eng, Config{})
-	defer m.Close()
-	if resp, err := m.Ask(DefaultAnalyst, query.New(query.Sum, 0, 1, 2)); err != nil || resp.Denied {
-		t.Fatalf("default analyst: %+v %v", resp, err)
-	}
-	if _, err := m.Ask("alice", query.New(query.Count, 0)); !errors.Is(err, ErrMultiAnalystDisabled) {
-		t.Fatalf("non-default analyst: got %v, want ErrMultiAnalystDisabled", err)
-	}
-	if m.EvictEngine(DefaultAnalyst) {
-		t.Fatal("pinned default must not be evictable")
-	}
-	if n := m.Sweep(time.Now().Add(24 * time.Hour)); n != 0 {
-		t.Fatalf("pinned default must not expire, swept %d", n)
-	}
-	if st := m.Stats(DefaultAnalyst); st.Answered != 1 || !st.Live {
-		t.Fatalf("default stats: %+v", st)
 	}
 }
 

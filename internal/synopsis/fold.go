@@ -198,8 +198,7 @@ func (b *MaxMin) Rollback() {
 //     of whose elements changed keeps it. (A set only grows when it is
 //     new, and then all its elements changed.)
 //   - Every committed synopsis is consistent: a commit passes this check,
-//     Update only widens ranges and demotes equality predicates, and
-//     RestoreMaxMin runs checkConsistent.
+//     and Update only widens ranges and demotes equality predicates.
 func (b *MaxMin) checkTouched() error {
 	mx, mn := b.max, b.min.inner
 	tx, tn := mx.trail, mn.trail

@@ -272,22 +272,3 @@ func TestTouchedCheckMatchesFull(t *testing.T) {
 	}
 	t.Logf("%d folds checked, %d consistent", checked, consistent)
 }
-
-// TestRestoreRejectsInconsistentSnapshot loads a snapshot that is
-// structurally valid but contradictory: [max({0}) = 5] with
-// [min({0}) > 6] leaves x_0 no value.
-func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
-	s := MaxMinSnapshot{
-		Max:      Snapshot{N: 2, NextID: 1, Preds: []PredSnapshot{{ID: 0, Set: []int{0}, Value: 5, Op: int(OpEq)}}},
-		Min:      Snapshot{N: 2, NextID: 1, Preds: []PredSnapshot{{ID: 0, Set: []int{0}, Value: -6, Op: int(OpLt)}}},
-		AlphaInf: true,
-		BetaInf:  true,
-	}
-	if _, err := RestoreMaxMin(s); err == nil {
-		t.Fatal("RestoreMaxMin accepted [max({0}) = 5] with [min({0}) > 6]")
-	}
-	s.Min.Preds[0].Value = -4 // [min({0}) > 4] is consistent
-	if _, err := RestoreMaxMin(s); err != nil {
-		t.Fatalf("RestoreMaxMin rejected a consistent snapshot: %v", err)
-	}
-}

@@ -552,7 +552,8 @@ func (m *Max) Update(i int) {
 	}
 }
 
-// Snapshot is a serializable image of a synopsis (persistence support).
+// Snapshot is a serializable image of a synopsis; the golden-chain
+// tests hash it.
 type Snapshot struct {
 	N      int            `json:"n"`
 	NextID int            `json:"next_id"`
@@ -567,7 +568,7 @@ type PredSnapshot struct {
 	Op    int     `json:"op"`
 }
 
-// Snapshot captures the synopsis state for persistence.
+// Snapshot captures the synopsis state.
 func (m *Max) Snapshot() Snapshot {
 	s := Snapshot{N: m.n, NextID: m.nextID}
 	for _, p := range m.Preds() {
@@ -576,69 +577,8 @@ func (m *Max) Snapshot() Snapshot {
 	return s
 }
 
-// RestoreMax rebuilds a synopsis from a snapshot, re-validating every
-// structural invariant (snapshots may come from untrusted storage).
-func RestoreMax(s Snapshot) (*Max, error) {
-	if s.N < 0 {
-		return nil, fmt.Errorf("synopsis: negative n in snapshot")
-	}
-	m := NewMax(s.N)
-	for _, ps := range s.Preds {
-		if ps.Op < int(OpEq) || ps.Op > int(OpLe) {
-			return nil, fmt.Errorf("synopsis: bad op %d in snapshot", ps.Op)
-		}
-		set := query.NewSet(ps.Set...)
-		if len(set) == 0 {
-			return nil, fmt.Errorf("synopsis: empty predicate set in snapshot")
-		}
-		for _, i := range set {
-			if i < 0 || i >= s.N {
-				return nil, fmt.Errorf("synopsis: element %d out of range in snapshot", i)
-			}
-			if m.elem[i] != -1 {
-				return nil, fmt.Errorf("synopsis: element %d in two predicates in snapshot", i)
-			}
-		}
-		if ps.Op == int(OpEq) {
-			if _, dup := m.eqVal[ps.Value]; dup {
-				return nil, fmt.Errorf("synopsis: duplicate equality value %g in snapshot", ps.Value)
-			}
-		}
-		p := m.newPred(set, ps.Value, Op(ps.Op))
-		// Preserve original IDs so EqPredWithValue references stay stable.
-		delete(m.preds, p.ID)
-		p.ID = ps.ID
-		m.preds[ps.ID] = p
-		for _, i := range set {
-			m.elem[i] = ps.ID
-		}
-		if p.Op == OpEq {
-			m.eqVal[p.Value] = ps.ID
-		}
-		if ps.ID >= m.nextID {
-			m.nextID = ps.ID + 1
-		}
-	}
-	if s.NextID > m.nextID {
-		m.nextID = s.NextID
-	}
-	if err := m.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("synopsis: snapshot invalid: %w", err)
-	}
-	return m, nil
-}
-
 // Snapshot captures the min synopsis (values stored max-oriented).
 func (m *Min) Snapshot() Snapshot { return m.inner.Snapshot() }
-
-// RestoreMin rebuilds a min synopsis from its snapshot.
-func RestoreMin(s Snapshot) (*Min, error) {
-	inner, err := RestoreMax(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Min{inner: inner}, nil
-}
 
 // MaxMinSnapshot images a combined synopsis. The ambient bounds are
 // stored with explicit infinity flags because JSON cannot encode ±Inf.
@@ -665,35 +605,6 @@ func (b *MaxMin) Snapshot() MaxMinSnapshot {
 		s.Beta = b.beta
 	}
 	return s
-}
-
-// RestoreMaxMin rebuilds a combined synopsis from its snapshot.
-func RestoreMaxMin(s MaxMinSnapshot) (*MaxMin, error) {
-	mx, err := RestoreMax(s.Max)
-	if err != nil {
-		return nil, err
-	}
-	mn, err := RestoreMin(s.Min)
-	if err != nil {
-		return nil, err
-	}
-	alpha, beta := s.Alpha, s.Beta
-	if s.AlphaInf {
-		alpha = math.Inf(-1)
-	}
-	if s.BetaInf {
-		beta = math.Inf(1)
-	}
-	b := &MaxMin{max: mx, min: mn, alpha: alpha, beta: beta}
-	if err := b.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("synopsis: combined snapshot invalid: %w", err)
-	}
-	// Folds check only what they touch, which is exact only from a
-	// consistent synopsis: a snapshot must not bring in a contradiction.
-	if err := b.checkConsistent(); err != nil {
-		return nil, fmt.Errorf("synopsis: combined snapshot invalid: %w", err)
-	}
-	return b, nil
 }
 
 // CheckInvariants validates the structural invariants (disjoint sets,

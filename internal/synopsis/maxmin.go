@@ -147,8 +147,8 @@ func (b *MaxMin) normalize(a float64) error {
 // every equality predicate retains a feasible witness. It walks the
 // predicate maps in place: the answer is one boolean over all of them,
 // so their order does not matter. Folds run checkTouched, its
-// restriction to what they changed; RestoreMaxMin and the tests run
-// this full pass.
+// restriction to what they changed; the tests run this full pass as
+// its oracle.
 func (b *MaxMin) checkConsistent() error {
 	n := b.N()
 	for i := 0; i < n; i++ {
