@@ -48,16 +48,11 @@ func TestSessionLogsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSessionsRejectsInvalid: malformed input, wrong kinds (the
-// retired per-auditor snapshots among them), versions, duplicate or
+// TestLoadSessionsRejectsInvalid: wrong kinds, versions, duplicate or
 // empty analysts, and structurally invalid events are all refused.
 func TestLoadSessionsRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
-		"empty input":   ``,
-		"not json":      `{`,
 		"wrong kind":    `{"version":1,"kind":"sum-full","payload":{"sessions":[]}}`,
-		"max-full":      `{"version":1,"kind":"max-full","payload":{"n":3,"next_id":1,"preds":[{"id":0,"set":[0,1],"value":5,"op":0}]}}`,
-		"max-dup":       `{"version":1,"kind":"max-duplicates","payload":{"n":2,"queries":[{"set":[0,1],"answer":3}]}}`,
 		"wrong version": `{"version":9,"kind":"session-logs","payload":{"sessions":[]}}`,
 		"empty analyst": `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"","events":[]}]}}`,
 		"duplicate":     `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"a"},{"analyst":"a"}]}}`,
@@ -69,6 +64,30 @@ func TestLoadSessionsRejectsInvalid(t *testing.T) {
 	for name, raw := range cases {
 		if _, err := LoadSessions(strings.NewReader(raw)); err == nil {
 			t.Errorf("%s: accepted invalid snapshot", name)
+		}
+	}
+}
+
+// TestRejectsGarbage: input that is not a session journal at all — empty,
+// malformed JSON, unknown envelopes and the retired per-auditor snapshots —
+// is refused by both loaders.
+func TestRejectsGarbage(t *testing.T) {
+	cases := []string{
+		``,
+		`{`,
+		`{"version":99,"kind":"sum-full","payload":{}}`,
+		`{"version":1,"kind":"who-knows","payload":{}}`,
+		`{"version":1,"kind":"max-full","payload":{"n":3,"next_id":2,"preds":[
+			{"id":0,"set":[0,1],"value":5,"op":0},
+			{"id":1,"set":[1,2],"value":7,"op":0}]}}`,
+		`{"version":1,"kind":"max-duplicates","payload":{"n":2,"queries":[{"set":[0,1],"answer":3}]}}`,
+	}
+	for _, raw := range cases {
+		if _, err := LoadSessions(strings.NewReader(raw)); err == nil {
+			t.Errorf("LoadSessions accepted garbage: %s", raw)
+		}
+		if _, _, err := LoadSessionState(strings.NewReader(raw)); err == nil {
+			t.Errorf("LoadSessionState accepted garbage: %s", raw)
 		}
 	}
 }
