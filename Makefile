@@ -78,12 +78,14 @@ cluster-smoke:
 	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/auditrouter
 
 # End-to-end retrospective-auditing drill: auditserver + loadgen +
-# auditreport as real binaries. loadgen emits the workload as an ndjson
-# audit log, the server exports the matching session journals over
-# /v1/journal, and auditreport replays both shapes offline through a
-# construction-identical stack (full and prob) with -verify: zero
+# auditdb + auditreport as real binaries. loadgen emits the workload as
+# an ndjson audit log, the server exports the matching session journals
+# over /v1/journal, and auditreport replays both shapes offline through
+# a construction-identical stack (full and prob) with -verify: zero
 # live/offline verdict mismatches, and two pipeline runs over the same
-# inputs produce byte-identical reports.
+# inputs produce byte-identical reports. A scripted auditdb session's
+# -session-snapshot journal must verify too, restore its tallies on
+# restart, and fail verification once one byte is changed.
 report-smoke:
 	$(GO) test -run TestReportSmoke -count=1 -v ./cmd/auditreport
 

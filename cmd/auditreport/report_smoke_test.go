@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +26,9 @@ import (
 // simulatability property says the offline verdicts must reproduce the
 // live ones bit-for-bit, so -verify must pass with zero mismatches —
 // for the full-information stack and the probabilistic one — and
-// running the pipeline twice must yield byte-identical reports.
+// running the pipeline twice must yield byte-identical reports. The
+// same holds for a session journal recorded by the auditdb REPL (see
+// checkAuditdbJournal).
 func TestReportSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping e2e binary test in -short mode")
@@ -34,10 +37,12 @@ func TestReportSmoke(t *testing.T) {
 	serverBin := filepath.Join(dir, "auditserver")
 	loadgenBin := filepath.Join(dir, "loadgen")
 	reportBin := filepath.Join(dir, "auditreport")
+	dbBin := filepath.Join(dir, "auditdb")
 	for _, b := range []struct{ bin, pkg string }{
 		{serverBin, "queryaudit/cmd/auditserver"},
 		{loadgenBin, "queryaudit/cmd/loadgen"},
 		{reportBin, "queryaudit/cmd/auditreport"},
+		{dbBin, "queryaudit/cmd/auditdb"},
 	} {
 		build := exec.Command("go", "build", "-o", b.bin, b.pkg)
 		build.Stderr = os.Stderr
@@ -50,14 +55,27 @@ func TestReportSmoke(t *testing.T) {
 		family   string
 		requests int
 		stack    []string // shared auditserver/auditreport stack flags
+		// dbScript is piped into auditdb; dbQueries counts its queries.
+		dbScript  []string
+		dbQueries int
 	}{
-		{"full", 80, []string{"-auditors", "full", "-n", "60", "-seed", "3"}},
+		{"full", 80, []string{"-auditors", "full", "-n", "60", "-seed", "3"}, []string{
+			"SELECT sum(salary) WHERE age BETWEEN 30 AND 50",
+			"SELECT max(salary) WHERE dept = 'eng'",
+			"SELECT min(salary) WHERE dept = 'eng'",
+			".update 5 100000",
+			"SELECT sum(salary) WHERE age BETWEEN 30 AND 55",
+		}, 4},
 		// Small prob stack: live Monte Carlo decisions are the cost here.
 		{"prob", 24, []string{
 			"-auditors", "prob", "-n", "24", "-seed", "3",
 			"-prob-lambda", "0.45", "-prob-gamma", "4", "-prob-delta", "0.2",
 			"-prob-t", "12", "-prob-seed", "7",
-		}},
+		}, []string{
+			"SELECT max(salary)",
+			"SELECT min(salary)",
+			"SELECT sum(salary) WHERE age BETWEEN 30 AND 50",
+		}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.family, func(t *testing.T) {
@@ -115,8 +133,75 @@ func TestReportSmoke(t *testing.T) {
 					t.Fatalf("%s report has %d analysts, want 2", name, len(rep.Analysts))
 				}
 			}
+
+			// auditdb takes no -prob-* flags: its prob parameters are
+			// auditreport's defaults, so only -auditors/-n/-seed carry over.
+			checkAuditdbJournal(t, dbBin, reportBin, sub, tc.stack[:6], tc.dbScript, tc.dbQueries)
 		})
 	}
+}
+
+// tallies matches the answered/denied counters of auditdb's .stats line.
+var tallies = regexp.MustCompile(`answered=\d+ denied=\d+`)
+
+// checkAuditdbJournal records script through the auditdb REPL into a
+// -session-snapshot file and checks that file three ways: auditreport
+// -verify with the same stack flags compares every query with zero
+// mismatches; a second auditdb run on the file restores the session's
+// .stats tallies; and a copy with one byte of an event changed fails
+// verification.
+func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, script []string, queries int) {
+	t.Helper()
+	journal := filepath.Join(dir, "auditdb-journal.json")
+	first := runAuditdb(t, dbBin, stack, journal, append(script, ".stats"))
+	raw := runReport(t, reportBin, stack, filepath.Join(dir, "auditdb-report.json"), journal)
+	var rep auditlog.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("auditdb journal report not valid JSON: %v", err)
+	}
+	if rep.Compared != queries || rep.Mismatches != 0 {
+		t.Fatalf("auditdb journal replay: compared=%d mismatches=%d, want %d and 0",
+			rep.Compared, rep.Mismatches, queries)
+	}
+
+	want := tallies.FindString(first)
+	again := runAuditdb(t, dbBin, stack, journal, []string{".stats"})
+	if want == "" || tallies.FindString(again) != want {
+		t.Fatalf("restart did not restore the tallies %q:\n%s", want, again)
+	}
+
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"answer":`)) + len(`"answer":`)
+	if i < len(`"answer":`) || data[i] < '0' || data[i] > '9' {
+		t.Fatalf("no answered event to tamper with in %s", data)
+	}
+	data[i] = '0' + (data[i]-'0'+1)%10
+	tampered := filepath.Join(dir, "auditdb-tampered.json")
+	if err := os.WriteFile(tampered, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := append(append([]string{}, stack...), "-verify", "-quiet", "-o", filepath.Join(dir, "tampered-report.json"), tampered)
+	if err := exec.Command(reportBin, args...).Run(); err == nil {
+		t.Fatal("auditreport -verify accepted a journal with a changed answer")
+	}
+}
+
+// runAuditdb pipes script into auditdb with -session-snapshot journal
+// and returns its stdout.
+func runAuditdb(t *testing.T, bin string, stack []string, journal string, script []string) string {
+	t.Helper()
+	args := append(append([]string{}, stack...), "-session-snapshot", journal)
+	cmd := exec.Command(bin, args...)
+	cmd.Stdin = strings.NewReader(strings.Join(script, "\n") + "\n")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("auditdb %v: %v\n%s", args, err, out)
+	}
+	return string(out)
 }
 
 // startServer launches auditserver on an ephemeral port with the given

@@ -1,6 +1,6 @@
 // Integration test: one long randomized session through the whole stack
 // — HTTP server → session manager → engine → auditors — with journal
-// persistence and trace replay, asserting the global privacy invariant
+// persistence and replay, asserting the global privacy invariant
 // (no record ever determined) and protocol bookkeeping at every step.
 package main
 
@@ -25,7 +25,6 @@ import (
 	"queryaudit/internal/randx"
 	"queryaudit/internal/server"
 	"queryaudit/internal/session"
-	"queryaudit/internal/trace"
 )
 
 // integrationSpec guards ds with the sum and max∧min auditors. built, if
@@ -69,8 +68,13 @@ func TestEndToEndSession(t *testing.T) {
 
 	var answeredMaxMin []extreme.Constraint
 	var sumHistory []query.Answered
-	var traceBuf bytes.Buffer
-	recEnc := json.NewEncoder(&traceBuf)
+	// seen is the history as the client saw it.
+	type outcome struct {
+		q      query.Query
+		denied bool
+		answer float64
+	}
+	var seen []outcome
 
 	post := func(body server.QuerySetRequest) (map[string]any, int) {
 		raw, _ := json.Marshal(body)
@@ -93,14 +97,14 @@ func TestEndToEndSession(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("step %d: status %d (%v)", step, code, out)
 		}
-		ev := trace.Event{Type: "query", Kind: kind.String(), Indices: set}
+		ev := outcome{q: query.Query{Set: set, Kind: kind}}
 		if out["denied"] == true {
 			denied++
-			ev.Denied = true
+			ev.denied = true
 		} else {
 			answered++
 			ans := out["answer"].(float64)
-			ev.Answer = ans
+			ev.answer = ans
 			switch kind {
 			case query.Sum:
 				sumHistory = append(sumHistory, query.Answered{
@@ -112,9 +116,7 @@ func TestEndToEndSession(t *testing.T) {
 				})
 			}
 		}
-		if err := recEnc.Encode(ev); err != nil {
-			t.Fatal(err)
-		}
+		seen = append(seen, ev)
 
 		// Global privacy invariant, re-derived from scratch every 25
 		// steps by the independent offline analyses.
@@ -143,20 +145,23 @@ func TestEndToEndSession(t *testing.T) {
 			st.Answered, st.Denied, answered, denied)
 	}
 
-	// Replay the recorded trace against a fresh identical stack: every
-	// decision must reproduce (simulatability makes them functions of
-	// the history alone) and answers must match (same data).
+	// Re-ask the history against a fresh identical stack: every decision
+	// must reproduce (simulatability makes them functions of the history
+	// alone) and answers must match (same data).
 	ds2 := dataset.GenerateHospital(randx.New(12), dataset.DefaultHospitalConfig(n))
 	eng2, err := integrationSpec(ds2, nil).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := trace.Replay(bytes.NewReader(traceBuf.Bytes()), eng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() || len(rep.AnswerMismatches) != 0 {
-		t.Fatalf("replay drift: %+v", rep)
+	for i, ev := range seen {
+		resp, err := eng2.Ask(ev.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Denied != ev.denied || (!resp.Denied && resp.Answer != ev.answer) {
+			t.Fatalf("replay drift at query %d: got %+v, client saw denied=%v answer=%g",
+				i, resp, ev.denied, ev.answer)
+		}
 	}
 
 	// The knowledge endpoint agrees with the synopsis-derived exposure.

@@ -34,9 +34,6 @@ func NewSQLResolver(sel Selector) *SQLResolver {
 	return r
 }
 
-// Selector returns the underlying predicate-resolution path.
-func (r *SQLResolver) Selector() Selector { return r.sel }
-
 // Indexed reports whether statements resolve through the qindex cache.
 func (r *SQLResolver) Indexed() bool { return r.res != nil }
 

@@ -67,11 +67,6 @@ func ResolveSQL(sel Selector, sensitive, sql string) (query.Query, error) {
 	if err != nil {
 		return query.Query{}, err
 	}
-	return ResolveStatement(sel, sensitive, stmt)
-}
-
-// ResolveStatement resolves a parsed statement through sel.
-func ResolveStatement(sel Selector, sensitive string, stmt Statement) (query.Query, error) {
 	if stmt.Target != sensitive {
 		return query.Query{}, fmt.Errorf("core: unknown aggregate target %q (sensitive attribute is %q)", stmt.Target, sensitive)
 	}
@@ -92,15 +87,6 @@ func ResolveStatement(sel Selector, sensitive string, stmt Statement) (query.Que
 // The FROM clause is accepted and ignored (the SDB hosts one table).
 func (s *SDB) Query(sql string) (Response, error) {
 	q, err := s.res.ResolveSQL(s.sensitive, sql)
-	if err != nil {
-		return Response{Denied: true}, err
-	}
-	return s.eng.Ask(q)
-}
-
-// Run executes a parsed statement.
-func (s *SDB) Run(stmt Statement) (Response, error) {
-	q, err := ResolveStatement(s.res.Selector(), s.sensitive, stmt)
 	if err != nil {
 		return Response{Denied: true}, err
 	}
