@@ -15,9 +15,10 @@
 //	auditdb -csv table.csv [-sensitive salary] [-numeric age]
 //
 // With -session-snapshot, FILE's session journal is replayed at startup
-// and FILE is rewritten atomically after every query and update. It is
-// the file auditserver -session-snapshot writes, so a recorded session
-// is verified offline with the same stack flags:
+// and FILE is rewritten atomically after every query and update; after
+// an update it also holds the table's salaries, which a journal alone
+// does not. It is the file auditserver -session-snapshot writes, so a
+// recorded session is verified offline with the same stack flags:
 //
 //	auditreport -auditors full -n 300 -seed 1 -verify FILE
 //
@@ -39,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"os"
 	"sort"
@@ -100,10 +100,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 			continue
 		}
 		// Keep FILE current with the journal that just grew.
-		err := persist.WriteAtomic(*snapPath, func(w io.Writer) error {
-			return persist.SaveSessionState(w, mgr.LogSnapshots(), 0)
-		})
-		if err != nil {
+		if _, err := persist.SaveFile(*snapPath, mgr, 0); err != nil {
 			fmt.Fprintf(errOut, "auditdb: saving %s: %v\n", *snapPath, err)
 			return 1
 		}
@@ -148,32 +145,13 @@ func open(stack auditlog.StackConfig, snapPath, csvPath, sensitive, csvNum strin
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := restore(mgr, snapPath); err != nil {
-		mgr.Close()
-		return nil, nil, fmt.Errorf("%s: %w", snapPath, err)
+	if snapPath != "" {
+		if _, _, err := persist.LoadFile(snapPath, mgr); err != nil {
+			mgr.Close()
+			return nil, nil, fmt.Errorf("%s: %w", snapPath, err)
+		}
 	}
 	return mgr, ds, nil
-}
-
-// restore replays the journal at path into mgr; no path or a missing
-// file is a fresh session.
-func restore(mgr *session.Manager, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snaps, _, err := persist.LoadSessionState(f)
-	if err != nil {
-		return err
-	}
-	return mgr.Restore(snaps)
 }
 
 // ask resolves and asks one SQL statement; it reports whether the

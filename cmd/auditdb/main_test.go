@@ -39,6 +39,37 @@ func TestProbAnswersFollowUpMax(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsUpdates: a session restarted from its journal file
+// answers like the uninterrupted session after an update. This is the
+// paper's update example: sum{a,b,c} is answered, x_a is updated, and
+// sum{a,b} becomes answerable. A restart that rebuilt the table without
+// the update would answer sum{a,b} from the old x_a, giving away x_c.
+func TestRestartKeepsUpdates(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "table.csv")
+	if err := os.WriteFile(csv, []byte("age,dept,salary\n31,eng,100\n42,eng,200\n35,ops,300\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := "SELECT sum(salary)\n.update 0 1000\n"
+	after := "SELECT sum(salary) WHERE dept = 'eng'\n.stats\n"
+	want := []string{"auditdb> 1200.00\n", "answered=2 denied=0 records=3 modifications=1"}
+
+	_, whole, _ := runScript(t, before+after, "-csv", csv)
+	journal := filepath.Join(dir, "session.json")
+	if code, _, errOut := runScript(t, before, "-csv", csv, "-session-snapshot", journal); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, errOut)
+	}
+	code, restarted, errOut := runScript(t, after, "-csv", csv, "-session-snapshot", journal)
+	if code != 0 {
+		t.Fatalf("restart: exit %d: %s", code, errOut)
+	}
+	for _, w := range want {
+		if !strings.Contains(whole, w) || !strings.Contains(restarted, w) {
+			t.Fatalf("want %q in both runs\nuninterrupted:\n%s\nrestarted:\n%s", w, whole, restarted)
+		}
+	}
+}
+
 // TestCSV: -csv loads under the full auditors, which need distinct
 // sensitive values; the prob auditors refuse a CSV table at startup,
 // since it is not scaled to [0,1].

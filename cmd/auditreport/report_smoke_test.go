@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"queryaudit/internal/auditlog"
+	"queryaudit/internal/persist"
+	"queryaudit/internal/session"
 )
 
 // TestReportSmoke is the end-to-end retrospective-auditing drill
@@ -141,15 +143,17 @@ func TestReportSmoke(t *testing.T) {
 	}
 }
 
-// tallies matches the answered/denied counters of auditdb's .stats line.
-var tallies = regexp.MustCompile(`answered=\d+ denied=\d+`)
+// tallies matches the counters of auditdb's .stats line.
+var tallies = regexp.MustCompile(`answered=\d+ denied=\d+ records=\d+ modifications=\d+`)
 
 // checkAuditdbJournal records script through the auditdb REPL into a
-// -session-snapshot file and checks that file three ways: auditreport
+// -session-snapshot file and checks that file four ways: auditreport
 // -verify with the same stack flags compares every query with zero
 // mismatches; a second auditdb run on the file restores the session's
-// .stats tallies; and a copy with one byte of an event changed fails
-// verification.
+// .stats counters, updates included; a copy with one byte of an event
+// changed fails the journal's digest check; and a copy with one decision
+// flipped and the digest stripped gets past that check but fails replay
+// with mismatches.
 func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, script []string, queries int) {
 	t.Helper()
 	journal := filepath.Join(dir, "auditdb-journal.json")
@@ -167,7 +171,7 @@ func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, scri
 	want := tallies.FindString(first)
 	again := runAuditdb(t, dbBin, stack, journal, []string{".stats"})
 	if want == "" || tallies.FindString(again) != want {
-		t.Fatalf("restart did not restore the tallies %q:\n%s", want, again)
+		t.Fatalf("restart did not restore the counters %q:\n%s", want, again)
 	}
 
 	data, err := os.ReadFile(journal)
@@ -179,14 +183,64 @@ func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, scri
 		t.Fatalf("no answered event to tamper with in %s", data)
 	}
 	data[i] = '0' + (data[i]-'0'+1)%10
-	tampered := filepath.Join(dir, "auditdb-tampered.json")
-	if err := os.WriteFile(tampered, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	args := append(append([]string{}, stack...), "-verify", "-quiet", "-o", filepath.Join(dir, "tampered-report.json"), tampered)
-	if err := exec.Command(reportBin, args...).Run(); err == nil {
+	if _, ok := verify(t, reportBin, stack, dir, "auditdb-tampered", data); ok {
 		t.Fatal("auditreport -verify accepted a journal with a changed answer")
 	}
+
+	logs, err := loadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for j, ev := range logs[0].Events {
+		if ev.Outcome == "answered" {
+			logs[0].Events[j].Outcome, logs[0].Events[j].Answer = "denied", 0
+			flipped = true
+			break
+		}
+	}
+	if !flipped {
+		t.Fatal("no answered event to flip")
+	}
+	logs[0].Seq, logs[0].Digest = 0, ""
+	var buf bytes.Buffer
+	if err := persist.SaveSessionState(&buf, logs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep, ok := verify(t, reportBin, stack, dir, "auditdb-flipped", buf.Bytes()); ok || rep.Mismatches == 0 {
+		t.Fatalf("auditreport -verify did not report a flipped decision: ok=%v mismatches=%d", ok, rep.Mismatches)
+	}
+}
+
+// loadJournal reads the session journals saved at path.
+func loadJournal(path string) ([]session.LogSnapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return persist.LoadSessions(f)
+}
+
+// verify writes data to name.json in dir and runs auditreport -verify on
+// it with the stack flags. It reports whether verification passed, and
+// the report auditreport wrote, if any.
+func verify(t *testing.T, reportBin string, stack []string, dir, name string, data []byte) (auditlog.Report, bool) {
+	t.Helper()
+	input := filepath.Join(dir, name+".json")
+	if err := os.WriteFile(input, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, name+"-report.json")
+	args := append(append([]string{}, stack...), "-verify", "-quiet", "-o", out, input)
+	err := exec.Command(reportBin, args...).Run()
+	var rep auditlog.Report
+	if raw, rerr := os.ReadFile(out); rerr == nil {
+		if jerr := json.Unmarshal(raw, &rep); jerr != nil {
+			t.Fatalf("%s report not valid JSON: %v", name, jerr)
+		}
+	}
+	return rep, err == nil
 }
 
 // runAuditdb pipes script into auditdb with -session-snapshot journal

@@ -43,7 +43,8 @@
 // parallel speedup, assist-pool split).
 //
 // With -session-snapshot every session's query log is restored at
-// startup (if the file exists) and written back on SIGINT/SIGTERM; the
+// startup (if the file exists) and written back on SIGINT/SIGTERM,
+// together with the sensitive values once an update has changed them; the
 // server reports ready on /readyz only after replay completes. Works for
 // both auditor families (replay reconstructs Monte Carlo state exactly,
 // given the same -prob-seed and parameters). The removed -snapshot flag
@@ -57,10 +58,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"io"
-	"io/fs"
 	"log"
 	"net"
 	"os"
@@ -257,11 +255,15 @@ func main() {
 		// line is the external go-signal (scripts and the e2e test key
 		// on it), so it is only printed once the server is ready.
 		if *sessSnap != "" {
-			epoch, err := restoreSessions(logger, mgr, *sessSnap)
+			start := time.Now()
+			n, epoch, err := persist.LoadFile(*sessSnap, mgr)
 			if err != nil {
 				logger.Printf("session restore failed: %v", err)
 				cancel()
 				return
+			}
+			if n > 0 {
+				logger.Printf("restored %d session logs from %s in %s", n, *sessSnap, time.Since(start).Round(time.Millisecond))
 			}
 			if node != nil && epoch > 0 {
 				node.AdoptEpoch(epoch)
@@ -299,16 +301,15 @@ func main() {
 	}
 	exit := 0
 	if *sessSnap != "" {
-		logs := mgr.LogSnapshots()
 		var epoch uint64
 		if node != nil {
 			epoch = node.Epoch()
 		}
-		if err := saveSessions(*sessSnap, logs, epoch); err != nil {
+		if n, err := persist.SaveFile(*sessSnap, mgr, epoch); err != nil {
 			logger.Printf("session snapshot save failed: %v", err)
 			exit = 1
 		} else {
-			logger.Printf("session logs saved to %s (%d sessions, epoch %d)", *sessSnap, len(logs), epoch)
+			logger.Printf("session logs saved to %s (%d sessions, epoch %d)", *sessSnap, n, epoch)
 		}
 	}
 	st := mgr.Stats(session.DefaultAnalyst)
@@ -330,36 +331,4 @@ func main() {
 		exit = 1
 	}
 	os.Exit(exit)
-}
-
-// restoreSessions replays persisted session logs into the manager and
-// returns the persisted replication epoch; a missing file is a clean
-// first boot.
-func restoreSessions(logger *log.Logger, mgr *session.Manager, path string) (uint64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	snaps, epoch, err := persist.LoadSessionState(f)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := mgr.Restore(snaps); err != nil {
-		return 0, err
-	}
-	logger.Printf("restored %d session logs from %s in %s", len(snaps), path, time.Since(start).Round(time.Millisecond))
-	return epoch, nil
-}
-
-// saveSessions writes the session logs durably (temp file + fsync +
-// atomic rename), tagged with the replication epoch the node last held.
-func saveSessions(path string, logs []session.LogSnapshot, epoch uint64) error {
-	return persist.WriteAtomic(path, func(w io.Writer) error {
-		return persist.SaveSessionState(w, logs, epoch)
-	})
 }

@@ -196,7 +196,7 @@ func TestEndToEndSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapBytes := snap.Len()
-	logs, _, err := persist.LoadSessionState(&snap)
+	logs, err := persist.LoadSessions(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func Example() {
 	if err := persist.SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
 		panic(err)
 	}
-	logs, _, err := persist.LoadSessionState(&buf)
+	logs, err := persist.LoadSessions(&buf)
 	if err != nil {
 		panic(err)
 	}

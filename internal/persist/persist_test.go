@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"queryaudit/internal/audit"
@@ -18,9 +21,10 @@ import (
 )
 
 // roundTrip drives a random history through a manager whose engines
-// guard xs with one auditor built by newAuditor, persists every session
-// journal, restores them into a fresh manager over the same data, and
-// checks that both answer a probe battery identically. update, if
+// guard xs with one auditor built by newAuditor, saves every session
+// journal with SaveFile, restores the file into a fresh manager over the
+// same data with LoadFile, and checks that both answer a probe battery
+// identically. update, if
 // non-nil, runs on the original manager halfway through the history.
 func roundTrip(t *testing.T, xs []float64, kinds []query.Kind, newAuditor func(n int) audit.Auditor, update func(*session.Manager), seed int64) {
 	t.Helper()
@@ -50,21 +54,16 @@ func roundTrip(t *testing.T, xs []float64, kinds []query.Kind, newAuditor func(n
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
-		t.Fatal(err)
-	}
-	logs, _, err := LoadSessionState(&buf)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "sessions.json")
+	if _, err := SaveFile(path, orig, 0); err != nil {
 		t.Fatal(err)
 	}
 	restored := newManager()
-	_, values := orig.ReplicaSnapshot()
-	if err := restored.RestoreSensitiveState(values); err != nil {
+	if _, _, err := LoadFile(path, restored); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(logs); err != nil {
-		t.Fatal(err)
+	if got, want := restored.Stats("alice").Modifications, orig.Stats("alice").Modifications; got != want {
+		t.Fatalf("restored %d modifications, want %d", got, want)
 	}
 	for probe := 0; probe < 60; probe++ {
 		q := randomQuery()
@@ -108,4 +107,43 @@ func TestRoundTripMaxDup(t *testing.T) {
 		xs[i] = float64(rng.Intn(10)) // duplicates welcome
 	}
 	roundTrip(t, xs, []query.Kind{query.Max}, func(n int) audit.Auditor { return maxdup.New(n) }, nil, 15)
+}
+
+// TestLoadFile: a missing file is a fresh start, and a file whose
+// journals record an update but which holds no dataset values is
+// refused — restoring it would answer from the pre-update value a
+// replayed auditor has already retired.
+func TestLoadFile(t *testing.T) {
+	newManager := func() *session.Manager {
+		sp := core.NewEngineSpec(dataset.FromValues([]float64{1, 2, 3, 4}))
+		sp.Register(func() (audit.Auditor, error) { return sumfull.New(4), nil }, query.Sum)
+		m, err := session.NewManager(sp, session.Config{NoJanitor: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		return m
+	}
+	dir := t.TempDir()
+	if n, epoch, err := LoadFile(filepath.Join(dir, "missing.json"), newManager()); n != 0 || epoch != 0 || err != nil {
+		t.Fatalf("missing file: %d journals, epoch %d, %v", n, epoch, err)
+	}
+	orig := newManager()
+	if _, err := orig.Ask(session.DefaultAnalyst, query.New(query.Sum, 0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Update(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "no-values.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFile(path, newManager()); err == nil || !strings.Contains(err.Error(), "no dataset values") {
+		t.Fatalf("LoadFile restored journals with an update but no dataset values: %v", err)
+	}
 }

@@ -5,19 +5,24 @@
 //
 // Every auditor is simulatable (§2.2 of the paper): its state is a
 // function of the answered/denied history alone. So the per-analyst
-// journals are the complete persisted state, and session.Manager.Restore
-// rebuilds any auditor stack from them by replay. A snapshot is JSON in
-// a versioned envelope; loading re-validates each journal's structure
-// and digest chain (snapshots may come from untrusted storage), and a
-// snapshot that fails validation is rejected rather than partially
-// loaded. WriteAtomic makes the write itself crash-safe.
+// journals are the complete persisted auditor state, and
+// session.Manager.Restore rebuilds any auditor stack from them by replay;
+// a file saved after an update also carries the values it wrote. A
+// snapshot is JSON in a versioned envelope; loading re-validates each
+// journal's structure and digest chain (snapshots may come from untrusted
+// storage), and a snapshot that fails validation is rejected rather than
+// partially loaded. WriteAtomic makes the write itself crash-safe.
 package persist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 
+	"queryaudit/internal/dataset"
 	"queryaudit/internal/session"
 )
 
@@ -44,9 +49,12 @@ const KindSessionLogs Kind = "session-logs"
 // is the replication cluster epoch at save time (0 for standalone
 // deployments and snapshots from before replication existed — the JSON
 // field is simply absent there, so old snapshots load unchanged).
+// Dataset holds the sensitive values once an update has changed them: a
+// journal's update marker names only the record, not the new value.
 type sessionLogsPayload struct {
-	Sessions []session.LogSnapshot `json:"sessions"`
-	Epoch    uint64                `json:"epoch,omitempty"`
+	Sessions []session.LogSnapshot   `json:"sessions"`
+	Epoch    uint64                  `json:"epoch,omitempty"`
+	Dataset  *dataset.SensitiveState `json:"dataset,omitempty"`
 }
 
 // SaveSessionState writes every session journal plus the replication
@@ -54,52 +62,110 @@ type sessionLogsPayload struct {
 // it last held instead of epoch 0 (which any promoted peer would
 // immediately override).
 func SaveSessionState(w io.Writer, logs []session.LogSnapshot, epoch uint64) error {
-	raw, err := json.Marshal(sessionLogsPayload{Sessions: logs, Epoch: epoch})
+	return save(w, sessionLogsPayload{Sessions: logs, Epoch: epoch})
+}
+
+// save writes p in the versioned envelope.
+func save(w io.Writer, p sessionLogsPayload) error {
+	raw, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("persist: encode session logs: %w", err)
 	}
 	return json.NewEncoder(w).Encode(envelope{Version: Version, Kind: KindSessionLogs, Payload: raw})
 }
 
-// LoadSessions reads a session-journal snapshot from r (discarding any
-// stored epoch), validating each journal's structural invariants before
-// returning.
-func LoadSessions(r io.Reader) ([]session.LogSnapshot, error) {
-	logs, _, err := LoadSessionState(r)
-	return logs, err
+// SaveFile writes mgr's session journals, tagged with the epoch, to path
+// with WriteAtomic and returns how many it wrote. Once an update has
+// changed the dataset, its values go with them, taken in the same cut.
+func SaveFile(path string, mgr *session.Manager, epoch uint64) (int, error) {
+	logs, st := mgr.ReplicaSnapshot()
+	p := sessionLogsPayload{Sessions: logs, Epoch: epoch}
+	if st.Mods > 0 {
+		p.Dataset = &st
+	}
+	return len(logs), WriteAtomic(path, func(w io.Writer) error { return save(w, p) })
 }
 
-// LoadSessionState reads a session-journal snapshot plus the stored
-// replication epoch. Each journal's structural invariants — including
-// its transcript digest chain, when the snapshot carries digests — are
-// validated before returning; replay-time checks (index ranges, auditor
-// agreement with logged outcomes) happen in session.Manager.Restore.
-func LoadSessionState(r io.Reader) ([]session.LogSnapshot, uint64, error) {
+// LoadFile restores a SaveFile file into mgr — dataset values first, then
+// every journal by replay — and returns the journal count and the epoch.
+// A missing file is a fresh start. Journals that record updates without
+// dataset values are refused: the regenerated table would undo them.
+func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	p, err := load(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	if p.Dataset != nil {
+		if err := mgr.RestoreSensitiveState(*p.Dataset); err != nil {
+			return 0, 0, fmt.Errorf("persist: %w", err)
+		}
+	} else if hasUpdate(p.Sessions) {
+		return 0, 0, errors.New("persist: the journals record updates but the file holds no dataset values")
+	}
+	if err := mgr.Restore(p.Sessions); err != nil {
+		return 0, 0, err
+	}
+	return len(p.Sessions), p.Epoch, nil
+}
+
+// hasUpdate reports whether any journal holds an update marker.
+func hasUpdate(logs []session.LogSnapshot) bool {
+	for _, l := range logs {
+		for _, ev := range l.Events {
+			if ev.Op == "update" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// LoadSessions reads a session-journal snapshot from r (discarding any
+// stored epoch or dataset values). Each journal's structural invariants —
+// including its transcript digest chain, when the snapshot carries
+// digests — are validated before returning; replay-time checks (index
+// ranges, auditor agreement with logged outcomes) happen in
+// session.Manager.Restore.
+func LoadSessions(r io.Reader) ([]session.LogSnapshot, error) {
+	p, err := load(r)
+	return p.Sessions, err
+}
+
+// load decodes and validates a session-journal snapshot.
+func load(r io.Reader) (sessionLogsPayload, error) {
 	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return nil, 0, fmt.Errorf("persist: decode envelope: %w", err)
+		return sessionLogsPayload{}, fmt.Errorf("persist: decode envelope: %w", err)
 	}
 	if err := env.check(KindSessionLogs); err != nil {
-		return nil, 0, err
+		return sessionLogsPayload{}, err
 	}
 	var p sessionLogsPayload
 	if err := json.Unmarshal(env.Payload, &p); err != nil {
-		return nil, 0, fmt.Errorf("persist: decode %s: %w", env.Kind, err)
+		return sessionLogsPayload{}, fmt.Errorf("persist: decode %s: %w", env.Kind, err)
 	}
 	seen := make(map[string]bool, len(p.Sessions))
 	for _, snap := range p.Sessions {
 		if snap.Analyst == "" {
-			return nil, 0, fmt.Errorf("persist: session snapshot with empty analyst id")
+			return sessionLogsPayload{}, fmt.Errorf("persist: session snapshot with empty analyst id")
 		}
 		if seen[snap.Analyst] {
-			return nil, 0, fmt.Errorf("persist: duplicate session snapshot for analyst %q", snap.Analyst)
+			return sessionLogsPayload{}, fmt.Errorf("persist: duplicate session snapshot for analyst %q", snap.Analyst)
 		}
 		seen[snap.Analyst] = true
 		if err := snap.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("persist: analyst %q: %w", snap.Analyst, err)
+			return sessionLogsPayload{}, fmt.Errorf("persist: analyst %q: %w", snap.Analyst, err)
 		}
 	}
-	return p.Sessions, p.Epoch, nil
+	return p, nil
 }
 
 // check validates an envelope's version and kind.
