@@ -76,6 +76,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		return 1
 	}
 	defer mgr.Close()
+	res := core.NewSQLResolver(mgr.Resolver())
 
 	fmt.Fprintf(out, "auditdb: %s (auditors=%s)\n", ds.Describe(), stack.Family)
 	if st := mgr.Stats(session.DefaultAnalyst); st.LogEvents > 0 {
@@ -94,7 +95,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		case strings.HasPrefix(fields[0], "."):
 			grew = command(out, mgr, ds, *sensitive, fields)
 		default:
-			grew = ask(out, mgr, *sensitive, sc.Text())
+			grew = ask(out, mgr, res, *sensitive, sc.Text())
 		}
 		if !grew || *snapPath == "" {
 			continue
@@ -154,10 +155,10 @@ func open(stack auditlog.StackConfig, snapPath, csvPath, sensitive, csvNum strin
 	return mgr, ds, nil
 }
 
-// ask resolves and asks one SQL statement; it reports whether the
-// session's journal grew.
-func ask(out io.Writer, mgr *session.Manager, sensitive, sql string) bool {
-	q, err := core.ResolveSQL(mgr.Resolver(), sensitive, sql)
+// ask resolves one SQL statement through res and asks it; it reports
+// whether the session's journal grew.
+func ask(out io.Writer, mgr *session.Manager, res *core.SQLResolver, sensitive, sql string) bool {
+	q, err := res.ResolveSQL(sensitive, sql)
 	var resp core.Response
 	if err == nil {
 		resp, err = mgr.Ask(session.DefaultAnalyst, q)

@@ -118,7 +118,7 @@ func main() {
 	// Enrich: risk-score every query. One indexed resolver over the
 	// pristine dataset serves both enrichment breadth and SQL replay
 	// (predicates touch only immutable public attributes).
-	sel := qindex.NewResolver(stack.NewDataset(), qindex.Options{})
+	sel := qindex.NewResolver(stack.NewDataset())
 	en := &auditlog.Enricher{Dict: dict, Records: *n, Sensitive: *sensitive, Sel: sel}
 	scored := en.Enrich(entries)
 	if *enriched != "" {

@@ -151,9 +151,9 @@ var tallies = regexp.MustCompile(`answered=\d+ denied=\d+ records=\d+ modificati
 // -verify with the same stack flags compares every query with zero
 // mismatches; a second auditdb run on the file restores the session's
 // .stats counters, updates included; a copy with one byte of an event
-// changed fails the journal's digest check; and a copy with one decision
-// flipped and the digest stripped gets past that check but fails replay
-// with mismatches.
+// changed fails the journal's digest check, with or without -verify; and
+// a copy with one decision flipped and the digest stripped gets past
+// that check but fails replay with mismatches.
 func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, script []string, queries int) {
 	t.Helper()
 	journal := filepath.Join(dir, "auditdb-journal.json")
@@ -185,6 +185,12 @@ func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, scri
 	data[i] = '0' + (data[i]-'0'+1)%10
 	if _, ok := verify(t, reportBin, stack, dir, "auditdb-tampered", data); ok {
 		t.Fatal("auditreport -verify accepted a journal with a changed answer")
+	}
+	// Without -verify a malformed line is not fatal, so this passes only
+	// if format detection still takes the damaged file for a journal.
+	args := append(append([]string{}, stack...), "-quiet", "-o", "-", filepath.Join(dir, "auditdb-tampered.json"))
+	if err := exec.Command(reportBin, args...).Run(); err == nil {
+		t.Fatal("auditreport accepted a journal with a changed answer without -verify")
 	}
 
 	logs, err := loadJournal(journal)

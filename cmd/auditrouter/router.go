@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -17,7 +16,6 @@ import (
 	"queryaudit/internal/cluster"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/server"
-	"queryaudit/internal/session"
 )
 
 // router is the stateless routing tier: it holds no session state, only
@@ -215,31 +213,6 @@ func (rt *router) snapshotShards() []*shardState {
 	return out
 }
 
-const maxAnalystIDLen = 128
-
-// analystID mirrors the server's extraction: X-Analyst-ID header, then
-// ?analyst=, else the shared default session. The router must hash the
-// exact identity the shard will session on, or placement and ownership
-// disagree.
-func analystID(r *http.Request) (string, error) {
-	a := r.Header.Get("X-Analyst-ID")
-	if a == "" {
-		a = r.URL.Query().Get("analyst")
-	}
-	if a == "" {
-		return session.DefaultAnalyst, nil
-	}
-	if len(a) > maxAnalystIDLen {
-		return "", errors.New("analyst id longer than " + strconv.Itoa(maxAnalystIDLen) + " bytes")
-	}
-	for i := 0; i < len(a); i++ {
-		if a[i] < 0x21 || a[i] > 0x7e {
-			return "", errors.New("analyst id must be printable ASCII without spaces")
-		}
-	}
-	return a, nil
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -296,7 +269,7 @@ func (rt *router) do(r *http.Request, base, pathAndQuery string, body []byte) (*
 // shard, relaying the response verbatim (denials included — a denial is
 // a 200 with "denied": true, an auditor decision, not a proxy failure).
 func (rt *router) handleAnalyst(w http.ResponseWriter, r *http.Request) {
-	analyst, err := analystID(r)
+	analyst, err := server.AnalystID(r)
 	if err != nil {
 		rt.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return

@@ -121,6 +121,27 @@ func TestRouterRoutesByRingOwner(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsMalformedAnalystID: the router applies the shards'
+// analyst-ID rule itself, so an ID a shard would refuse answers 400
+// without reaching any shard.
+func TestRouterRejectsMalformedAnalystID(t *testing.T) {
+	doc, esA, esB := twoEchoFleet(t)
+	rt := quietRouter(t, doc)
+	for _, analyst := range []string{strings.Repeat("a", 129), "bad id"} {
+		if rec := postQueryVia(t, rt, analyst); rec.Code != http.StatusBadRequest {
+			t.Fatalf("analyst %q: got %d %s, want 400", analyst, rec.Code, rec.Body)
+		}
+	}
+	for _, es := range []*echoShard{esA, esB} {
+		es.mu.Lock()
+		calls := len(es.seen)
+		es.mu.Unlock()
+		if calls != 0 {
+			t.Fatalf("%s was called for a malformed analyst ID", es.id)
+		}
+	}
+}
+
 // TestRouterFollowsSameShard421: a member that is no longer primary
 // answers 421 naming its successor; the router must adopt the named URL
 // as the shard's active member and retry the request there — this is

@@ -89,8 +89,6 @@ func main() {
 		sessShards  = flag.Int("session-shards", 16, "lock shards for the session table")
 		maxBody     = flag.Int64("max-body-bytes", 1<<20, "maximum POST body size in bytes")
 		maxIndices  = flag.Int("max-indices", 100_000, "maximum indices per query set")
-		noQIndex    = flag.Bool("no-query-index", false, "resolve SQL with the naive per-request dataset scan instead of the shared query index (baseline/debug)")
-		queryCache  = flag.Int("query-cache-entries", 0, "statement/predicate memo size for the query resolver (0 = shared default, negative = unbounded)")
 		perClient   = flag.Int("per-client-concurrency", 0, "maximum in-flight requests per client IP (0 = unlimited)")
 		drain       = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain window on SIGINT/SIGTERM")
 		quietAccess = flag.Bool("quiet", false, "disable per-request access logging")
@@ -105,7 +103,6 @@ func main() {
 
 		role          = flag.String("role", "standalone", "replication role: standalone (no replication), primary (ships its journal), or replica (read-only follower)")
 		primaryURL    = flag.String("primary-url", "", "replica: base URL of the primary to stream from (e.g. http://127.0.0.1:8080)")
-		replicaListen = flag.String("replica-listen", "", "replica: listen address override (defaults to -addr)")
 		replRetention = flag.Int("replication-retention", 4096, "records retained in the replication journal tail (followers further behind resync from a snapshot)")
 		replPollWait  = flag.Duration("replication-poll-wait", 10*time.Second, "how long a stream long-poll is held open (heartbeat interval when idle)")
 		replMaxBatch  = flag.Int("replication-max-batch", 256, "maximum records per stream response")
@@ -128,14 +125,11 @@ func main() {
 		if *primaryURL == "" {
 			logger.Fatalf("-role=replica requires -primary-url")
 		}
-		if *replicaListen != "" {
-			*addr = *replicaListen
-		}
 	default:
 		logger.Fatalf("unknown -role %q (want standalone, primary or replica)", *role)
 	}
-	if *role != "replica" && (*primaryURL != "" || *replicaListen != "") {
-		logger.Fatalf("-primary-url and -replica-listen only apply to -role=replica")
+	if *role != "replica" && *primaryURL != "" {
+		logger.Fatalf("-primary-url only applies to -role=replica")
 	}
 
 	// StackConfig is the shared construction path with the offline
@@ -158,7 +152,6 @@ func main() {
 	spec := core.NewEngineSpec(ds)
 	spec.SetObserver(metrics.NewEngineCollector(reg))
 	spec.SetMCObserver(metrics.NewMCCollector(reg))
-	spec.SetMCWorkers(*mcWorkers)
 	if err := stack.RegisterAuditors(spec); err != nil {
 		logger.Fatalf("auditors: %v", err)
 	}
@@ -216,8 +209,6 @@ func main() {
 	opts.MaxIndices = *maxIndices
 	opts.PerClientConcurrency = *perClient
 	opts.ShutdownTimeout = *drain
-	opts.DisableQueryIndex = *noQIndex
-	opts.QueryCacheEntries = *queryCache
 	if !*quietAccess {
 		opts.AccessLog = logger
 	}

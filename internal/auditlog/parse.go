@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,9 +20,11 @@ import (
 type Format string
 
 const (
-	// FormatAuto sniffs the format: a session journal if the input
-	// decodes as one (persist envelope, snapshot, or snapshot list),
-	// else ndjson when the first byte is '{', else pgAudit-style CSV.
+	// FormatAuto sniffs the format: a session journal if the input has
+	// a journal's shape (persist envelope, snapshot wrapper, snapshot,
+	// or snapshot list) — a damaged journal is rejected, not re-read as
+	// ndjson — else ndjson when the first byte is '{', else pgAudit-
+	// style CSV.
 	FormatAuto Format = "auto"
 	// FormatPGAuditCSV is a pgAudit-style CSV line per statement:
 	//
@@ -110,10 +113,10 @@ func ParseBytes(data []byte, source string, format Format) ([]Entry, SourceStats
 	}
 }
 
-// detectFormat sniffs the input: journal decodes win, then a leading
+// detectFormat sniffs the input: a journal's shape wins, then a leading
 // '{' selects ndjson, anything else is treated as CSV.
 func detectFormat(data []byte) Format {
-	if _, err := decodeJournal(data); err == nil {
+	if _, err := decodeJournal(data); !errors.Is(err, errNotJournal) {
 		return FormatJournal
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
@@ -244,51 +247,56 @@ func parseNDJSONLine(line string) (Entry, bool, bool) {
 	return e, true, false
 }
 
-// journalEnvelope probes the JSON wrappers a journal can arrive in.
-type journalEnvelope struct {
-	// persist envelope discriminators.
-	Kind    string          `json:"kind"`
-	Payload json.RawMessage `json:"payload"`
-	// cluster.JournalResponse wrapper.
-	Snapshot *session.LogSnapshot `json:"snapshot"`
-	// bare session.LogSnapshot discriminators.
-	Analyst string                  `json:"analyst"`
-	Events  []session.EventSnapshot `json:"events"`
-}
+// errNotJournal reports input without the shape of a session journal.
+var errNotJournal = errors.New("auditlog: input is not a recognizable session journal")
 
 // decodeJournal extracts the journal snapshots from any accepted
-// wrapper without validating them (validation happens in parseJournal,
-// once, with per-snapshot error context).
+// wrapper: a persist envelope (kind + payload), a
+// cluster.JournalResponse (snapshot), a bare session.LogSnapshot
+// (analyst + events) or an array of bare snapshots. The wrapper is
+// recognized by its top-level keys alone, and only input without any of
+// those shapes yields errNotJournal, so format detection takes a
+// damaged journal for one even when decoding it fails. Digest chains
+// are verified in parseJournal, once, with per-snapshot error context
+// (a persist envelope is also checked by persist.LoadSessions).
 func decodeJournal(data []byte) ([]session.LogSnapshot, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
+		var arr []map[string]json.RawMessage
+		if json.Unmarshal(trimmed, &arr) != nil || len(arr) == 0 || !hasKeys(arr[0], "analyst", "events") {
+			return nil, errNotJournal
+		}
 		var snaps []session.LogSnapshot
-		if err := json.Unmarshal(trimmed, &snaps); err != nil {
-			return nil, err
-		}
-		if len(snaps) == 0 || snaps[0].Analyst == "" {
-			return nil, fmt.Errorf("auditlog: journal array carries no snapshots")
-		}
-		return snaps, nil
+		err := json.Unmarshal(trimmed, &snaps)
+		return snaps, err
 	}
-	var env journalEnvelope
-	if err := json.Unmarshal(trimmed, &env); err != nil {
-		return nil, err
+	var obj map[string]json.RawMessage
+	if json.Unmarshal(trimmed, &obj) != nil {
+		return nil, errNotJournal
 	}
+	var snap session.LogSnapshot
+	var err error
 	switch {
-	case env.Kind != "" && env.Payload != nil:
+	case hasKeys(obj, "kind", "payload"):
 		return persist.LoadSessions(bytes.NewReader(trimmed))
-	case env.Snapshot != nil:
-		return []session.LogSnapshot{*env.Snapshot}, nil
-	case env.Analyst != "" && env.Events != nil:
-		var snap session.LogSnapshot
-		if err := json.Unmarshal(trimmed, &snap); err != nil {
-			return nil, err
-		}
-		return []session.LogSnapshot{snap}, nil
+	case hasKeys(obj, "snapshot"):
+		err = json.Unmarshal(obj["snapshot"], &snap)
+	case hasKeys(obj, "analyst", "events"):
+		err = json.Unmarshal(trimmed, &snap)
 	default:
-		return nil, fmt.Errorf("auditlog: input is not a recognizable session journal")
+		return nil, errNotJournal
 	}
+	return []session.LogSnapshot{snap}, err
+}
+
+// hasKeys reports whether obj has every key.
+func hasKeys(obj map[string]json.RawMessage, keys ...string) bool {
+	for _, k := range keys {
+		if _, ok := obj[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // parseJournal converts exported session journals into the Entry

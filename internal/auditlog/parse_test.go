@@ -1,6 +1,7 @@
 package auditlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"queryaudit/internal/core"
+	"queryaudit/internal/persist"
 	"queryaudit/internal/session"
 )
 
@@ -199,17 +201,29 @@ func TestParseJournal(t *testing.T) {
 
 // TestParseJournalRejectsTamper: a bit-flipped journal fails its digest
 // chain and is rejected as a unit — no partial ingest of corrupt
-// history.
+// history. Auto-detection must reject it too, not re-read it as another
+// format.
 func TestParseJournalRejectsTamper(t *testing.T) {
 	stack := StackConfig{Family: "full", N: 40, Seed: 1}
 	snap, _ := exportJournal(t, stack, "alice", []string{"SELECT sum(salary) WHERE age >= 30"})
 	snap.Events[0].Outcome = "denied"
-	data, err := json.Marshal(snap)
+	bare, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ParseBytes(data, "tampered", FormatJournal); err == nil {
-		t.Fatal("tampered journal must be rejected")
+	var envelope bytes.Buffer
+	if err := persist.SaveSessionState(&envelope, []session.LogSnapshot{snap}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name string
+		data []byte
+	}{{"bare", bare}, {"envelope", envelope.Bytes()}} {
+		for _, format := range []Format{FormatJournal, FormatAuto} {
+			if _, st, err := ParseBytes(sh.data, "tampered", format); err == nil {
+				t.Fatalf("%s tampered journal under %s must be rejected (parsed as %s)", sh.name, format, st.Format)
+			}
+		}
 	}
 }
 

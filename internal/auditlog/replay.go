@@ -101,7 +101,7 @@ func (r *Replayer) Replay(entries []Entry) (ReplayResult, error) {
 	// One shared SQL resolver over a pristine dataset: predicates touch
 	// only the immutable public attributes, so resolution is identical
 	// across analysts and safe under concurrency.
-	sel := qindex.NewResolver(r.Stack.NewDataset(), qindex.Options{})
+	sel := qindex.NewResolver(r.Stack.NewDataset())
 
 	workers := r.Workers
 	if workers <= 0 {
@@ -143,7 +143,6 @@ func (r *Replayer) replayAnalyst(name string, entries []Entry, sel core.Selector
 	if err := r.Stack.RegisterAuditors(spec); err != nil {
 		return AnalystReplay{}, err
 	}
-	spec.SetMCWorkers(r.Stack.MCWorkers)
 	if r.Sched != nil {
 		spec.SetMCScheduler(r.Sched)
 	}

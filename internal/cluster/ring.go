@@ -66,7 +66,6 @@ type ringPoint struct {
 // for concurrent use.
 type Ring struct {
 	seed   uint64
-	vnodes int
 	shards []string // sorted unique shard IDs
 	points []ringPoint
 }
@@ -93,7 +92,6 @@ func NewRing(shardIDs []string, vnodes int, seed uint64) (*Ring, error) {
 	}
 	r := &Ring{
 		seed:   seed,
-		vnodes: vnodes,
 		shards: shards,
 		points: make([]ringPoint, 0, len(shards)*vnodes),
 	}
@@ -118,12 +116,6 @@ func NewRing(shardIDs []string, vnodes int, seed uint64) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Seed returns the hash seed the ring was built with.
-func (r *Ring) Seed() uint64 { return r.seed }
-
-// VNodes returns the per-shard virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Shards returns the ring's shard IDs in sorted order. The caller must
 // not mutate the returned slice.
@@ -152,62 +144,4 @@ func (r *Ring) Spread(keys []string) map[string]int {
 		out[r.Owner(k)]++
 	}
 	return out
-}
-
-// AssignBounded computes a bounded-load assignment of keys to shards
-// (consistent hashing with bounded loads): each key goes to the first
-// shard clockwise of its hash whose load is still below the capacity
-// ceil(c·K/N), so no shard ends up with more than a factor c of the
-// mean load even under a skewed key population. The assignment is a
-// deterministic function of (keys, ring, c): duplicate keys are
-// collapsed and the unique keys are processed in sorted order, so any
-// caller — router, node, test — computes the identical plan. c must be
-// >= 1; c == 1 packs shards to exactly the ceiling mean.
-//
-// The per-request Owner path deliberately does NOT use bounded loads:
-// request routing must be agreed between router and nodes without
-// shared load state. AssignBounded is the PLANNING arm — rebalance
-// plans and capacity checks — where the full key population is known.
-func (r *Ring) AssignBounded(keys []string, c float64) (map[string]string, error) {
-	if c < 1 {
-		return nil, fmt.Errorf("cluster: bounded-load factor must be >= 1, got %g", c)
-	}
-	uniq := append([]string(nil), keys...)
-	sort.Strings(uniq)
-	n := 0
-	for i, k := range uniq {
-		if i == 0 || uniq[i-1] != k {
-			uniq[n] = k
-			n++
-		}
-	}
-	uniq = uniq[:n]
-	if n == 0 {
-		return map[string]string{}, nil
-	}
-	capacity := (int(float64(n)*c) + len(r.shards) - 1) / len(r.shards)
-	if capacity < 1 {
-		capacity = 1
-	}
-	load := make([]int, len(r.shards))
-	out := make(map[string]string, n)
-	for _, k := range uniq {
-		h := hash64(r.seed, k)
-		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-		placed := false
-		for probe := 0; probe < len(r.points); probe++ {
-			p := r.points[(i+probe)%len(r.points)]
-			if load[p.shard] < capacity {
-				load[p.shard]++
-				out[k] = r.shards[p.shard]
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Unreachable: capacity*len(shards) >= n by construction.
-			return nil, fmt.Errorf("cluster: no shard below capacity %d for key %q", capacity, k)
-		}
-	}
-	return out, nil
 }

@@ -144,44 +144,6 @@ func TestRingSpread(t *testing.T) {
 	}
 }
 
-// TestAssignBounded: the planning helper must respect its capacity
-// ceiling and assign every key exactly once.
-func TestAssignBounded(t *testing.T) {
-	const k, n = 1000, 4
-	r := mustRing(t, shardIDs(n))
-	keys := testKeys(k)
-	assign, err := r.AssignBounded(keys, 1.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assign) != k {
-		t.Fatalf("assigned %d keys, want %d", len(assign), k)
-	}
-	capacity := (k*125/100 + n - 1) / n
-	members := r.shardSet()
-	counts := map[string]int{}
-	for key, id := range assign {
-		counts[id]++
-		if !members[id] {
-			t.Fatalf("key %q assigned to unknown shard %q", key, id)
-		}
-	}
-	for id, c := range counts {
-		if c > capacity {
-			t.Errorf("shard %s assigned %d keys (> capacity %d)", id, c, capacity)
-		}
-	}
-}
-
-// shardSet is a test helper exposing the ring membership as a set.
-func (r *Ring) shardSet() map[string]bool {
-	set := make(map[string]bool, len(r.shards))
-	for _, id := range r.shards {
-		set[id] = true
-	}
-	return set
-}
-
 // TestRingRejectsBadInput covers the constructor's error paths.
 func TestRingRejectsBadInput(t *testing.T) {
 	if _, err := NewRing(nil, DefaultVNodes, 0); err == nil {

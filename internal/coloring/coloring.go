@@ -353,8 +353,6 @@ type Sampler struct {
 	c   []int
 	// ci[v] is the position of c[v] in node v's palette.
 	ci []int
-	// steps counts chain steps taken (diagnostics).
-	steps int
 }
 
 // NewSampler builds a sampler starting from a backtracking-found valid
@@ -403,7 +401,6 @@ func (s *Sampler) Step() {
 	}
 	vi := s.rng.Intn(k)
 	v := &s.g.Nodes[vi]
-	s.steps++
 	if len(v.Colors) == 1 {
 		return
 	}
@@ -450,23 +447,19 @@ func (s *Sampler) Current() []int { return s.c }
 // search. The same aliasing rules apply.
 func (s *Sampler) CurrentIndices() []int { return s.ci }
 
-// Reset rebases the sampler for reuse: randomness moves onto rng, the
-// coloring is restored to c (copied into the existing buffer), and the
-// step counter clears. It is the per-sample path of the parallel Monte
-// Carlo workers, which keep one sampler per worker and rebase it onto a
-// fresh random stream for every sample.
+// Reset rebases the sampler for reuse: randomness moves onto rng and the
+// coloring is restored to c (copied into the existing buffer). It is the
+// per-sample path of the parallel Monte Carlo workers, which keep one
+// sampler per worker and rebase it onto a fresh random stream for every
+// sample.
 func (s *Sampler) Reset(rng *rand.Rand, c []int) error {
 	if !s.g.Valid(c) {
 		return fmt.Errorf("coloring: reset coloring invalid")
 	}
 	s.rng = rng
 	s.load(c)
-	s.steps = 0
 	return nil
 }
-
-// Steps returns the number of chain transitions taken so far.
-func (s *Sampler) Steps() int { return s.steps }
 
 // SampleDataset draws a full dataset from P(X | B) given the current
 // coloring (Lemma 1): witnesses take their predicate values; every other

@@ -93,13 +93,3 @@ func ChainUpdate(prev Digest, index int) Digest {
 	h.Sum(out[:0])
 	return out
 }
-
-// ChainAll is a convenience for tests and tools: the digest of a whole
-// decision list from the zero origin.
-func ChainAll(evs []DecisionEvent) Digest {
-	var d Digest
-	for _, ev := range evs {
-		d = ChainDecision(d, ev)
-	}
-	return d
-}

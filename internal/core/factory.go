@@ -67,7 +67,7 @@ func (sp *EngineSpec) Dataset() *dataset.Dataset { return sp.ds }
 // pointer-equal query sets — so primary, replica and replayed engines
 // all see identical sets for identical SQL.
 func (sp *EngineSpec) Resolver() *qindex.Resolver {
-	sp.resOnce.Do(func() { sp.res = qindex.NewResolver(sp.ds, qindex.Options{}) })
+	sp.resOnce.Do(func() { sp.res = qindex.NewResolver(sp.ds) })
 	return sp.res
 }
 

@@ -12,7 +12,7 @@ import (
 // *dataset.Dataset (the naive O(n · preds) row scan) and
 // *qindex.Resolver (indexed, interned, memoized) implement it; the two
 // are semantically identical by qindex's equivalence property tests, so
-// every resolution path below accepts either.
+// ResolveSQL accepts either.
 type Selector interface {
 	Select(dataset.Predicate) query.Set
 }
@@ -24,22 +24,20 @@ type SDB struct {
 	// sensitive is the name accepted inside aggregate parentheses, e.g.
 	// "salary" in sum(salary).
 	sensitive string
-	// res resolves SQL statements; by default an indexed, memoizing
-	// resolver over the engine's dataset (see SQLResolver).
+	// res resolves SQL statements: an indexed, memoizing resolver over
+	// the engine's dataset (see SQLResolver).
 	res *SQLResolver
 }
 
 // NewSDB wraps an engine; sensitive names the aggregate target column.
 // Statements are resolved through a qindex.Resolver built over the
 // engine's dataset — O(log n + |result|) per predicate with interned
-// result sets — rather than the naive row scan. Use SetSelector to
-// install a different resolution path (e.g. the plain dataset for
-// baseline measurements).
+// result sets — rather than the naive row scan.
 func NewSDB(eng *Engine, sensitive string) *SDB {
 	return &SDB{
 		eng:       eng,
 		sensitive: sensitive,
-		res:       NewSQLResolver(qindex.NewResolver(eng.Dataset(), qindex.Options{})),
+		res:       NewSQLResolver(qindex.NewResolver(eng.Dataset())),
 	}
 }
 
@@ -48,11 +46,6 @@ func (s *SDB) Engine() *Engine { return s.eng }
 
 // Resolver returns the SQL resolution front-end the SDB routes through.
 func (s *SDB) Resolver() *SQLResolver { return s.res }
-
-// SetSelector replaces the predicate-resolution path. Passing the
-// engine's own dataset selects the naive scan (the pre-index behaviour);
-// passing a *qindex.Resolver restores indexed resolution with caching.
-func (s *SDB) SetSelector(sel Selector) { s.res = NewSQLResolver(sel) }
 
 // ResolveSQL parses one SQL-ish statement and resolves its predicate
 // through sel into an auditable query, without running it — the front-

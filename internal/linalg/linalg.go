@@ -290,11 +290,6 @@ func (e *Echelon[E, F]) Rows() [][]E {
 	return out
 }
 
-// Pivots returns a copy of the pivot columns in row order.
-func (e *Echelon[E, F]) Pivots() []int {
-	return append([]int(nil), e.pivot...)
-}
-
 // CheckInvariants verifies the RREF invariants, returning a descriptive
 // error when one is violated. It is used by property tests.
 func (e *Echelon[E, F]) CheckInvariants() error {

@@ -149,18 +149,6 @@ func (g *Graph) Callers(fn *types.Func) []Edge { return g.callers[fn] }
 // Funcs returns every module function with a body, in source order.
 func (g *Graph) Funcs() []*types.Func { return g.funcs }
 
-// EnclosingFunc returns the declared function whose body contains pos
-// (function literals attribute to their enclosing declaration), or nil.
-func (g *Graph) EnclosingFunc(pos token.Pos) *types.Func {
-	for _, fn := range g.funcs {
-		info := g.Decls[fn]
-		if info.Decl.Pos() <= pos && pos < info.Decl.End() {
-			return fn
-		}
-	}
-	return nil
-}
-
 // interfaceImpls maps each interface method used somewhere in the module
 // to the concrete methods of module-declared types that implement the
 // interface — the "actually bound in the module" dispatch set.

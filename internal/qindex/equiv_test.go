@@ -141,7 +141,7 @@ func TestResolverEquivalentAndStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		ds := genDataset(rng)
-		r := NewResolver(ds, Options{})
+		r := NewResolver(ds)
 		for p := 0; p < 40; p++ {
 			pred := genPred(rng, 2)
 			want := ds.Select(pred)
@@ -235,7 +235,7 @@ func FuzzEqEquivalence(f *testing.F) {
 // TestEmptyDataset covers the n = 0 boundary of every path.
 func TestEmptyDataset(t *testing.T) {
 	ds := dataset.New(dataset.Schema{{Name: "age", Kind: dataset.Numeric}}, nil)
-	r := NewResolver(ds, Options{})
+	r := NewResolver(ds)
 	for _, pred := range []dataset.Predicate{
 		dataset.TruePred{},
 		dataset.RangePred{Attr: "age", Lo: 0, Hi: 100},

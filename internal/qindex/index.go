@@ -102,9 +102,6 @@ func (ix *Index) N() int { return len(ix.all) }
 // Dataset returns the dataset the index was built over.
 func (ix *Index) Dataset() *dataset.Dataset { return ix.ds }
 
-// All returns the full row set (shared; callers must not mutate).
-func (ix *Index) All() query.Set { return ix.all }
-
 // Select resolves pred to its query set, falling back to the naive row
 // scan for predicate types the index does not understand. The returned
 // set may share memory with the index (posting lists, the full set);

@@ -92,7 +92,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestCachedQueryDoesNotCacheErrors(t *testing.T) {
-	r := NewResolver(companyDS(50), Options{})
+	r := NewResolver(companyDS(50))
 	calls := 0
 	build := func() (query.Query, error) {
 		calls++
@@ -170,7 +170,7 @@ func (o *countingObserver) ObserveBuild(rows int, _ time.Duration) {
 }
 
 func TestObserverSeesResolveEvents(t *testing.T) {
-	r := NewResolver(companyDS(80), Options{})
+	r := NewResolver(companyDS(80))
 	obs := newCountingObserver()
 	r.SetObserver(obs)
 	if obs.builds != 1 || obs.buildRows != 80 {
@@ -201,7 +201,7 @@ func TestObserverSeesResolveEvents(t *testing.T) {
 // and the flat "A AND B OR C" rendering shared by two different trees.
 func TestPredKeyUnambiguous(t *testing.T) {
 	ds := companyDS(30)
-	r := NewResolver(ds, Options{})
+	r := NewResolver(ds)
 	andEmpty := dataset.AndPred{}
 	orEmpty := dataset.OrPred{}
 	if got := r.Select(andEmpty); len(got) != ds.N() {
@@ -228,7 +228,7 @@ func TestPredKeyUnambiguous(t *testing.T) {
 
 func TestResolverConcurrentUse(t *testing.T) {
 	ds := companyDS(200)
-	r := NewResolver(ds, Options{PredEntries: 8, SQLEntries: 8, InternEntries: 8})
+	r := newResolver(ds, 8, 8)
 	preds := []dataset.Predicate{
 		dataset.RangePred{Attr: "age", Lo: 21, Hi: 30},
 		dataset.RangePred{Attr: "age", Lo: 30, Hi: 40},

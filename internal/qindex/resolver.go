@@ -29,21 +29,7 @@ type Observer interface {
 	ObserveBuild(rows int, elapsed time.Duration)
 }
 
-// Options sizes the resolver's caches. Zero values select defaults.
-type Options struct {
-	// PredEntries bounds the predicate → set memo (default 4096;
-	// negative = unbounded).
-	PredEntries int
-	// SQLEntries bounds the statement-string → query memo (default
-	// 4096; negative = unbounded).
-	SQLEntries int
-	// InternEntries bounds the canonical-set table (default
-	// DefaultInternEntries; negative = unbounded).
-	InternEntries int
-}
-
-// DefaultCacheEntries bounds the pred and sql memos when Options leaves
-// them 0.
+// DefaultCacheEntries bounds the pred and sql memos.
 const DefaultCacheEntries = 4096
 
 // Resolver is the serving-path façade over the index: predicate and
@@ -70,26 +56,25 @@ type cachedStatement struct {
 	q query.Query
 }
 
-// NewResolver builds the index over ds and wraps it with empty caches.
-func NewResolver(ds *dataset.Dataset, opt Options) *Resolver {
+// NewResolver builds the index over ds and wraps it with empty caches
+// bounded to DefaultCacheEntries statements and predicates and
+// DefaultInternEntries canonical sets.
+func NewResolver(ds *dataset.Dataset) *Resolver {
+	return newResolver(ds, DefaultCacheEntries, DefaultInternEntries)
+}
+
+// newResolver is NewResolver with explicit memo and interner bounds.
+func newResolver(ds *dataset.Dataset, cacheEntries, internEntries int) *Resolver {
 	start := time.Now() //auditlint:allow detrand build-duration stat for ops visibility; never read by resolution or decisions
 	idx := Build(ds)
-	r := &Resolver{
+	return &Resolver{
 		idx:          idx,
-		in:           NewInterner(opt.InternEntries),
-		preds:        newLRU[query.Set](orDefault(opt.PredEntries, DefaultCacheEntries)),
-		sqls:         newLRU[cachedStatement](orDefault(opt.SQLEntries, DefaultCacheEntries)),
+		in:           NewInterner(internEntries),
+		preds:        newLRU[query.Set](cacheEntries),
+		sqls:         newLRU[cachedStatement](cacheEntries),
 		buildRows:    ds.N(),
 		buildElapsed: time.Since(start),
 	}
-	return r
-}
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // Index returns the underlying immutable index.

@@ -174,10 +174,3 @@ func CumulativeIndex(rng *rand.Rand, cum []float64) int {
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p
 }
-
-// Shuffled returns a shuffled copy of xs.
-func Shuffled(rng *rand.Rand, xs []int) []int {
-	out := append([]int(nil), xs...)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}

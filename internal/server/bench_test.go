@@ -39,22 +39,24 @@ var benchStatements = []string{
 // BenchmarkResolve measures statement → query.Query resolution alone
 // (parse + predicate → row set), the layer the index replaces.
 //
-//	naive    per-request full-table scan (pre-index behaviour)
-//	indexed  shared qindex resolver (memoized statements, interned sets)
+//	naive    uncached core.ResolveSQL over the dataset (full-table scan)
+//	indexed  core.SQLResolver over a qindex resolver (memoized
+//	         statements, interned sets) — the serving path
 func BenchmarkResolve(b *testing.B) {
 	ds := benchDataset()
+	indexed := core.NewSQLResolver(qindex.NewResolver(ds))
 	arms := []struct {
-		name string
-		res  *core.SQLResolver
+		name    string
+		resolve func(sql string) (query.Query, error)
 	}{
-		{"naive", core.NewSQLResolver(ds)},
-		{"indexed", core.NewSQLResolver(qindex.NewResolver(ds, qindex.Options{}))},
+		{"naive", func(sql string) (query.Query, error) { return core.ResolveSQL(ds, "salary", sql) }},
+		{"indexed", func(sql string) (query.Query, error) { return indexed.ResolveSQL("salary", sql) }},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				q, err := arm.res.ResolveSQL("salary", benchStatements[i%len(benchStatements)])
+				q, err := arm.resolve(benchStatements[i%len(benchStatements)])
 				if err != nil || len(q.Set) == 0 {
 					b.Fatalf("resolve: %v (|set|=%d)", err, len(q.Set))
 				}
@@ -64,8 +66,8 @@ func BenchmarkResolve(b *testing.B) {
 }
 
 // benchServer builds a sessionful server over the 10k-row table with the
-// exact full-disclosure auditors, with or without the query index.
-func benchServer(b *testing.B, disableIndex bool) *Server {
+// exact full-disclosure auditors.
+func benchServer(b *testing.B) *Server {
 	b.Helper()
 	spec := core.NewEngineSpec(benchDataset())
 	spec.Register(func() (audit.Auditor, error) { return sumfull.New(benchRows), nil }, query.Sum)
@@ -74,9 +76,7 @@ func benchServer(b *testing.B, disableIndex bool) *Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Defaults()
-	opts.DisableQueryIndex = disableIndex
-	return NewWithSessions(mgr, "salary", WithOptions(opts))
+	return NewWithSessions(mgr, "salary")
 }
 
 // BenchmarkServeAsk measures the whole HTTP Ask path — routing, body
@@ -84,32 +84,24 @@ func benchServer(b *testing.B, disableIndex bool) *Server {
 // repeated-statement shape. ServeHTTP is driven directly (no sockets) so
 // the numbers isolate server work from kernel networking.
 func BenchmarkServeAsk(b *testing.B) {
-	for _, arm := range []struct {
-		name    string
-		disable bool
-	}{
-		{"naive", true},
-		{"indexed", false},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			srv := benchServer(b, arm.disable)
-			defer srv.Sessions().Close()
-			bodies := make([]string, len(benchStatements))
-			for i, sql := range benchStatements {
-				bodies[i] = fmt.Sprintf("{\"sql\": %q}", sql)
-			}
-			// Warm each statement once so both arms measure steady state
-			// (first-touch index build / auditor state setup excluded).
-			for _, body := range bodies {
-				serveAskOnce(b, srv, body)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveAskOnce(b, srv, bodies[i%len(bodies)])
-			}
-		})
-	}
+	b.Run("indexed", func(b *testing.B) {
+		srv := benchServer(b)
+		defer srv.Sessions().Close()
+		bodies := make([]string, len(benchStatements))
+		for i, sql := range benchStatements {
+			bodies[i] = fmt.Sprintf("{\"sql\": %q}", sql)
+		}
+		// Warm each statement once so the loop measures steady state
+		// (first-touch index build / auditor state setup excluded).
+		for _, body := range bodies {
+			serveAskOnce(b, srv, body)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveAskOnce(b, srv, bodies[i%len(bodies)])
+		}
+	})
 }
 
 func serveAskOnce(b *testing.B, srv *Server, body string) {
@@ -125,7 +117,7 @@ func serveAskOnce(b *testing.B, srv *Server, body string) {
 // BenchmarkServeAskQuerySet measures the explicit-queryset path (client-
 // resolved indices), where interning is the only index-layer work.
 func BenchmarkServeAskQuerySet(b *testing.B) {
-	srv := benchServer(b, false)
+	srv := benchServer(b)
 	defer srv.Sessions().Close()
 	idx := make([]string, 0, 2000)
 	for i := 0; i < 2000; i++ {

@@ -29,19 +29,9 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured line per request
 	// (method, path, status, bytes, duration, client).
 	AccessLog *log.Logger
-	// DisableQueryIndex resolves /v1/query statements through the naive
-	// per-request dataset scan instead of the shared indexed resolver —
-	// the pre-index behaviour, kept as a kill switch and as the baseline
-	// arm for benchmarks. Decisions are identical either way.
-	DisableQueryIndex bool
-	// QueryCacheEntries, when non-zero, sizes the statement/predicate
-	// memos of a server-owned resolver (negative = unbounded) instead of
-	// sharing the manager's default-sized one. Leave 0 to share the
-	// deployment resolver.
-	QueryCacheEntries int
 
 	// ReadHeaderTimeout / ReadTimeout / WriteTimeout / IdleTimeout are
-	// applied to the http.Server by Run and ListenAndServe.
+	// applied to the http.Server by Run.
 	ReadHeaderTimeout time.Duration
 	ReadTimeout       time.Duration
 	WriteTimeout      time.Duration
@@ -75,9 +65,6 @@ func WithOptions(o Options) Option { return func(s *Server) { s.opts = o } }
 // WithMetrics records into an externally owned registry instead of an
 // internal one (so the caller can read counters after shutdown).
 func WithMetrics(reg *metrics.Registry) Option { return func(s *Server) { s.reg = reg } }
-
-// WithAccessLog enables structured access logging.
-func WithAccessLog(l *log.Logger) Option { return func(s *Server) { s.opts.AccessLog = l } }
 
 // WithReadinessGate starts the server not-ready: /readyz and every
 // session-scoped endpoint answer 503 until MarkReady is called. Use it

@@ -7,10 +7,12 @@ import (
 	"net/http"
 )
 
-// httpServer builds the hardened http.Server with the configured
-// timeouts.
-func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{
+// Run serves on addr until ctx is cancelled, then drains in-flight
+// requests gracefully (bounded by Options.ShutdownTimeout) and returns
+// nil on a clean shutdown. If ready is non-nil it receives the bound
+// listener address once the socket is open (useful with ":0").
+func (s *Server) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
+	srv := &http.Server{
 		Addr:              addr,
 		Handler:           s,
 		ReadHeaderTimeout: s.opts.ReadHeaderTimeout,
@@ -18,14 +20,6 @@ func (s *Server) httpServer(addr string) *http.Server {
 		WriteTimeout:      s.opts.WriteTimeout,
 		IdleTimeout:       s.opts.IdleTimeout,
 	}
-}
-
-// Run serves on addr until ctx is cancelled, then drains in-flight
-// requests gracefully (bounded by Options.ShutdownTimeout) and returns
-// nil on a clean shutdown. If ready is non-nil it receives the bound
-// listener address once the socket is open (useful with ":0").
-func (s *Server) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
-	srv := s.httpServer(addr)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -51,10 +45,4 @@ func (s *Server) Run(ctx context.Context, addr string, ready chan<- net.Addr) er
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe runs the hardened server on addr (blocking, no
-// graceful shutdown — prefer Run).
-func (s *Server) ListenAndServe(addr string) error {
-	return s.httpServer(addr).ListenAndServe()
 }

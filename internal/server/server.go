@@ -38,12 +38,12 @@
 // default 1 MiB), and /v1/queryset and /v1/prime additionally bound the
 // number of indices / queries they accept (Options.MaxIndices,
 // Options.MaxPrimeQueries), so a single request cannot hold an engine
-// lock arbitrarily long. Run (and ListenAndServe) install read/write/
-// idle timeouts on the http.Server and drain in-flight requests on
-// context cancellation. All handlers run behind middleware that records
-// per-route counters and latency histograms into a metrics.Registry
-// (exported at GET /v1/metrics) and, when Options.AccessLog is set,
-// writes one structured line per request. An optional per-client
+// lock arbitrarily long. Run installs read/write/idle timeouts on the
+// http.Server and drains in-flight requests on context cancellation.
+// All handlers run behind middleware that records per-route counters
+// and latency histograms into a metrics.Registry (exported at GET
+// /v1/metrics) and, when Options.AccessLog is set, writes one
+// structured line per request. An optional per-client
 // concurrency limiter (Options.PerClientConcurrency) bounds how many
 // requests one client may have in flight.
 //
@@ -79,7 +79,6 @@ import (
 	"queryaudit/internal/cluster"
 	"queryaudit/internal/core"
 	"queryaudit/internal/metrics"
-	"queryaudit/internal/qindex"
 	"queryaudit/internal/query"
 	"queryaudit/internal/replica"
 	"queryaudit/internal/session"
@@ -97,9 +96,8 @@ const maxAnalystIDLen = 128
 type Server struct {
 	mgr       *session.Manager
 	sensitive string
-	// sqlRes resolves /v1/query statements: by default the deployment's
-	// shared indexed resolver (memoized statements, interned sets); the
-	// naive per-request scan when Options.DisableQueryIndex is set.
+	// sqlRes resolves /v1/query statements through the deployment's
+	// shared indexed resolver (memoized statements, interned sets).
 	sqlRes  *core.SQLResolver
 	mux     *http.ServeMux
 	handler http.Handler // mux behind the middleware chain
@@ -136,23 +134,9 @@ func NewWithSessions(mgr *session.Manager, sensitive string, opts ...Option) *Se
 	if s.opts.PerClientConcurrency > 0 {
 		s.limiter = newClientLimiter(s.opts.PerClientConcurrency)
 	}
-	switch {
-	case s.opts.DisableQueryIndex:
-		s.sqlRes = core.NewSQLResolver(mgr.Dataset())
-	case s.opts.QueryCacheEntries != 0:
-		// A server-owned resolver with caller-sized memos (the shared
-		// interner bound keeps its default — canonical sets are tiny).
-		qr := qindex.NewResolver(mgr.Dataset(), qindex.Options{
-			PredEntries: s.opts.QueryCacheEntries,
-			SQLEntries:  s.opts.QueryCacheEntries,
-		})
-		qr.SetObserver(metrics.NewQIndexCollector(s.reg))
-		s.sqlRes = core.NewSQLResolver(qr)
-	default:
-		qr := mgr.Resolver()
-		qr.SetObserver(metrics.NewQIndexCollector(s.reg))
-		s.sqlRes = core.NewSQLResolver(qr)
-	}
+	qr := mgr.Resolver()
+	qr.SetObserver(metrics.NewQIndexCollector(s.reg))
+	s.sqlRes = core.NewSQLResolver(qr)
 	s.mux.HandleFunc("POST /v1/query", s.whenReady(s.writable(s.handleQuery)))
 	s.mux.HandleFunc("POST /v1/queryset", s.whenReady(s.writable(s.handleQuerySet)))
 	s.mux.HandleFunc("POST /v1/update", s.whenReady(s.writable(s.handleUpdate)))
@@ -214,7 +198,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Sessions() *session.Manager { return s.mgr }
 
 // Resolver returns the SQL resolution front-end /v1/query routes
-// through (indexed by default; the naive scan under DisableQueryIndex).
+// through.
 func (s *Server) Resolver() *core.SQLResolver { return s.sqlRes }
 
 // MarkReady opens the session-scoped endpoints on a readiness-gated
@@ -239,11 +223,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// analystID extracts the analyst identity: X-Analyst-ID header first,
+// AnalystID extracts the analyst identity: X-Analyst-ID header first,
 // then the ?analyst= query parameter, else the shared default session.
 // IDs are capped at 128 bytes of printable ASCII so arbitrary header
-// bytes never become map keys or log lines.
-func analystID(r *http.Request) (string, error) {
+// bytes never become map keys or log lines. A router in front of the
+// shards must place requests by exactly this identity, or placement and
+// ownership disagree.
+func AnalystID(r *http.Request) (string, error) {
 	a := r.Header.Get("X-Analyst-ID")
 	if a == "" {
 		a = r.URL.Query().Get("analyst")
@@ -268,7 +254,7 @@ func analystID(r *http.Request) (string, error) {
 // detected for it) answers 503: its replayed state provably differs from
 // the primary's, so any answer would come from a forged timeline.
 func (s *Server) analyst(w http.ResponseWriter, r *http.Request) (string, bool) {
-	a, err := analystID(r)
+	a, err := AnalystID(r)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return "", false

@@ -55,7 +55,10 @@ func equivWorkload(rng *rand.Rand, steps int) []string {
 	return out
 }
 
-func equivStacks(t *testing.T, n int, family string) (naive, indexed *core.SDB) {
+// equivStacks builds two identical stacks: naive is a bare engine whose
+// statements the test resolves with the uncached dataset scan, indexed
+// is an SDB resolving through the qindex front-end.
+func equivStacks(t *testing.T, n int, family string) (naive *core.Engine, indexed *core.SDB) {
 	t.Helper()
 	build := func() *core.SDB {
 		cfg := dataset.DefaultCompanyConfig(n)
@@ -87,13 +90,7 @@ func equivStacks(t *testing.T, n int, family string) (naive, indexed *core.SDB) 
 		}
 		return core.NewSDB(eng, "salary")
 	}
-	naive = build()
-	naive.SetSelector(naive.Engine().Dataset()) // pre-index behaviour
-	indexed = build()
-	if !indexed.Resolver().Indexed() || naive.Resolver().Indexed() {
-		t.Fatal("stack setup: expected one indexed and one naive resolver")
-	}
-	return naive, indexed
+	return build().Engine(), build()
 }
 
 func TestDecisionsIdenticalAcrossResolutionPaths(t *testing.T) {
@@ -109,7 +106,11 @@ func TestDecisionsIdenticalAcrossResolutionPaths(t *testing.T) {
 			}
 			workload := equivWorkload(randx.New(99), steps)
 			for i, sql := range workload {
-				rn, errN := naive.Query(sql)
+				q, errN := core.ResolveSQL(naive.Dataset(), "salary", sql)
+				var rn core.Response
+				if errN == nil {
+					rn, errN = naive.Ask(q)
+				}
 				ri, errI := indexed.Query(sql)
 				if (errN == nil) != (errI == nil) {
 					t.Fatalf("step %d %q: error divergence: naive=%v indexed=%v", i, sql, errN, errI)
