@@ -86,7 +86,7 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 4096, "maximum admitted analyst sessions (0 = unlimited; beyond it new analysts get 503)")
 		maxLive     = flag.Int("session-max-live", 256, "maximum materialized session engines before LRU eviction to logs (0 = unlimited)")
 		sessTTL     = flag.Duration("session-ttl", time.Hour, "idle time before a session (log included) expires (0 = never)")
-		sessShards  = flag.Int("session-shards", 16, "lock shards for the session table")
+		sessShards  = flag.Int("session-shards", 16, "lock shards for the session table (at least 1)")
 		maxBody     = flag.Int64("max-body-bytes", 1<<20, "maximum POST body size in bytes")
 		maxIndices  = flag.Int("max-indices", 100_000, "maximum indices per query set")
 		perClient   = flag.Int("per-client-concurrency", 0, "maximum in-flight requests per client IP (0 = unlimited)")
@@ -114,6 +114,11 @@ func main() {
 	logger := log.New(os.Stderr, "auditserver ", log.LstdFlags|log.Lmsgprefix)
 	if *snapshot != "" {
 		logger.Fatalf("-snapshot has been removed: use -session-snapshot, which persists every session's journal and restores it by replay")
+	}
+	if *sessShards < 1 {
+		// The shard-waiter gauges are sized from this flag, so a value the
+		// manager would round up to its default must not reach them.
+		logger.Fatalf("-session-shards must be at least 1, got %d", *sessShards)
 	}
 	cview, fleetDesc, err := clusterSetup(*clusterConfig, *shardID)
 	if err != nil {
@@ -147,7 +152,7 @@ func main() {
 	ds := stack.NewDataset()
 
 	// One spec builds every session's engine: identical fresh auditors,
-	// observers installed at construction (never mid-flight).
+	// collectors installed at construction (never mid-flight).
 	reg := metrics.NewRegistry()
 	spec := core.NewEngineSpec(ds)
 	spec.SetObserver(metrics.NewEngineCollector(reg))

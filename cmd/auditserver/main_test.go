@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -121,5 +122,25 @@ func TestSnapshotFlagRemoved(t *testing.T) {
 	}
 	if data, err := os.ReadFile(snap); err != nil || string(data) != old {
 		t.Fatalf("-snapshot touched its file: %q, %v", data, err)
+	}
+}
+
+// TestSessionShardsRejectsZero: a shard count below 1 stops the process
+// at startup naming the flag, instead of serving without the
+// session_shard_waiters_<i> gauges.
+func TestSessionShardsRejectsZero(t *testing.T) {
+	bin := buildServer(t)
+	for _, v := range []string{"0", "-1"} {
+		// A server that accepts the value would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-n", "30", "-addr", "127.0.0.1:0", "-session-shards", v).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("-session-shards %s: err %v, want a non-zero exit\n%s", v, err, out)
+		}
+		if !strings.Contains(string(out), "-session-shards") || strings.Contains(string(out), "listening on") {
+			t.Fatalf("-session-shards %s output does not name the flag before serving:\n%s", v, out)
+		}
 	}
 }

@@ -76,10 +76,10 @@ type AnswerDependent interface {
 	Record(q query.Query, answer float64)
 }
 
-// UpdateObserver is implemented by auditors that support database updates
+// Updatable is implemented by auditors that support database updates
 // (Sections 5–6): the engine notifies them when a record's sensitive
 // value is modified, so stale constraints can be retired.
-type UpdateObserver interface {
+type Updatable interface {
 	// NoteUpdate reports that record idx was modified (its version grew).
 	NoteUpdate(idx int)
 }

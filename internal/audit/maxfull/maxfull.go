@@ -226,7 +226,7 @@ func (a *Auditor) Record(q query.Query, answer float64) {
 	}
 }
 
-// NoteUpdate implements audit.UpdateObserver: record idx's sensitive
+// NoteUpdate implements audit.Updatable: record idx's sensitive
 // value changed, so its derived bounds are retired and any equality
 // predicate that might have had it as witness is demoted to a
 // witness-free bound.

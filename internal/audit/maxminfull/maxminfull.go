@@ -127,7 +127,7 @@ func (a *Auditor) Record(q query.Query, answer float64) {
 	}
 }
 
-// NoteUpdate implements audit.UpdateObserver.
+// NoteUpdate implements audit.Updatable.
 func (a *Auditor) NoteUpdate(idx int) {
 	if idx < 0 || idx >= a.n {
 		return

@@ -34,7 +34,7 @@ func TestDecideLeavesSharedSynopsis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.SetScheduler(sched)
+		a.ConfigureMC(0, nil, sched)
 		var ds []audit.Decision
 		for answered := 0; answered < 12 && len(ds) < 200; {
 			kind := query.Max

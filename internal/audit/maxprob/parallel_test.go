@@ -68,7 +68,7 @@ func TestEarlyExitSavesSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.NewRegistry()
-		a.SetMCObserver(metrics.NewMCCollector(reg))
+		a.ConfigureMC(0, metrics.NewMCCollector(reg), nil)
 		d, err := a.Decide(query.New(query.Max, 3))
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestDecisionsUseFreshSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	a.SetMCObserver(metrics.NewMCCollector(reg))
+	a.ConfigureMC(0, metrics.NewMCCollector(reg), nil)
 	q := query.New(query.Max, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	if _, err := a.Decide(q); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func (a *Auditor) Record(q query.Query, answer float64) {
 	a.inner.Record(query.Query{Set: q.Set, Kind: query.Max}, -answer)
 }
 
-// NoteUpdate implements audit.UpdateObserver.
+// NoteUpdate implements audit.Updatable.
 func (a *Auditor) NoteUpdate(idx int) { a.inner.NoteUpdate(idx) }
 
 // Compromised reports whether the committed trail pins a value.

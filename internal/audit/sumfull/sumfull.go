@@ -110,7 +110,7 @@ func (a *Auditor[E, F]) Record(q query.Query, _ float64) {
 	a.answered++
 }
 
-// NoteUpdate implements audit.UpdateObserver: record idx was modified,
+// NoteUpdate implements audit.Updatable: record idx was modified,
 // so its future queries reference a fresh column while old equations keep
 // constraining the retired version.
 func (a *Auditor[E, F]) NoteUpdate(idx int) {

@@ -41,6 +41,7 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/interval"
 	"queryaudit/internal/mcpar"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -141,7 +142,7 @@ type Auditor struct {
 	// yet bit-reproducible across runs and worker counts.
 	decisions uint64
 	// mc observes per-decision Monte Carlo accounting (may be nil).
-	mc            mcpar.Observer
+	mc            *metrics.MCCollector
 	sched         *mcpar.Scheduler
 	denyThreshold float64
 
@@ -171,16 +172,16 @@ func New(n int, params Params) (*Auditor, error) {
 	}, nil
 }
 
-// SetWorkers adjusts the per-decision worker cap (0 = GOMAXPROCS).
-func (a *Auditor) SetWorkers(n int) { a.params.Workers = n }
-
-// SetMCObserver installs the per-decision Monte Carlo observer (nil
-// disables).
-func (a *Auditor) SetMCObserver(o mcpar.Observer) { a.mc = o }
-
-// SetScheduler points the auditor's decisions at a shared assist pool
-// (nil selects mcpar.Default()).
-func (a *Auditor) SetScheduler(s *mcpar.Scheduler) { a.sched = s }
+// ConfigureMC installs the per-decision Monte Carlo accounting collector
+// (nil disables) and the shared assist pool (nil selects
+// mcpar.Default()), and sets Params.Workers, the per-decision pool cap,
+// when workers is non-zero.
+func (a *Auditor) ConfigureMC(workers int, mc *metrics.MCCollector, sched *mcpar.Scheduler) {
+	if workers != 0 {
+		a.params.Workers = workers
+	}
+	a.mc, a.sched = mc, sched
+}
 
 // Name implements audit.Auditor.
 func (a *Auditor) Name() string { return "sum-partial-disclosure" }

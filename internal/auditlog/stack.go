@@ -82,8 +82,10 @@ func (c StackConfig) NewDataset() *dataset.Dataset {
 	return dataset.GenerateCompany(randx.New(c.Seed), c.DatasetConfig())
 }
 
-// RegisterAuditors installs the family's auditor factories on spec.
-// Observers and the shared Monte Carlo scheduler stay the caller's
+// RegisterAuditors installs the family's auditor factories on spec,
+// with MCWorkers as the prob auditors' per-decision pool cap. The
+// spec's metrics collectors (SetObserver, SetMCObserver) and its shared
+// Monte Carlo scheduler (SetMCScheduler) stay the caller's
 // responsibility — they affect reporting and parallelism, never the
 // decisions themselves.
 func (c StackConfig) RegisterAuditors(spec *core.EngineSpec) error {

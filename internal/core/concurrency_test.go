@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"queryaudit/internal/audit"
+	"queryaudit/internal/audit/maxfull"
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
 
@@ -152,42 +154,42 @@ func TestKnowledgeSnapshotConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestObserverEvents: the instrumentation hook sees every decided query
-// and prime outcome, and runs under the engine lock (appends below are
-// unsynchronized on purpose; -race verifies the serialization).
-type recordingObserver struct {
-	decisions []string
-	primes    []string
-}
-
-func (o *recordingObserver) ObserveDecision(k query.Kind, denied bool, _ time.Duration) {
-	o.decisions = append(o.decisions, fmt.Sprintf("%v:%v", k, denied))
-}
-
-func (o *recordingObserver) ObservePrime(committed int, ok bool) {
-	o.primes = append(o.primes, fmt.Sprintf("%d:%v", committed, ok))
-}
-
+// TestObserverEvents: the spec's engine collector counts every decided
+// query once (Avg→Sum recursion included) and every prime outcome.
 func TestObserverEvents(t *testing.T) {
-	eng, _ := newTestEngine()
-	obs := &recordingObserver{}
-	eng.SetObserver(obs)
+	ds := dataset.FromValues([]float64{10, 20, 30, 40})
+	sp := NewEngineSpec(ds)
+	sp.Register(func() (audit.Auditor, error) { return sumfull.New(ds.N()), nil }, query.Sum)
+	sp.Register(func() (audit.Auditor, error) { return maxfull.New(ds.N()), nil }, query.Max)
+	reg := metrics.NewRegistry()
+	sp.SetObserver(metrics.NewEngineCollector(reg))
+	eng, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.Ask(query.New(query.Sum, 0, 1, 2, 3)) // answered
 	eng.Ask(query.New(query.Sum, 1, 2, 3))    // denied (complement)
 	eng.Ask(query.New(query.Avg, 0, 1))       // one event, not two (Avg→Sum recursion)
 	if err := eng.Prime([]query.Query{query.New(query.Max, 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"sum:false", "sum:true", "avg:false", "max:false"}
-	if len(obs.decisions) != len(want) {
-		t.Fatalf("decisions = %v, want %v", obs.decisions, want)
+	snap := reg.Snapshot()
+	want := map[string]int64{
+		"engine_answered_total_sum":   1,
+		"engine_denied_total_sum":     1,
+		"engine_answered_total_avg":   1,
+		"engine_answered_total_max":   1,
+		"engine_denied_total_max":     0,
+		"engine_prime_ok_total":       1,
+		"engine_prime_failed_total":   0,
+		"engine_primed_queries_total": 1,
 	}
-	for i := range want {
-		if obs.decisions[i] != want[i] {
-			t.Fatalf("decision %d = %q, want %q", i, obs.decisions[i], want[i])
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
-	if len(obs.primes) != 1 || obs.primes[0] != "1:true" {
-		t.Fatalf("primes = %v, want [1:true]", obs.primes)
+	if got := snap.Histograms["engine_decide_seconds"].Count; got != 4 {
+		t.Errorf("engine_decide_seconds count = %d, want 4", got)
 	}
 }

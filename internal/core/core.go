@@ -19,7 +19,7 @@ import (
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/dataset"
-	"queryaudit/internal/mcpar"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
 
@@ -74,28 +74,15 @@ type Engine struct {
 	ds       *dataset.Dataset
 	auditors map[query.Kind]audit.Auditor         // auditlint:guardedby(mu)
 	naive    map[query.Kind]audit.AnswerDependent // auditlint:guardedby(mu)
-	obs      Observer                             // auditlint:guardedby(mu)
+	// obs counts decisions and primes (nil: uninstrumented). Set by
+	// EngineSpec.Build before the engine is published, never after.
+	obs *metrics.EngineCollector
 	// rec journals committed protocol steps for session replay (see
 	// replay.go); nil disables journaling.
 	rec Recorder // auditlint:guardedby(mu)
 	// stats
 	answered int // auditlint:guardedby(mu)
 	denied   int // auditlint:guardedby(mu)
-}
-
-// Observer receives engine protocol events for instrumentation. The
-// callbacks run while the engine lock is held, so implementations must
-// be fast and lock-free (atomic counters / histograms) and must not call
-// back into the engine.
-type Observer interface {
-	// ObserveDecision reports one completed top-level query: its
-	// aggregate kind, whether it was denied, and the wall-clock time the
-	// decide/evaluate/record critical section took. Queries that fail
-	// with an error (malformed, unsupported) are not reported.
-	ObserveDecision(kind query.Kind, denied bool, elapsed time.Duration)
-	// ObservePrime reports one Prime call: how many queries were
-	// committed before it stopped, and whether the whole list succeeded.
-	ObservePrime(committed int, ok bool)
 }
 
 // NewEngine returns an engine over ds with no auditors registered.
@@ -141,94 +128,6 @@ func (e *Engine) UseAnswerDependent(a audit.AnswerDependent, kinds ...query.Kind
 	for _, k := range kinds {
 		e.naive[k] = a
 	}
-}
-
-// SetObserver installs the instrumentation hook (nil disables). See
-// Observer for the constraints on implementations.
-func (e *Engine) SetObserver(o Observer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.obs = o
-}
-
-// MCTunable is satisfied by auditors whose decisions run on the shared
-// parallel Monte Carlo engine (internal/mcpar): the probabilistic
-// auditors expose a worker-pool knob and a per-decision observer hook.
-type MCTunable interface {
-	// SetWorkers bounds the Monte Carlo pool per decision
-	// (0 = GOMAXPROCS, 1 = sequential).
-	SetWorkers(n int)
-	// SetMCObserver installs the per-decision accounting hook (nil
-	// disables). metrics.MCCollector implements mcpar.Observer.
-	SetMCObserver(o mcpar.Observer)
-}
-
-// SetMCWorkers sets the Monte Carlo pool size on every registered auditor
-// that supports it and reports how many auditors it reached. Non-Monte-
-// Carlo auditors (the full-disclosure family, the naive baselines) are
-// unaffected.
-func (e *Engine) SetMCWorkers(n int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.forEachMCTunableLocked(func(t MCTunable) { t.SetWorkers(n) })
-}
-
-// SetMCObserver installs the Monte Carlo accounting observer on every
-// registered auditor that supports it and reports how many it reached.
-func (e *Engine) SetMCObserver(o mcpar.Observer) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.forEachMCTunableLocked(func(t MCTunable) { t.SetMCObserver(o) })
-}
-
-// MCSchedulable is satisfied by auditors whose decisions can share a
-// cross-decision assist pool (mcpar.Scheduler). It is separate from
-// MCTunable so auditors may adopt the scheduler incrementally.
-type MCSchedulable interface {
-	// SetScheduler points the auditor at a shared assist pool (nil
-	// selects the process-wide default).
-	SetScheduler(s *mcpar.Scheduler)
-}
-
-// SetMCScheduler installs the shared decision scheduler on every
-// registered auditor that supports it and reports how many it reached.
-// All of a deployment's engines should share ONE scheduler: that is what
-// bounds the process's concurrent sample evaluation at the pool size
-// regardless of how many analyst sessions are deciding at once.
-func (e *Engine) SetMCScheduler(s *mcpar.Scheduler) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	seen := map[audit.Auditor]bool{}
-	reached := 0
-	for _, a := range e.auditors {
-		if seen[a] {
-			continue
-		}
-		seen[a] = true
-		if t, ok := a.(MCSchedulable); ok {
-			t.SetScheduler(s)
-			reached++
-		}
-	}
-	return reached
-}
-
-// forEachMCTunableLocked applies f once per distinct MC-tunable auditor;
-// callers hold mu.
-func (e *Engine) forEachMCTunableLocked(f func(MCTunable)) int {
-	seen := map[audit.Auditor]bool{}
-	reached := 0
-	for _, a := range e.auditors {
-		if seen[a] {
-			continue
-		}
-		seen[a] = true
-		if t, ok := a.(MCTunable); ok {
-			f(t)
-			reached++
-		}
-	}
-	return reached
 }
 
 // Answered returns how many queries were answered.
@@ -305,12 +204,13 @@ func (e *Engine) Ask(q query.Query) (Response, error) {
 	return e.askObservedLocked(q)
 }
 
-// askObservedLocked wraps askLocked with the instrumentation hook; it reports only
+// askObservedLocked wraps askLocked with the engine collector; it reports only
 // top-level queries (the Avg→Sum recursion inside ask stays one event).
+// Queries that fail with an error (malformed, unsupported) are not reported.
 func (e *Engine) askObservedLocked(q query.Query) (Response, error) {
 	start := time.Now() //auditlint:allow detrand latency metric stamp for the observer hook; never a decision input
 	resp, err := e.askLocked(q)
-	if e.obs != nil && err == nil {
+	if err == nil {
 		e.obs.ObserveDecision(q.Kind, resp.Denied, time.Since(start))
 	}
 	return resp, err
@@ -415,9 +315,7 @@ func (e *Engine) Prime(qs []query.Query) error {
 		}
 		committed++
 	}
-	if e.obs != nil {
-		e.obs.ObservePrime(committed, err == nil)
-	}
+	e.obs.ObservePrime(committed, err == nil)
 	return err
 }
 
@@ -439,7 +337,7 @@ func (e *Engine) Update(i int, v float64) error {
 			continue
 		}
 		seen[a] = true
-		if _, ok := a.(audit.UpdateObserver); !ok {
+		if _, ok := a.(audit.Updatable); !ok {
 			return fmt.Errorf("core: auditor %q does not support updates", a.Name())
 		}
 	}

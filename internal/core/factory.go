@@ -7,6 +7,7 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/mcpar"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/qindex"
 	"queryaudit/internal/query"
 )
@@ -20,13 +21,13 @@ type AuditorFactory func() (audit.Auditor, error)
 
 // EngineSpec is a reusable recipe for building identical engines over
 // one shared dataset: the auditor factories with their aggregate-kind
-// registrations, plus the instrumentation to install at construction
-// time.
+// registrations, plus the collectors and Monte Carlo settings Build
+// gives every engine.
 //
-// Observers are installed by Build BEFORE the engine is returned — never
-// via SetObserver on an engine that is already serving traffic — so
+// Build is the only way to configure an engine's collectors and Monte
+// Carlo settings, and it does so before the engine is returned, so
 // session-created engines are born fully instrumented and there is no
-// window in which a decision can slip past the collector (or race with
+// window in which a decision can slip past a collector (or race with
 // its installation).
 //
 // A joint auditor guarding several kinds (the max∧min family) must be
@@ -36,8 +37,8 @@ type AuditorFactory func() (audit.Auditor, error)
 type EngineSpec struct {
 	ds      *dataset.Dataset
 	entries []specEntry
-	obs     Observer
-	mcObs   mcpar.Observer
+	obs     *metrics.EngineCollector
+	mcObs   *metrics.MCCollector
 	workers int
 	sched   *mcpar.Scheduler
 	// resOnce/res: the deployment-shared indexed resolver over ds, built
@@ -77,48 +78,48 @@ func (sp *EngineSpec) Register(f AuditorFactory, kinds ...query.Kind) {
 	sp.entries = append(sp.entries, specEntry{build: f, kinds: kinds})
 }
 
-// SetObserver sets the protocol observer installed on every built
-// engine. Collectors backed by atomic registries (metrics.
-// EngineCollector) are safe to share across all sessions' engines.
-func (sp *EngineSpec) SetObserver(o Observer) { sp.obs = o }
+// SetObserver sets the protocol collector of every built engine. One
+// collector is safe to share across all sessions' engines.
+func (sp *EngineSpec) SetObserver(o *metrics.EngineCollector) { sp.obs = o }
 
-// SetMCObserver sets the Monte Carlo observer installed on every built
-// engine's MC-tunable auditors.
-func (sp *EngineSpec) SetMCObserver(o mcpar.Observer) { sp.mcObs = o }
+// SetMCObserver sets the Monte Carlo collector of every built engine's
+// probabilistic auditors.
+func (sp *EngineSpec) SetMCObserver(o *metrics.MCCollector) { sp.mcObs = o }
 
-// SetMCWorkers sets the Monte Carlo pool size applied to every built
-// engine (0 leaves auditors at their own default).
+// SetMCWorkers sets the per-decision Monte Carlo pool cap of every built
+// engine's probabilistic auditors (0 keeps each auditor's
+// Params.Workers).
 func (sp *EngineSpec) SetMCWorkers(n int) { sp.workers = n }
 
-// SetMCScheduler sets the shared decision scheduler installed on every
-// built engine's schedulable auditors. One scheduler per deployment:
+// SetMCScheduler sets the shared decision scheduler of every built
+// engine's probabilistic auditors. One scheduler per deployment:
 // sessions built from the same spec then multiplex their decisions over
 // one machine-sized pool instead of fanning out per decision.
 func (sp *EngineSpec) SetMCScheduler(s *mcpar.Scheduler) { sp.sched = s }
 
+// mcAuditor is an auditor whose decisions run on the shared Monte Carlo
+// engine (internal/mcpar): maxprob, maxminprob and sumprob.
+type mcAuditor interface {
+	ConfigureMC(workers int, mc *metrics.MCCollector, sched *mcpar.Scheduler)
+}
+
 // Build constructs a fresh engine: new auditor instances from every
-// factory, observers and MC knobs installed before the engine is
-// published to any other goroutine.
+// factory, with the spec's collectors and Monte Carlo settings in place
+// before the engine is published to any other goroutine. Each factory
+// call is one auditor instance, so each is configured once even when it
+// guards several kinds.
 func (sp *EngineSpec) Build() (*Engine, error) {
 	e := NewEngine(sp.ds)
+	e.obs = sp.obs
 	for _, en := range sp.entries {
 		a, err := en.build()
 		if err != nil {
 			return nil, fmt.Errorf("core: building auditor: %w", err)
 		}
+		if m, ok := a.(mcAuditor); ok {
+			m.ConfigureMC(sp.workers, sp.mcObs, sp.sched)
+		}
 		e.Use(a, en.kinds...)
-	}
-	if sp.obs != nil {
-		e.SetObserver(sp.obs)
-	}
-	if sp.mcObs != nil {
-		e.SetMCObserver(sp.mcObs)
-	}
-	if sp.workers != 0 {
-		e.SetMCWorkers(sp.workers)
-	}
-	if sp.sched != nil {
-		e.SetMCScheduler(sp.sched)
 	}
 	return e, nil
 }

@@ -2,43 +2,48 @@ package core
 
 import (
 	"testing"
-	"time"
 
+	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/maxprob"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
 
-type nopMCObserver struct{ calls int }
-
-func (o *nopMCObserver) ObserveMC(_, _, _, _ int, _, _ time.Duration) { o.calls++ }
-
-// SetMCWorkers / SetMCObserver must reach every MC-tunable auditor
-// exactly once (even when registered for several kinds) and skip the
-// exact-disclosure family.
+// TestEngineMCForwarding: Build hands the spec's Monte Carlo workers,
+// collector and scheduler to each probabilistic auditor it builds, and
+// skips the exact-disclosure family.
 func TestEngineMCForwarding(t *testing.T) {
 	const n = 10
 	ds := dataset.UniformDuplicateFree(randx.New(1), n, 0, 1)
-	eng := NewEngine(ds)
-
-	if got := eng.SetMCWorkers(4); got != 0 {
-		t.Fatalf("empty engine reached %d auditors", got)
-	}
-
-	mp, err := maxprob.New(n, maxprob.Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12})
+	sp := NewEngineSpec(ds)
+	params := maxprob.Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1}
+	sp.Register(func() (audit.Auditor, error) { return maxprob.New(n, params) }, query.Max, query.Min)
+	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Sum)
+	reg := metrics.NewRegistry()
+	sched := mcpar.NewScheduler(2)
+	defer sched.Close()
+	sched.SetObserver(metrics.NewSchedCollector(reg))
+	sp.SetMCObserver(metrics.NewMCCollector(reg))
+	sp.SetMCWorkers(4)
+	sp.SetMCScheduler(sched)
+	eng, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Use(mp, query.Max, query.Min) // one auditor, two registrations
-	eng.Use(maxminfull.New(n), query.Sum)
-
-	if got := eng.SetMCWorkers(4); got != 1 {
-		t.Fatalf("SetMCWorkers reached %d auditors, want 1 (maxprob only, deduplicated)", got)
+	if _, err := eng.Ask(query.New(query.Max, 0, 1, 2)); err != nil {
+		t.Fatal(err)
 	}
-	obs := &nopMCObserver{}
-	if got := eng.SetMCObserver(obs); got != 1 {
-		t.Fatalf("SetMCObserver reached %d auditors, want 1", got)
+	snap := reg.Snapshot()
+	if got := snap.Counters["mc_decisions_total"]; got != 1 {
+		t.Fatalf("mc_decisions_total = %d, want 1", got)
+	}
+	// Workers 4 overrides Params.Workers 1: the decision offers the
+	// scheduler its 3 assist tokens.
+	if got := snap.Counters["mcsched_tokens_total"]; got != 3 {
+		t.Fatalf("mcsched_tokens_total = %d, want 3", got)
 	}
 }

@@ -112,7 +112,7 @@ var ErrReplayDiverged = errors.New("core: replay diverged from logged outcome")
 // — the dataset may have been updated since, and simulatability
 // guarantees the logged answer is the only data the auditor ever saw.
 //
-// Replay does not fire the protocol Observer (a replayed decision is not
+// Replay does not report to the engine collector (a replayed decision is not
 // a new decision) and does not re-journal through the Recorder; install
 // the recorder after the journal has been drained.
 func (e *Engine) Replay(ev DecisionEvent) error {
@@ -175,14 +175,14 @@ func (e *Engine) Replay(ev DecisionEvent) error {
 }
 
 // SupportsUpdates reports whether every registered simulatable auditor
-// can observe database updates (audit.UpdateObserver) — the same
+// can observe database updates (audit.Updatable) — the same
 // condition Update enforces per call, exposed so a session manager can
 // check once per deployment instead of once per session.
 func (e *Engine) SupportsUpdates() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, a := range e.auditors {
-		if _, ok := a.(audit.UpdateObserver); !ok {
+		if _, ok := a.(audit.Updatable); !ok {
 			return false
 		}
 	}
@@ -211,12 +211,12 @@ func (e *Engine) noteUpdateLocked(i int) error {
 			continue
 		}
 		seen[a] = true
-		if _, ok := a.(audit.UpdateObserver); !ok {
+		if _, ok := a.(audit.Updatable); !ok {
 			return fmt.Errorf("core: auditor %q does not support updates", a.Name())
 		}
 	}
 	for a := range seen {
-		a.(audit.UpdateObserver).NoteUpdate(i)
+		a.(audit.Updatable).NoteUpdate(i)
 	}
 	return nil
 }

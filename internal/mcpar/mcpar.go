@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/randx"
 )
 
@@ -69,7 +70,7 @@ type Config struct {
 	// worker count.
 	Seed int64
 	// Observer, when non-nil, receives one report per Vote run.
-	Observer Observer
+	Observer *metrics.MCCollector
 	// Sched is the assist pool to draw spare capacity from; nil selects
 	// the process-wide Default(). The pool is shared by all concurrent
 	// decisions — Workers only caps how much of it one decision may use.
@@ -79,13 +80,6 @@ type Config struct {
 	// confidence 1-AdaptiveAlpha. Zero keeps the exact certificates only,
 	// which never change a decision.
 	AdaptiveAlpha float64
-}
-
-// Observer receives per-decision Monte Carlo accounting — sample budget
-// vs samples actually evaluated (early-exit savings) and wall vs busy
-// time (parallel speedup). internal/metrics.MCCollector implements it.
-type Observer interface {
-	ObserveMC(budget, evaluated, votes, workers int, wall, busy time.Duration)
 }
 
 // Outcome reports one Vote run.
@@ -113,7 +107,7 @@ type Outcome struct {
 	// test rather than an exact certificate.
 	Adaptive bool
 	// busy is the summed per-worker time inside the sample loop;
-	// observers receive it via ObserveMC.
+	// Config.Observer receives it via ObserveMC.
 	busy time.Duration
 }
 
@@ -195,12 +189,9 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 	workers := cfg.resolveWorkers(budget)
 	start := time.Now() //auditlint:allow detrand latency metric stamp, never a decision input
 	if budget <= 0 {
-		out := Outcome{Workers: workers}
-		if cfg.Observer != nil {
-			wall := time.Since(start) //auditlint:allow detrand latency metric stamp, never a decision input
-			cfg.Observer.ObserveMC(0, 0, 0, workers, wall, wall)
-		}
-		return out
+		wall := time.Since(start) //auditlint:allow detrand latency metric stamp, never a decision input
+		cfg.Observer.ObserveMC(0, 0, 0, wall, wall)
+		return Outcome{Workers: workers}
 	}
 
 	r := newRun(budget, barrier, workers, chunkFor(budget, workers), cfg.AdaptiveAlpha)
@@ -254,13 +245,11 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 	if tokens > 0 {
 		sched.observe(tokens, int(r.assisted.Load()), callerRan)
 	}
-	if cfg.Observer != nil {
-		wall := time.Since(start) //auditlint:allow detrand latency metric stamp, never a decision input
-		b := out.busy
-		if b <= 0 {
-			b = wall
-		}
-		cfg.Observer.ObserveMC(budget, out.Evaluated, out.Votes, workers, wall, b)
+	wall := time.Since(start) //auditlint:allow detrand latency metric stamp, never a decision input
+	b := out.busy
+	if b <= 0 {
+		b = wall
 	}
+	cfg.Observer.ObserveMC(budget, out.Evaluated, out.Votes, wall, b)
 	return out
 }

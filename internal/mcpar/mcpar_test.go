@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/randx"
 )
 
@@ -152,32 +152,35 @@ func TestVoteNoSharedRNGAcrossWorkers(t *testing.T) {
 	}
 }
 
-type captureObserver struct {
-	budget, evaluated, votes, workers int
-	wall, busy                        time.Duration
-	calls                             int
-}
-
-func (c *captureObserver) ObserveMC(budget, evaluated, votes, workers int, wall, busy time.Duration) {
-	c.budget, c.evaluated, c.votes, c.workers = budget, evaluated, votes, workers
-	c.wall, c.busy = wall, busy
-	c.calls++
-}
-
+// TestVoteObserverAccounting: one Vote run reports its outcome to the
+// MC collector and its token split to the scheduler's collector.
 func TestVoteObserverAccounting(t *testing.T) {
-	obs := &captureObserver{}
-	out := Vote(Config{Workers: 2, Seed: 3, Observer: obs}, 64, 64,
+	reg := metrics.NewRegistry()
+	sched := NewScheduler(2)
+	defer sched.Close()
+	sched.SetObserver(metrics.NewSchedCollector(reg))
+	out := Vote(Config{Workers: 2, Seed: 3, Observer: metrics.NewMCCollector(reg), Sched: sched}, 64, 64,
 		func() struct{} { return struct{}{} },
 		func(i int, _ *rand.Rand, _ struct{}) bool { return i%2 == 0 })
-	if obs.calls != 1 {
-		t.Fatalf("observer called %d times", obs.calls)
+	snap := reg.Snapshot()
+	want := map[string]int64{
+		"mc_decisions_total":     1,
+		"mc_samples_total":       int64(out.Evaluated),
+		"mc_samples_saved_total": int64(64 - out.Evaluated),
+		"mc_unsafe_votes_total":  int64(out.Votes),
+		"mcsched_runs_total":     1,
+		"mcsched_tokens_total":   1,
 	}
-	if obs.budget != 64 || obs.evaluated != out.Evaluated || obs.votes != out.Votes || obs.workers != out.Workers {
-		t.Fatalf("observer saw (%d,%d,%d,%d), outcome was %+v",
-			obs.budget, obs.evaluated, obs.votes, obs.workers, out)
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("%s = %d, want %d (outcome %+v)", name, got, v, out)
+		}
 	}
-	if obs.busy <= 0 {
-		t.Fatal("busy time not recorded")
+	if h := snap.Histograms["mc_samples_per_decision"]; h.Count != 1 || h.Sum != float64(out.Evaluated) {
+		t.Errorf("mc_samples_per_decision = %+v, want one observation of %d", h, out.Evaluated)
+	}
+	if h := snap.Histograms["mc_parallel_speedup"]; h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("mc_parallel_speedup = %+v, want one positive busy/wall ratio", h)
 	}
 }
 

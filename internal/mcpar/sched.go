@@ -21,16 +21,9 @@ package mcpar
 import (
 	"runtime"
 	"sync"
-)
 
-// SchedObserver receives one report per scheduler-assisted Vote run.
-// internal/metrics.SchedCollector implements it.
-type SchedObserver interface {
-	// ObserveSchedRun reports how a run's samples were split between the
-	// pool (assisted) and the deciding goroutine itself (caller), and how
-	// many work tokens the run enqueued.
-	ObserveSchedRun(tokens, assisted, caller int)
-}
+	"queryaudit/internal/metrics"
+)
 
 // Scheduler is a shared assist pool. The zero value is not usable; build
 // one with NewScheduler or use the process-wide Default.
@@ -41,7 +34,7 @@ type Scheduler struct {
 	closed bool
 	size   int
 	wg     sync.WaitGroup
-	obs    SchedObserver
+	obs    *metrics.SchedCollector
 }
 
 // NewScheduler starts a pool of size assist workers (0 or negative means
@@ -63,9 +56,9 @@ func NewScheduler(size int) *Scheduler {
 	return s
 }
 
-// SetObserver installs the per-run accounting hook (nil disables).
+// SetObserver installs the per-run accounting collector (nil disables).
 // Install before the scheduler serves decisions.
-func (s *Scheduler) SetObserver(o SchedObserver) {
+func (s *Scheduler) SetObserver(o *metrics.SchedCollector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.obs = o
@@ -133,17 +126,12 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// observe reports a finished run to the observer, if any.
+// observe reports a finished run to the collector, if any.
 func (s *Scheduler) observe(tokens, assisted, caller int) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	obs := s.obs
 	s.mu.Unlock()
-	if obs != nil {
-		obs.ObserveSchedRun(tokens, assisted, caller)
-	}
+	obs.ObserveSchedRun(tokens, assisted, caller)
 }
 
 var (

@@ -1,8 +1,7 @@
 // Cluster instrumentation: the cluster_* counters and gauges recorded
 // by the clustered node (internal/server's ownership gate and migration
-// endpoints) and by the routing tier (cmd/auditrouter). Lives here so
-// both consumers share one naming scheme and internal/cluster itself
-// stays metrics-free (and detrand-clean).
+// endpoints) and by the routing tier (cmd/auditrouter), under one
+// naming scheme.
 package metrics
 
 import (

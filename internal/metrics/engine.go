@@ -1,7 +1,3 @@
-// Engine instrumentation: a core.Observer implementation backed by a
-// Registry. Lives here (not in core) so the engine stays free of any
-// metrics dependency — core defines the Observer interface, this file
-// satisfies it.
 package metrics
 
 import (
@@ -16,9 +12,9 @@ var engineKinds = []query.Kind{
 	query.Sum, query.Max, query.Min, query.Count, query.Avg, query.Median,
 }
 
-// EngineCollector implements core.Observer over a Registry. Its
-// callbacks are atomic-only (counters and a histogram), safe to run
-// inside the engine lock.
+// EngineCollector counts core.Engine protocol events in a Registry. Its
+// methods are atomic-only (counters and a histogram), safe to run
+// inside the engine lock, and no-ops on a nil receiver.
 //
 // Exported counter names:
 //
@@ -56,8 +52,13 @@ func NewEngineCollector(reg *Registry) *EngineCollector {
 	return c
 }
 
-// ObserveDecision implements core.Observer.
+// ObserveDecision reports one completed top-level query: its aggregate
+// kind, whether it was denied, and how long the decide/evaluate/record
+// critical section took.
 func (c *EngineCollector) ObserveDecision(kind query.Kind, denied bool, elapsed time.Duration) {
+	if c == nil {
+		return
+	}
 	c.decide.ObserveDuration(elapsed)
 	m := c.answered
 	if denied {
@@ -68,8 +69,12 @@ func (c *EngineCollector) ObserveDecision(kind query.Kind, denied bool, elapsed 
 	}
 }
 
-// ObservePrime implements core.Observer.
+// ObservePrime reports one Prime call: how many queries it committed
+// and whether the whole list succeeded.
 func (c *EngineCollector) ObservePrime(committed int, ok bool) {
+	if c == nil {
+		return
+	}
 	c.primed.Add(int64(committed))
 	if ok {
 		c.primeOK.Inc()

@@ -1,7 +1,3 @@
-// Monte Carlo instrumentation: an mcpar.Observer implementation backed by
-// a Registry. Lives here (not in mcpar) so the decision engine stays free
-// of any metrics dependency — mcpar defines the Observer interface, this
-// file satisfies it structurally.
 package metrics
 
 import "time"
@@ -19,9 +15,9 @@ var MCSpeedupBuckets = []float64{
 	0.5, 0.75, 1, 1.25, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32,
 }
 
-// MCCollector implements mcpar.Observer over a Registry. Its callback is
+// MCCollector counts mcpar.Vote runs in a Registry. Its method is
 // atomic-only, safe to run inside the engine lock (auditor decisions run
-// under it).
+// under it), and a no-op on a nil receiver.
 //
 // Exported names:
 //
@@ -52,8 +48,13 @@ func NewMCCollector(reg *Registry) *MCCollector {
 	}
 }
 
-// ObserveMC implements mcpar.Observer.
-func (c *MCCollector) ObserveMC(budget, evaluated, votes, workers int, wall, busy time.Duration) {
+// ObserveMC reports one decision: the sample budget against the samples
+// actually evaluated (early-exit savings), the unsafe votes, and wall
+// against summed worker time (parallel speedup).
+func (c *MCCollector) ObserveMC(budget, evaluated, votes int, wall, busy time.Duration) {
+	if c == nil {
+		return
+	}
 	c.decisions.Inc()
 	c.samples.Add(int64(evaluated))
 	if budget > evaluated {
@@ -66,9 +67,9 @@ func (c *MCCollector) ObserveMC(budget, evaluated, votes, workers int, wall, bus
 	}
 }
 
-// SchedCollector implements mcpar.SchedObserver over a Registry: how the
-// shared decision scheduler splits sample work between the assist pool
-// and the deciding goroutines themselves. Atomic-only, like MCCollector.
+// SchedCollector counts how an mcpar.Scheduler splits sample work
+// between the assist pool and the deciding goroutines themselves.
+// Atomic-only and nil-safe, like MCCollector.
 //
 // Exported names:
 //
@@ -93,8 +94,12 @@ func NewSchedCollector(reg *Registry) *SchedCollector {
 	}
 }
 
-// ObserveSchedRun implements mcpar.SchedObserver.
+// ObserveSchedRun reports one scheduler-assisted run: the work tokens it
+// enqueued and the samples evaluated by the pool and by the caller.
 func (c *SchedCollector) ObserveSchedRun(tokens, assisted, caller int) {
+	if c == nil {
+		return
+	}
 	c.runs.Inc()
 	c.tokens.Add(int64(tokens))
 	c.assist.Add(int64(assisted))

@@ -9,6 +9,12 @@
 // Registration (get-or-create by name) takes a registry mutex and is
 // expected at wiring time, not per request — handlers should capture the
 // *Counter / *Histogram once.
+//
+// Each instrumented package (core, mcpar, session, qindex, replica) holds
+// its collector from this package by concrete type and calls it
+// directly. Collector methods are no-ops on a nil receiver, so an
+// uninstrumented component simply holds nil. The package imports only
+// the standard library and internal/query, so any of them can import it.
 package metrics
 
 import (

@@ -1,7 +1,3 @@
-// Query-index instrumentation: a qindex.Observer implementation backed
-// by a Registry. Lives here (not in internal/qindex) so the resolver
-// stays free of any metrics dependency — qindex defines the Observer
-// interface, this file satisfies it structurally.
 package metrics
 
 import "time"
@@ -13,9 +9,10 @@ var QIndexBuildBuckets = []float64{
 	0.00025, 0.001, 0.0025, 0.01, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// QIndexCollector implements qindex.Observer over a Registry. All
-// callbacks are atomic-only; some run while the resolver lock is held,
-// so they must stay that way.
+// QIndexCollector counts qindex.Resolver cache events in a Registry.
+// All methods are atomic-only (some run while the resolver or interner
+// lock is held, so they must stay that way) and no-ops on a nil
+// receiver.
 //
 // Exported names:
 //
@@ -64,9 +61,11 @@ func NewQIndexCollector(reg *Registry) *QIndexCollector {
 	}
 }
 
-// ObserveResolve implements qindex.Observer.
+// ObserveResolve reports one lookup in the named cache layer ("sql",
+// the statement memo, or "pred", the predicate memo).
 func (c *QIndexCollector) ObserveResolve(layer string, hit bool) {
 	switch {
+	case c == nil:
 	case layer == "sql" && hit:
 		c.sqlHits.Inc()
 	case layer == "sql":
@@ -78,8 +77,12 @@ func (c *QIndexCollector) ObserveResolve(layer string, hit bool) {
 	}
 }
 
-// ObserveIntern implements qindex.Observer.
+// ObserveIntern reports one set interning (hit: the canonical instance
+// already existed).
 func (c *QIndexCollector) ObserveIntern(hit bool) {
+	if c == nil {
+		return
+	}
 	if hit {
 		c.internHits.Inc()
 	} else {
@@ -87,8 +90,12 @@ func (c *QIndexCollector) ObserveIntern(hit bool) {
 	}
 }
 
-// ObserveEviction implements qindex.Observer.
+// ObserveEviction reports one LRU eviction from the named layer ("sql",
+// "pred" or "intern").
 func (c *QIndexCollector) ObserveEviction(layer string) {
+	if c == nil {
+		return
+	}
 	switch layer {
 	case "sql":
 		c.evictSQL.Inc()
@@ -99,8 +106,11 @@ func (c *QIndexCollector) ObserveEviction(layer string) {
 	}
 }
 
-// ObserveBuild implements qindex.Observer.
+// ObserveBuild reports one index build: rows covered and wall time.
 func (c *QIndexCollector) ObserveBuild(rows int, elapsed time.Duration) {
+	if c == nil {
+		return
+	}
 	c.builds.Inc()
 	c.buildRows.Add(int64(rows))
 	c.buildTime.ObserveDuration(elapsed)

@@ -1,7 +1,3 @@
-// Replication instrumentation: a replica.Observer implementation backed
-// by a Registry. Lives here (not in internal/replica) so the replication
-// node stays free of any metrics dependency — replica defines the
-// Observer interface, this file satisfies it structurally.
 package metrics
 
 import "time"
@@ -13,8 +9,8 @@ var ReplicaApplyBuckets = []float64{
 	0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10,
 }
 
-// ReplicaCollector implements replica.Observer over a Registry. All
-// callbacks are atomic-only.
+// ReplicaCollector counts replica.Node events in a Registry. All methods
+// are atomic-only and no-ops on a nil receiver.
 //
 // Exported names:
 //
@@ -60,10 +56,14 @@ func NewReplicaCollector(reg *Registry) *ReplicaCollector {
 	}
 }
 
-// ObserveRole implements replica.Observer. The role gauge uses the wire
-// convention 1=primary, 0=replica so `max(replica_role)` alerts when a
-// cluster has no primary and `sum(replica_role) > 1` when it has two.
+// ObserveRole reports a role or epoch transition. The role gauge uses
+// the wire convention 1=primary, 0=replica so `max(replica_role)` alerts
+// when a cluster has no primary and `sum(replica_role) > 1` when it has
+// two.
 func (c *ReplicaCollector) ObserveRole(primary bool, epoch uint64) {
+	if c == nil {
+		return
+	}
 	if primary {
 		c.role.Set(1)
 	} else {
@@ -72,29 +72,60 @@ func (c *ReplicaCollector) ObserveRole(primary bool, epoch uint64) {
 	c.epoch.Set(int64(epoch))
 }
 
-// ObserveShipped implements replica.Observer.
-func (c *ReplicaCollector) ObserveShipped(records int) { c.shipped.Add(int64(records)) }
-
-// ObserveStreamPoll implements replica.Observer.
-func (c *ReplicaCollector) ObserveStreamPoll() { c.polls.Inc() }
-
-// ObserveApplied implements replica.Observer.
-func (c *ReplicaCollector) ObserveApplied(records int, d time.Duration) {
-	c.applied.Add(int64(records))
-	c.applyBatch.ObserveDuration(d)
+// ObserveShipped counts records served to stream polls (primary side).
+func (c *ReplicaCollector) ObserveShipped(records int) {
+	if c != nil {
+		c.shipped.Add(int64(records))
+	}
 }
 
-// ObserveLag implements replica.Observer.
-func (c *ReplicaCollector) ObserveLag(records uint64) { c.lag.Set(int64(records)) }
+// ObserveStreamPoll counts one stream poll served (heartbeats included).
+func (c *ReplicaCollector) ObserveStreamPoll() {
+	if c != nil {
+		c.polls.Inc()
+	}
+}
 
-// ObserveDivergence implements replica.Observer.
-func (c *ReplicaCollector) ObserveDivergence() { c.divergence.Inc() }
+// ObserveApplied counts records applied by the follower loop and the
+// time their batch took to apply.
+func (c *ReplicaCollector) ObserveApplied(records int, d time.Duration) {
+	if c != nil {
+		c.applied.Add(int64(records))
+		c.applyBatch.ObserveDuration(d)
+	}
+}
 
-// ObserveQuarantine implements replica.Observer.
-func (c *ReplicaCollector) ObserveQuarantine(sessions int) { c.quarantined.Set(int64(sessions)) }
+// ObserveLag reports follower lag in journal records after each poll.
+func (c *ReplicaCollector) ObserveLag(records uint64) {
+	if c != nil {
+		c.lag.Set(int64(records))
+	}
+}
 
-// ObserveResync implements replica.Observer.
-func (c *ReplicaCollector) ObserveResync() { c.resyncs.Inc() }
+// ObserveDivergence counts one transcript digest mismatch (either end).
+func (c *ReplicaCollector) ObserveDivergence() {
+	if c != nil {
+		c.divergence.Inc()
+	}
+}
 
-// ObserveReconnect implements replica.Observer.
-func (c *ReplicaCollector) ObserveReconnect() { c.reconnects.Inc() }
+// ObserveQuarantine reports the current quarantined-session count.
+func (c *ReplicaCollector) ObserveQuarantine(sessions int) {
+	if c != nil {
+		c.quarantined.Set(int64(sessions))
+	}
+}
+
+// ObserveResync counts one snapshot resync performed by the follower.
+func (c *ReplicaCollector) ObserveResync() {
+	if c != nil {
+		c.resyncs.Inc()
+	}
+}
+
+// ObserveReconnect counts one stream reconnect attempt after an error.
+func (c *ReplicaCollector) ObserveReconnect() {
+	if c != nil {
+		c.reconnects.Inc()
+	}
+}

@@ -1,7 +1,3 @@
-// Session instrumentation: a session.Observer implementation backed by a
-// Registry. Lives here (not in internal/session) so the session manager
-// stays free of any metrics dependency — session defines the Observer
-// interface, this file satisfies it structurally.
 package metrics
 
 import (
@@ -16,8 +12,9 @@ var SessionReplayBuckets = []float64{
 	0.00025, 0.001, 0.0025, 0.01, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// SessionCollector implements session.Observer over a Registry. All
-// callbacks are atomic-only, safe to call from the session hot path.
+// SessionCollector counts session.Manager lifecycle events in a
+// Registry. All methods are atomic-only, safe to call from the session
+// hot path (some run under shard locks), and no-ops on a nil receiver.
 //
 // Exported names:
 //
@@ -66,38 +63,62 @@ func NewSessionCollector(reg *Registry, shards int) *SessionCollector {
 	return c
 }
 
-// ObserveSessionCreated implements session.Observer.
+// ObserveSessionCreated counts one admitted session.
 func (c *SessionCollector) ObserveSessionCreated() {
-	c.created.Inc()
-	c.tracked.Add(1)
+	if c != nil {
+		c.created.Inc()
+		c.tracked.Add(1)
+	}
 }
 
-// ObserveSessionEvicted implements session.Observer.
-func (c *SessionCollector) ObserveSessionEvicted() { c.evicted.Inc() }
+// ObserveSessionEvicted counts one engine dropped to its log.
+func (c *SessionCollector) ObserveSessionEvicted() {
+	if c != nil {
+		c.evicted.Inc()
+	}
+}
 
-// ObserveSessionExpired implements session.Observer.
-func (c *SessionCollector) ObserveSessionExpired() {
-	c.expired.Inc()
+// ObserveSessionRemoved counts one session removed from the table, log
+// included; expired marks a TTL expiry, as opposed to an explicit drop
+// or a migration away.
+func (c *SessionCollector) ObserveSessionRemoved(expired bool) {
+	if c == nil {
+		return
+	}
+	if expired {
+		c.expired.Inc()
+	}
 	c.tracked.Add(-1)
 }
 
-// ObserveSessionRejected implements session.Observer.
-func (c *SessionCollector) ObserveSessionRejected() { c.rejected.Inc() }
-
-// ObserveReplay implements session.Observer.
-func (c *SessionCollector) ObserveReplay(events int, d time.Duration) {
-	c.replayed.Inc()
-	c.events.Add(int64(events))
-	c.latency.ObserveDuration(d)
+// ObserveSessionRejected counts one refused admission.
+func (c *SessionCollector) ObserveSessionRejected() {
+	if c != nil {
+		c.rejected.Inc()
+	}
 }
 
-// ObserveLive implements session.Observer.
-func (c *SessionCollector) ObserveLive(delta int) { c.live.Add(int64(delta)) }
+// ObserveReplay reports one engine rebuild: how many log events were
+// replayed and how long the rebuild took.
+func (c *SessionCollector) ObserveReplay(events int, d time.Duration) {
+	if c != nil {
+		c.replayed.Inc()
+		c.events.Add(int64(events))
+		c.latency.ObserveDuration(d)
+	}
+}
 
-// ObserveShardWait implements session.Observer: +1 when a goroutine
+// ObserveLive reports a live-engine count change (+1/-1).
+func (c *SessionCollector) ObserveLive(delta int) {
+	if c != nil {
+		c.live.Add(int64(delta))
+	}
+}
+
+// ObserveShardWait reports shard-lock contention: +1 when a goroutine
 // starts waiting on a contended shard lock, -1 once it acquires it.
 func (c *SessionCollector) ObserveShardWait(shard, delta int) {
-	if shard >= 0 && shard < len(c.waiters) {
+	if c != nil && shard >= 0 && shard < len(c.waiters) {
 		c.waiters[shard].Add(int64(delta))
 	}
 }

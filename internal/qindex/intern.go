@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
 
@@ -34,9 +35,8 @@ type Interner struct {
 	hits  uint64                    // auditlint:guardedby(mu)
 	miss  uint64                    // auditlint:guardedby(mu)
 	evict uint64                    // auditlint:guardedby(mu)
-	// onEvict, when set, fires once per eviction WITH mu held — keep it
-	// atomic-only (see Observer).
-	onEvict func() // auditlint:guardedby(mu)
+	// obs counts evictions WITH mu held (nil: uninstrumented).
+	obs *metrics.QIndexCollector // auditlint:guardedby(mu)
 }
 
 type internEntry struct {
@@ -112,15 +112,13 @@ func (in *Interner) evictOldestLocked() {
 		in.table[e.hash] = bucket
 	}
 	in.evict++
-	if in.onEvict != nil {
-		in.onEvict()
-	}
+	in.obs.ObserveEviction("intern")
 }
 
-// setEvictHook installs fn (nil disables), fired on each eviction.
-func (in *Interner) setEvictHook(fn func()) {
+// setObserver installs the collector counting evictions (nil disables).
+func (in *Interner) setObserver(o *metrics.QIndexCollector) {
 	in.mu.Lock()
-	in.onEvict = fn
+	in.obs = o
 	in.mu.Unlock()
 }
 

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -120,78 +120,42 @@ func TestCachedQueryDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
-// countingObserver records callback totals for the wiring test.
-type countingObserver struct {
-	mu        sync.Mutex
-	hits      map[string]int
-	misses    map[string]int
-	internHit int
-	internNew int
-	evict     map[string]int
-	builds    int
-	buildRows int
-}
-
-func newCountingObserver() *countingObserver {
-	return &countingObserver{hits: map[string]int{}, misses: map[string]int{}, evict: map[string]int{}}
-}
-
-func (o *countingObserver) ObserveResolve(layer string, hit bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if hit {
-		o.hits[layer]++
-	} else {
-		o.misses[layer]++
-	}
-}
-
-func (o *countingObserver) ObserveIntern(hit bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if hit {
-		o.internHit++
-	} else {
-		o.internNew++
-	}
-}
-
-func (o *countingObserver) ObserveEviction(layer string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.evict[layer]++
-}
-
-func (o *countingObserver) ObserveBuild(rows int, _ time.Duration) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.builds++
-	o.buildRows += rows
-}
-
+// TestObserverSeesResolveEvents: the resolver's collector counts the
+// deferred build, each memo hit and miss, internings and evictions.
 func TestObserverSeesResolveEvents(t *testing.T) {
-	r := NewResolver(companyDS(80))
-	obs := newCountingObserver()
-	r.SetObserver(obs)
-	if obs.builds != 1 || obs.buildRows != 80 {
-		t.Fatalf("deferred build report: builds=%d rows=%d", obs.builds, obs.buildRows)
+	ds := companyDS(80)
+	r := NewResolver(ds)
+	reg := metrics.NewRegistry()
+	r.SetObserver(metrics.NewQIndexCollector(reg))
+	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
+	if counter("qindex_builds_total") != 1 || counter("qindex_build_rows_total") != 80 {
+		t.Fatalf("deferred build report: builds=%d rows=%d", counter("qindex_builds_total"), counter("qindex_build_rows_total"))
 	}
 	pred := dataset.RangePred{Attr: "age", Lo: 25, Hi: 45}
 	r.Select(pred)
 	r.Select(pred)
-	if obs.misses["pred"] != 1 || obs.hits["pred"] != 1 {
-		t.Fatalf("pred layer: hits=%d misses=%d, want 1/1", obs.hits["pred"], obs.misses["pred"])
+	if counter("qindex_pred_misses_total") != 1 || counter("qindex_pred_hits_total") != 1 {
+		t.Fatalf("pred layer: hits=%d misses=%d, want 1/1", counter("qindex_pred_hits_total"), counter("qindex_pred_misses_total"))
 	}
 	build := func() (query.Query, error) {
 		return query.Query{Set: r.Select(pred), Kind: query.Sum}, nil
 	}
 	r.CachedQuery("q1", build)
 	r.CachedQuery("q1", build)
-	if obs.misses["sql"] != 1 || obs.hits["sql"] != 1 {
-		t.Fatalf("sql layer: hits=%d misses=%d, want 1/1", obs.hits["sql"], obs.misses["sql"])
+	if counter("qindex_sql_misses_total") != 1 || counter("qindex_sql_hits_total") != 1 {
+		t.Fatalf("sql layer: hits=%d misses=%d, want 1/1", counter("qindex_sql_hits_total"), counter("qindex_sql_misses_total"))
 	}
-	if obs.internHit == 0 {
+	if counter("qindex_intern_hits_total") == 0 {
 		t.Fatal("expected at least one intern hit (sql path reuses the pred set)")
+	}
+
+	// One-entry memos and interner: a second predicate evicts the first.
+	small := newResolver(ds, 1, 1)
+	small.SetObserver(metrics.NewQIndexCollector(reg))
+	small.Select(pred)
+	small.Select(dataset.RangePred{Attr: "age", Lo: 50, Hi: 60})
+	if counter("qindex_evictions_pred_total") != 1 || counter("qindex_evictions_intern_total") != 1 {
+		t.Fatalf("evictions: pred=%d intern=%d, want 1/1", counter("qindex_evictions_pred_total"), counter("qindex_evictions_intern_total"))
 	}
 }
 

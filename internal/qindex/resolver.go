@@ -8,26 +8,9 @@ import (
 	"time"
 
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
-
-// Observer receives resolver cache events for instrumentation. The
-// callbacks run on the serving path (some while the resolver lock is
-// held) so implementations must be fast and lock-free — atomic counters,
-// as in metrics.QIndexCollector.
-type Observer interface {
-	// ObserveResolve reports one lookup in the named cache layer
-	// ("sql" — statement-string memo; "pred" — predicate memo).
-	ObserveResolve(layer string, hit bool)
-	// ObserveIntern reports one set interning (hit = canonical instance
-	// already existed).
-	ObserveIntern(hit bool)
-	// ObserveEviction reports one LRU eviction from the named layer
-	// ("sql", "pred" or "intern").
-	ObserveEviction(layer string)
-	// ObserveBuild reports one index build: rows covered and wall time.
-	ObserveBuild(rows int, elapsed time.Duration)
-}
 
 // DefaultCacheEntries bounds the pred and sql memos.
 const DefaultCacheEntries = 4096
@@ -43,9 +26,9 @@ type Resolver struct {
 	in  *Interner
 
 	mu    sync.Mutex
-	obs   Observer              // auditlint:guardedby(mu)
-	preds *lru[query.Set]       // auditlint:guardedby(mu)
-	sqls  *lru[cachedStatement] // auditlint:guardedby(mu)
+	obs   *metrics.QIndexCollector // auditlint:guardedby(mu)
+	preds *lru[query.Set]          // auditlint:guardedby(mu)
+	sqls  *lru[cachedStatement]    // auditlint:guardedby(mu)
 
 	buildRows    int
 	buildElapsed time.Duration
@@ -84,25 +67,21 @@ func (r *Resolver) Index() *Index { return r.idx }
 // queryset path so both resolution surfaces yield pointer-equal sets.
 func (r *Resolver) Interner() *Interner { return r.in }
 
-// SetObserver installs the instrumentation hook (nil disables) and
+// SetObserver installs the resolver's collector (nil disables) and
 // reports the deferred build cost to it, so collectors wired after
 // construction still see qindex_build_* populated.
-func (r *Resolver) SetObserver(o Observer) {
+func (r *Resolver) SetObserver(o *metrics.QIndexCollector) {
 	r.mu.Lock()
 	r.obs = o
 	r.mu.Unlock()
-	if o != nil {
-		r.in.setEvictHook(func() { o.ObserveEviction("intern") })
-		o.ObserveBuild(r.buildRows, r.buildElapsed)
-	} else {
-		r.in.setEvictHook(nil)
-	}
+	r.in.setObserver(o)
+	o.ObserveBuild(r.buildRows, r.buildElapsed)
 }
 
 // Intern canonicalizes an externally built set (the /v1/queryset path).
 func (r *Resolver) Intern(s query.Set) query.Set {
 	c, hit := r.in.intern(s)
-	r.observeIntern(hit)
+	r.collector().ObserveIntern(hit)
 	return c
 }
 
@@ -117,16 +96,14 @@ func (r *Resolver) Select(pred dataset.Predicate) query.Set {
 		// fresh every time (the index itself falls back to the scan);
 		// the result is still interned so repeats share memory.
 		s, hit := r.in.intern(r.idx.Select(pred))
-		r.observeIntern(hit)
+		r.collector().ObserveIntern(hit)
 		return s
 	}
 	r.mu.Lock()
 	if s, ok := r.preds.get(key); ok {
 		obs := r.obs
 		r.mu.Unlock()
-		if obs != nil {
-			obs.ObserveResolve("pred", true)
-		}
+		obs.ObserveResolve("pred", true)
 		return s
 	}
 	r.mu.Unlock()
@@ -138,12 +115,10 @@ func (r *Resolver) Select(pred dataset.Predicate) query.Set {
 	obs := r.obs
 	evicted := r.preds.add(key, s)
 	r.mu.Unlock()
-	if obs != nil {
-		obs.ObserveIntern(hit)
-		obs.ObserveResolve("pred", false)
-		if evicted {
-			obs.ObserveEviction("pred")
-		}
+	obs.ObserveIntern(hit)
+	obs.ObserveResolve("pred", false)
+	if evicted {
+		obs.ObserveEviction("pred")
 	}
 	return s
 }
@@ -158,15 +133,13 @@ func (r *Resolver) CachedQuery(key string, build func() (query.Query, error)) (q
 	if c, ok := r.sqls.get(key); ok {
 		obs := r.obs
 		r.mu.Unlock()
-		if obs != nil {
-			obs.ObserveResolve("sql", true)
-		}
+		obs.ObserveResolve("sql", true)
 		return c.q, nil
 	}
 	r.mu.Unlock()
 	q, err := build()
 	if err != nil {
-		r.observeResolve("sql", false)
+		r.collector().ObserveResolve("sql", false)
 		return q, err
 	}
 	s, hit := r.in.intern(q.Set)
@@ -175,12 +148,10 @@ func (r *Resolver) CachedQuery(key string, build func() (query.Query, error)) (q
 	obs := r.obs
 	evicted := r.sqls.add(key, cachedStatement{q: q})
 	r.mu.Unlock()
-	if obs != nil {
-		obs.ObserveIntern(hit)
-		obs.ObserveResolve("sql", false)
-		if evicted {
-			obs.ObserveEviction("sql")
-		}
+	obs.ObserveIntern(hit)
+	obs.ObserveResolve("sql", false)
+	if evicted {
+		obs.ObserveEviction("sql")
 	}
 	return q, nil
 }
@@ -247,22 +218,11 @@ func writeLenPrefixed(b *strings.Builder, s string) {
 	b.WriteString(s)
 }
 
-func (r *Resolver) observeResolve(layer string, hit bool) {
+// collector returns the installed collector (nil when uninstrumented).
+func (r *Resolver) collector() *metrics.QIndexCollector {
 	r.mu.Lock()
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
-		obs.ObserveResolve(layer, hit)
-	}
-}
-
-func (r *Resolver) observeIntern(hit bool) {
-	r.mu.Lock()
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
-		obs.ObserveIntern(hit)
-	}
+	defer r.mu.Unlock()
+	return r.obs
 }
 
 // Stats is a point-in-time view of the resolver's cache occupancy.

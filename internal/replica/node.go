@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"queryaudit/internal/core"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/session"
 )
 
@@ -39,44 +40,6 @@ func (r Role) String() string {
 	return "replica"
 }
 
-// Observer receives structural replication events; the metrics package
-// adapts it onto the registry (metrics.ReplicaCollector). Implementations
-// must be cheap and non-blocking.
-type Observer interface {
-	// ObserveRole fires on every role or epoch transition.
-	ObserveRole(primary bool, epoch uint64)
-	// ObserveShipped counts records served to stream polls (primary side).
-	ObserveShipped(records int)
-	// ObserveStreamPoll counts stream polls served (heartbeats included).
-	ObserveStreamPoll()
-	// ObserveApplied counts records applied by the follower loop and the
-	// time one batch took to apply.
-	ObserveApplied(records int, d time.Duration)
-	// ObserveLag reports follower lag in journal records after each poll.
-	ObserveLag(records uint64)
-	// ObserveDivergence counts transcript digest mismatches (either end).
-	ObserveDivergence()
-	// ObserveQuarantine reports the current quarantined-session count.
-	ObserveQuarantine(sessions int)
-	// ObserveResync counts snapshot resyncs performed by the follower.
-	ObserveResync()
-	// ObserveReconnect counts stream reconnect attempts after errors.
-	ObserveReconnect()
-}
-
-// NopObserver is an Observer that ignores everything.
-type NopObserver struct{}
-
-func (NopObserver) ObserveRole(bool, uint64)          {}
-func (NopObserver) ObserveShipped(int)                {}
-func (NopObserver) ObserveStreamPoll()                {}
-func (NopObserver) ObserveApplied(int, time.Duration) {}
-func (NopObserver) ObserveLag(uint64)                 {}
-func (NopObserver) ObserveDivergence()                {}
-func (NopObserver) ObserveQuarantine(int)             {}
-func (NopObserver) ObserveResync()                    {}
-func (NopObserver) ObserveReconnect()                 {}
-
 // Config tunes a replication node. Zero values take the defaults below.
 type Config struct {
 	// Retention bounds the journal tail; a follower further behind than
@@ -97,8 +60,8 @@ type Config struct {
 	Client *http.Client
 	// Logger receives replication lifecycle logs. Default log.Default().
 	Logger *log.Logger
-	// Observer receives structural events. Default NopObserver.
-	Observer Observer
+	// Observer counts structural events (nil → none).
+	Observer *metrics.ReplicaCollector
 }
 
 func (c Config) withDefaults() Config {
@@ -126,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = log.Default()
 	}
-	if c.Observer == nil {
-		c.Observer = NopObserver{}
-	}
 	return c
 }
 
@@ -138,7 +98,7 @@ func (c Config) withDefaults() Config {
 type Node struct {
 	mgr     *session.Manager
 	cfg     Config
-	obs     Observer
+	obs     *metrics.ReplicaCollector
 	logger  *log.Logger
 	journal *Journal
 

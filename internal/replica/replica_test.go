@@ -153,7 +153,7 @@ func positions(m *session.Manager) map[string]string {
 	return out
 }
 
-func testConfig(obs Observer) Config {
+func testConfig(obs *metrics.ReplicaCollector) Config {
 	return Config{
 		PollWait: 200 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond,

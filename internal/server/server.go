@@ -119,7 +119,7 @@ type Server struct {
 }
 
 // NewWithSessions builds a server over a session manager. Engine
-// observers and Monte Carlo settings come from the manager's
+// collectors and Monte Carlo settings come from the manager's
 // core.EngineSpec, which installs them as each engine is built.
 func NewWithSessions(mgr *session.Manager, sensitive string, opts ...Option) *Server {
 	s := &Server{mgr: mgr, sensitive: sensitive, mux: http.NewServeMux(), opts: Defaults()}

@@ -144,6 +144,6 @@ func (m *Manager) DropIfAt(analyst string, seq uint64, digest core.Digest) error
 	}
 	sh.mu.Unlock()
 	m.total.Add(-1)
-	m.obs.ObserveSessionExpired()
+	m.obs.ObserveSessionRemoved(false)
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -281,8 +282,8 @@ func TestRestoreBuildsOncePerJournal(t *testing.T) {
 	sp := core.NewEngineSpec(dataset.FromValues(vals))
 	sp.Register(func() (audit.Auditor, error) { builds.Add(1); return sumfull.New(n), nil }, query.Sum)
 	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
-	obs := &countingObserver{}
-	m, err := NewManager(sp, Config{MaxLive: 4, Observer: obs, NoJanitor: true})
+	reg := metrics.NewRegistry()
+	m, err := NewManager(sp, Config{MaxLive: 4, Observer: metrics.NewSessionCollector(reg, 16), NoJanitor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +292,7 @@ func TestRestoreBuildsOncePerJournal(t *testing.T) {
 		t.Fatal("evicting the default engine failed")
 	}
 	builds.Store(0)
-	obs.mu.Lock()
-	obs.evicted = 0
-	obs.mu.Unlock()
+	evictedBefore := metric(reg, "sessions_evicted_total")
 
 	if err := m.Restore(snaps); err != nil {
 		t.Fatal(err)
@@ -301,10 +300,7 @@ func TestRestoreBuildsOncePerJournal(t *testing.T) {
 	if b := builds.Load(); b != 10 {
 		t.Fatalf("restore built %d engines, want 10", b)
 	}
-	obs.mu.Lock()
-	evicted := obs.evicted
-	obs.mu.Unlock()
-	if evicted != 6 {
+	if evicted := metric(reg, "sessions_evicted_total") - evictedBefore; evicted != 6 {
 		t.Fatalf("restore evicted %d engines, want 6", evicted)
 	}
 	for _, snap := range snaps {

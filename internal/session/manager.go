@@ -12,6 +12,7 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/qindex"
 	"queryaudit/internal/query"
 )
@@ -58,35 +59,6 @@ type Tap interface {
 	TapUpdate(index int, value float64, marks []Mark)
 }
 
-// Observer receives session lifecycle events for instrumentation.
-// Callbacks run on session hot paths (some under shard locks), so
-// implementations must be fast and lock-free; metrics.SessionCollector
-// qualifies.
-type Observer interface {
-	ObserveSessionCreated()
-	ObserveSessionEvicted()
-	ObserveSessionExpired()
-	ObserveSessionRejected()
-	// ObserveReplay reports one engine rebuild: how many log events were
-	// replayed and how long the rebuild took.
-	ObserveReplay(events int, d time.Duration)
-	// ObserveLive reports live-engine count changes (+1/-1).
-	ObserveLive(delta int)
-	// ObserveShardWait reports shard-lock contention: +1 when a goroutine
-	// starts waiting on shard's lock, -1 once it acquires it.
-	ObserveShardWait(shard, delta int)
-}
-
-type nopObserver struct{}
-
-func (nopObserver) ObserveSessionCreated()           {}
-func (nopObserver) ObserveSessionEvicted()           {}
-func (nopObserver) ObserveSessionExpired()           {}
-func (nopObserver) ObserveSessionRejected()          {}
-func (nopObserver) ObserveReplay(int, time.Duration) {}
-func (nopObserver) ObserveLive(int)                  {}
-func (nopObserver) ObserveShardWait(int, int)        {}
-
 // Config are the manager's memory-bounding knobs.
 type Config struct {
 	// MaxSessions caps tracked sessions (live engines + evicted logs).
@@ -106,8 +78,8 @@ type Config struct {
 	TTL time.Duration
 	// Shards is the lock-shard count for the session table (0 → 16).
 	Shards int
-	// Observer receives lifecycle events (nil → none).
-	Observer Observer
+	// Observer counts lifecycle events (nil → none).
+	Observer *metrics.SessionCollector
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 	// NoJanitor disables the background TTL sweeper; tests drive Sweep
@@ -161,7 +133,7 @@ type Manager struct {
 	spec  *core.EngineSpec
 	ds    *dataset.Dataset
 	cfg   Config
-	obs   Observer
+	obs   *metrics.SessionCollector
 	clock func() time.Time
 
 	shards []*shard
@@ -201,10 +173,6 @@ func NewManager(spec *core.EngineSpec, cfg Config) (*Manager, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
-	obs := cfg.Observer
-	if obs == nil {
-		obs = nopObserver{}
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
@@ -213,7 +181,7 @@ func NewManager(spec *core.EngineSpec, cfg Config) (*Manager, error) {
 		spec:   spec,
 		ds:     spec.Dataset(),
 		cfg:    cfg,
-		obs:    obs,
+		obs:    cfg.Observer,
 		clock:  clock,
 		shards: make([]*shard, cfg.Shards),
 		stop:   make(chan struct{}),
@@ -288,7 +256,7 @@ func (m *Manager) shardOf(analyst string) (*shard, int) {
 	return m.shards[i], i
 }
 
-// lockShard acquires a shard lock, reporting contention to the observer.
+// lockShard acquires a shard lock, reporting contention to the collector.
 //
 // auditlint:acquires(mu)
 func (m *Manager) lockShard(sh *shard, idx int) {
@@ -772,7 +740,7 @@ func (m *Manager) Drop(analyst string) bool {
 	}
 	sh.mu.Unlock()
 	m.total.Add(-1)
-	m.obs.ObserveSessionExpired()
+	m.obs.ObserveSessionRemoved(false)
 	return true
 }
 
@@ -967,7 +935,7 @@ func (m *Manager) Sweep(now time.Time) int {
 			delete(sh.sessions, name)
 			m.total.Add(-1)
 			expired++
-			m.obs.ObserveSessionExpired()
+			m.obs.ObserveSessionRemoved(true)
 			s.mu.Unlock()
 		}
 		sh.mu.Unlock()

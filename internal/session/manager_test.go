@@ -2,7 +2,6 @@ package session
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
 
@@ -24,48 +24,13 @@ func fullSpec(ds *dataset.Dataset) *core.EngineSpec {
 	return sp
 }
 
-// countingObserver tallies lifecycle events for assertions.
-type countingObserver struct {
-	mu                                   sync.Mutex
-	created, evicted, expired, rejected  int
-	replays, replayEvents, live, waiters int
-}
-
-func (o *countingObserver) ObserveSessionCreated() {
-	o.mu.Lock()
-	o.created++
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveSessionEvicted() {
-	o.mu.Lock()
-	o.evicted++
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveSessionExpired() {
-	o.mu.Lock()
-	o.expired++
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveSessionRejected() {
-	o.mu.Lock()
-	o.rejected++
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveReplay(events int, _ time.Duration) {
-	o.mu.Lock()
-	o.replays++
-	o.replayEvents += events
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveLive(delta int) {
-	o.mu.Lock()
-	o.live += delta
-	o.mu.Unlock()
-}
-func (o *countingObserver) ObserveShardWait(_, delta int) {
-	o.mu.Lock()
-	o.waiters += delta
-	o.mu.Unlock()
+// metric reads one counter or gauge from reg.
+func metric(reg *metrics.Registry, name string) int64 {
+	s := reg.Snapshot()
+	if v, ok := s.Counters[name]; ok {
+		return v
+	}
+	return s.Gauges[name]
 }
 
 func newTestManager(t *testing.T, cfg Config, vals []float64) *Manager {
@@ -105,8 +70,8 @@ func TestSessionIsolationBasic(t *testing.T) {
 // TestAdmissionControl: beyond MaxSessions new analysts are refused with
 // ErrTooManySessions; existing analysts keep working.
 func TestAdmissionControl(t *testing.T) {
-	obs := &countingObserver{}
-	m := newTestManager(t, Config{MaxSessions: 2, Observer: obs}, []float64{1, 2, 3})
+	reg := metrics.NewRegistry()
+	m := newTestManager(t, Config{MaxSessions: 2, Observer: metrics.NewSessionCollector(reg, 16)}, []float64{1, 2, 3})
 	q := query.New(query.Count, 0)
 	if _, err := m.Ask("alice", q); err != nil { // session 2 of 2 (default is 1)
 		t.Fatal(err)
@@ -117,8 +82,8 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := m.Ask("alice", q); err != nil {
 		t.Fatalf("admitted analyst must keep working: %v", err)
 	}
-	if obs.rejected != 1 {
-		t.Fatalf("rejected=%d, want 1", obs.rejected)
+	if got := metric(reg, "sessions_rejected_total"); got != 1 {
+		t.Fatalf("sessions_rejected_total=%d, want 1", got)
 	}
 	if m.Tracked() != 2 {
 		t.Fatalf("tracked=%d, want 2", m.Tracked())
@@ -129,8 +94,8 @@ func TestAdmissionControl(t *testing.T) {
 // is evicted to its log and rebuilt by replay when it returns, with its
 // history intact.
 func TestLRUEviction(t *testing.T) {
-	obs := &countingObserver{}
-	m := newTestManager(t, Config{MaxLive: 2, Observer: obs}, []float64{1, 2, 3, 4, 5})
+	reg := metrics.NewRegistry()
+	m := newTestManager(t, Config{MaxLive: 2, Observer: metrics.NewSessionCollector(reg, 16)}, []float64{1, 2, 3, 4, 5})
 	total := query.New(query.Sum, 0, 1, 2, 3, 4)
 	rest := query.New(query.Sum, 1, 2, 3, 4)
 
@@ -151,10 +116,13 @@ func TestLRUEviction(t *testing.T) {
 	if resp, err := m.Ask("alice", rest); err != nil || !resp.Denied {
 		t.Fatalf("post-replay complement should be denied: %+v %v", resp, err)
 	}
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if obs.evicted == 0 || obs.replays == 0 || obs.replayEvents == 0 {
-		t.Fatalf("expected evictions and replays, got %+v", obs)
+	for _, name := range []string{"sessions_evicted_total", "sessions_replayed_total", "session_replay_events_total"} {
+		if metric(reg, name) == 0 {
+			t.Fatalf("%s = 0, want evictions and replays counted", name)
+		}
+	}
+	if got := metric(reg, "sessions_live"); got != int64(m.Live()) {
+		t.Fatalf("sessions_live=%d, manager reports %d live", got, m.Live())
 	}
 }
 
@@ -163,8 +131,8 @@ func TestLRUEviction(t *testing.T) {
 func TestTTLSweep(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	obs := &countingObserver{}
-	m := newTestManager(t, Config{TTL: time.Minute, Clock: clock, Observer: obs}, []float64{1, 2, 3})
+	reg := metrics.NewRegistry()
+	m := newTestManager(t, Config{TTL: time.Minute, Clock: clock, Observer: metrics.NewSessionCollector(reg, 16)}, []float64{1, 2, 3})
 	if _, err := m.Ask("alice", query.New(query.Sum, 0, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +154,42 @@ func TestTTLSweep(t *testing.T) {
 	if resp, err := m.Ask("alice", query.New(query.Sum, 1, 2)); err != nil || resp.Denied {
 		t.Fatalf("fresh session should answer: %+v %v", resp, err)
 	}
-	if obs.expired != 2 {
-		t.Fatalf("expired=%d, want 2", obs.expired)
+	if got := metric(reg, "sessions_expired_total"); got != 2 {
+		t.Fatalf("sessions_expired_total=%d, want 2", got)
+	}
+	if got := metric(reg, "sessions_tracked"); got != 1 {
+		t.Fatalf("sessions_tracked=%d, want 1 (alice's fresh session)", got)
+	}
+}
+
+// TestDropIsNotExpiry: Drop and a migration's DropIfAt remove sessions
+// without counting TTL expiries, and both lower sessions_tracked.
+func TestDropIsNotExpiry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := newTestManager(t, Config{Observer: metrics.NewSessionCollector(reg, 16)}, []float64{1, 2, 3})
+	for _, analyst := range []string{"alice", "bob"} {
+		if _, err := m.Ask(analyst, query.New(query.Sum, 0, 1, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := metric(reg, "sessions_tracked"); got != 3 {
+		t.Fatalf("sessions_tracked=%d, want 3 (default, alice, bob)", got)
+	}
+	if !m.Drop("alice") {
+		t.Fatal("dropping alice failed")
+	}
+	seq, digest, ok := m.PositionOf("bob")
+	if !ok {
+		t.Fatal("bob has no session")
+	}
+	if err := m.DropIfAt("bob", seq, digest); err != nil {
+		t.Fatal(err)
+	}
+	if got := metric(reg, "sessions_expired_total"); got != 0 {
+		t.Fatalf("sessions_expired_total=%d after Drop and DropIfAt, want 0", got)
+	}
+	if got := metric(reg, "sessions_tracked"); got != 1 {
+		t.Fatalf("sessions_tracked=%d, want 1 (default)", got)
 	}
 }
 

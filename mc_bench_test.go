@@ -18,6 +18,7 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/mcpar"
+	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -37,15 +38,12 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// sampleCounter tallies evaluated samples across decisions — the
+// evaluatedPerOp reports the samples evaluated per decision — the
 // "samples" column of the bench archive, which exposes both the
 // early-exit savings and any overshoot regression (evaluated should be
 // within workers of the deterministic certificate point).
-type sampleCounter struct{ evaluated, budget atomic.Int64 }
-
-func (c *sampleCounter) ObserveMC(budget, evaluated, votes, workers int, wall, busy time.Duration) {
-	c.evaluated.Add(int64(evaluated))
-	c.budget.Add(int64(budget))
+func evaluatedPerOp(b *testing.B, reg *metrics.Registry) {
+	b.ReportMetric(float64(reg.Snapshot().Counters["mc_samples_total"])/float64(b.N), "samples/op")
 }
 
 // BenchmarkSumProbDecide measures one Section 3.3-style sum decision
@@ -77,15 +75,15 @@ func BenchmarkSumProbDecide(b *testing.B) {
 			if _, err := a.Decide(q); err != nil { // warm the posterior cache
 				b.Fatal(err)
 			}
-			var samples sampleCounter
-			a.SetMCObserver(&samples)
+			reg := metrics.NewRegistry()
+			a.ConfigureMC(0, metrics.NewMCCollector(reg), nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.Decide(q); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(samples.evaluated.Load())/float64(b.N), "samples/op")
+			evaluatedPerOp(b, reg)
 		})
 	}
 }
@@ -116,15 +114,15 @@ func BenchmarkSumProbDecideDefaultBudget(b *testing.B) {
 			if _, err := a.Decide(q); err != nil { // warm the posterior cache
 				b.Fatal(err)
 			}
-			var samples sampleCounter
-			a.SetMCObserver(&samples)
+			reg := metrics.NewRegistry()
+			a.ConfigureMC(0, metrics.NewMCCollector(reg), nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.Decide(q); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(samples.evaluated.Load())/float64(b.N), "samples/op")
+			evaluatedPerOp(b, reg)
 		})
 	}
 }
@@ -157,7 +155,7 @@ func BenchmarkAggregateDecideQPS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a.SetScheduler(sched)
+				a.ConfigureMC(0, nil, sched)
 				if _, err := a.Decide(q); err != nil { // warm the posterior cache
 					b.Fatal(err)
 				}
