@@ -494,6 +494,3 @@ func (a *Auditor) Record(q query.Query, answer float64) {
 		panic(fmt.Sprintf("maxminprob: recording true answer failed: %v", err))
 	}
 }
-
-// MixSteps re-exports the chain budget for benchmarks.
-func MixSteps(k int, factor float64) int { return coloring.MixSteps(k, factor) }

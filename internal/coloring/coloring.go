@@ -18,8 +18,9 @@
 // The Markov chain is the paper's Metropolized single-site update: pick a
 // node uniformly, propose a color from its palette with probability
 // proportional to ℓ, accept iff the result stays valid. A proposal is one
-// uniform draw and a binary search of the node's prefix sums of ℓ, so a
-// step is O(log |palette|) plus the node's degree. Lemma 2 gives
+// uniform draw resolved through a guide table over the node's prefix sums
+// of ℓ (randx.Cumulative), so a step is O(1) expected plus the node's
+// degree. Lemma 2 gives
 // the stationarity of P̃; Lemma 3 gives O(k log k) mixing under the
 // degree condition |S(v)| ≥ d_v + 2 that the auditor enforces by outright
 // denial.
@@ -56,9 +57,9 @@ type Node struct {
 	// Weights[i] is ℓ_{Colors[i]} = 1/|R_{Colors[i]}| (pinned elements
 	// get weight 1; they are forced anyway).
 	Weights []float64
-	// Cum[i] is Weights[0] + … + Weights[i], summed left to right: the
-	// prefix sums a proposal binary-searches.
-	Cum []float64
+	// Cum holds the prefix sums of Weights, summed left to right, and
+	// their guide table: a proposal draws from it.
+	Cum randx.Cumulative
 	// Adj lists adjacent node indices (intersecting sets, different
 	// values).
 	Adj []int
@@ -84,7 +85,8 @@ func Build(b *synopsis.MaxMin) (*Graph, error) {
 }
 
 // BuildInto is Build into an existing graph, reusing its nodes' set,
-// palette, weight, prefix-sum and adjacency slices and its range table:
+// palette, weight, prefix-sum, guide and adjacency slices and its range
+// table:
 // once they have grown to fit, it allocates nothing. The graph copies
 // what it keeps, so it does not alias b. On error g's contents are
 // unspecified.
@@ -106,9 +108,7 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 		v.Set = append(v.Set[:0], p.Set...)
 		v.Colors = slices.Grow(v.Colors[:0], len(p.Set))
 		v.Weights = slices.Grow(v.Weights[:0], len(p.Set))
-		v.Cum = slices.Grow(v.Cum[:0], len(p.Set))
 		v.Adj = v.Adj[:0]
-		acc := 0.0
 		for _, i := range p.Set {
 			r := g.ranges[i]
 			if !r.Contains(p.Value) {
@@ -118,14 +118,13 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 			if l := r.Length(); l > 0 {
 				w = 1 / l
 			}
-			acc += w
 			v.Colors = append(v.Colors, i)
 			v.Weights = append(v.Weights, w)
-			v.Cum = append(v.Cum, acc)
 		}
 		if len(v.Colors) == 0 {
 			return ErrNoValidColoring
 		}
+		v.Cum.Set(v.Weights)
 	}
 	g.Nodes = g.Nodes[:len(g.preds)]
 	clear(g.preds) // drop the listing's references into b's sets
@@ -390,10 +389,10 @@ func (s *Sampler) load(c []int) {
 
 // Step performs one transition of the chain: pick a node uniformly,
 // propose a color with probability ∝ ℓ, keep the old color if the
-// proposal collides with a neighbor. The proposal is one draw scaled by
-// the node's weight total and a binary search of its prefix sums, so a
-// step costs O(log |palette| + degree); it picks the index
-// randx.WeightedIndex would pick over the node's weights.
+// proposal collides with a neighbor. The proposal is one draw through
+// the node's guide table, so a step costs O(1) expected plus the degree;
+// it picks the index randx.WeightedIndex would pick over the node's
+// weights.
 func (s *Sampler) Step() {
 	k := len(s.g.Nodes)
 	if k == 0 {
@@ -404,7 +403,7 @@ func (s *Sampler) Step() {
 	if len(v.Colors) == 1 {
 		return
 	}
-	pick := randx.CumulativeIndex(s.rng, v.Cum)
+	pick := v.Cum.Index(s.rng)
 	if pick < 0 {
 		return
 	}

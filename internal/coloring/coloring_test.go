@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"queryaudit/internal/query"
+	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
 )
 
@@ -325,8 +326,10 @@ func wideSynopsis(t *testing.T, seed int64, queries int) *synopsis.MaxMin {
 }
 
 // TestBuildIntoReuse: BuildInto over a graph last built from a different
-// synopsis equals a fresh Build — nodes, prefix sums, adjacency and the
-// range table — and, warm, allocates nothing.
+// synopsis equals a fresh Build — nodes, prefix sums and guide tables
+// (reflect.DeepEqual compares Cum's unexported table), adjacency and the
+// range table — each node's draws are randx.WeightedIndex's over its
+// weights, and, warm, BuildInto allocates nothing.
 func TestBuildIntoReuse(t *testing.T) {
 	var g Graph
 	for seed := int64(1); seed <= 6; seed++ {
@@ -346,12 +349,18 @@ func TestBuildIntoReuse(t *testing.T) {
 				t.Fatalf("seed %d: Range(%d) = %+v, RangeOf = %+v", seed, i, g.Range(i), b.RangeOf(i))
 			}
 		}
-		for _, v := range g.Nodes {
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for vi, v := range g.Nodes {
 			acc := 0.0
 			for ci, w := range v.Weights {
 				acc += w
-				if v.Cum[ci] != acc {
-					t.Fatalf("seed %d: Cum[%d] = %g, want %g", seed, ci, v.Cum[ci], acc)
+				if v.Cum.Sums()[ci] != acc {
+					t.Fatalf("seed %d: Cum.Sums()[%d] = %g, want %g", seed, ci, v.Cum.Sums()[ci], acc)
+				}
+			}
+			for d := 0; d < 100; d++ {
+				if got, want := v.Cum.Index(r1), randx.WeightedIndex(r2, v.Weights); got != want {
+					t.Fatalf("seed %d node %d draw %d: Cum.Index %d, WeightedIndex %d", seed, vi, d, got, want)
 				}
 			}
 		}

@@ -10,6 +10,7 @@ package randx
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -145,29 +146,79 @@ func WeightedIndex(rng *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
-// CumulativeIndex draws an index i with probability
-// (cum[i]−cum[i−1])/cum[len−1] from the prefix sums cum of non-negative
-// weights, summed left to right. It is WeightedIndex over those weights
-// in O(log len) time: it makes the same single draw, scaled by the same
-// total, and binary-searches for the same index, the first i with
-// r < cum[i] (clamped to the last index). It returns -1, without drawing,
-// when cum is empty or its total is not positive.
-func CumulativeIndex(rng *rand.Rand, cum []float64) int {
-	last := len(cum) - 1
-	if last < 0 || cum[last] <= 0 {
+// Cumulative draws an index i with probability w[i]/Σw from the prefix
+// sums of non-negative weights w. Each draw is WeightedIndex over w in
+// O(1) expected time: it makes the same single draw u, scales it by the
+// same total into r, and returns the same index, the first i with
+// r < sums[i] (clamped to the last index).
+//
+// The speed comes from a guide table (Chen's indexed search). With m a
+// power of two, guide[b] is the first i with sums[i] > fl((b/m)·total).
+// A draw reads b = ⌊u·m⌋, where u·m is exact, so u ≥ b/m; rounding is
+// monotone, so r = fl(u·total) ≥ fl((b/m)·total) and the answer is at
+// least guide[b]. Index scans forward from there, on average fewer than
+// 1 + len/m entries. Both scans test !(x < sums[i]), the negation of the
+// draw's own condition, so that a NaN (an infinite total times u = 0)
+// runs to the last index, as it does in WeightedIndex.
+type Cumulative struct {
+	sums  []float64
+	guide []int32
+}
+
+// Set rebuilds c over the weights w, reusing its buffers: once they have
+// grown to fit, it allocates nothing. The prefix sums are summed left to
+// right; the guide table has the least power of two ≥ len(w) entries.
+func (c *Cumulative) Set(w []float64) {
+	m := 1
+	for m < len(w) {
+		m <<= 1
+	}
+	c.set(w, m)
+}
+
+// set is Set with a guide table of m entries, m a power of two.
+func (c *Cumulative) set(w []float64, m int) {
+	c.sums = slices.Grow(c.sums[:0], len(w))
+	acc := 0.0
+	for _, x := range w {
+		acc += x
+		c.sums = append(c.sums, acc)
+	}
+	last := len(c.sums) - 1
+	if last < 0 || acc <= 0 {
+		c.guide = c.guide[:0]
+		return
+	}
+	c.guide = slices.Grow(c.guide[:0], m)[:m]
+	inv := 1 / float64(m) // exact, as is b·inv: m is a power of two
+	i := 0
+	for b := range c.guide {
+		t := float64(b) * inv * acc
+		for i < last && !(t < c.sums[i]) {
+			i++
+		}
+		c.guide[b] = int32(i)
+	}
+}
+
+// Sums returns the prefix sums: Sums()[i] is w[0] + … + w[i]. The slice
+// aliases c; callers must not modify it.
+func (c *Cumulative) Sums() []float64 { return c.sums }
+
+// Index draws an index from rng. It returns -1, without drawing, when
+// the weights are empty or their total is not positive.
+func (c *Cumulative) Index(rng *rand.Rand) int {
+	last := len(c.sums) - 1
+	if last < 0 || c.sums[last] <= 0 {
 		return -1
 	}
-	r := rng.Float64() * cum[last]
-	lo, hi := 0, last
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r < cum[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	u := rng.Float64()
+	r := u * c.sums[last]
+	i := int(c.guide[int(u*float64(len(c.guide)))])
+	for i < last && !(r < c.sums[i]) {
+		i++
 	}
-	return lo
+	return i
 }
 
 // Bernoulli returns true with probability p.

@@ -2,6 +2,8 @@ package randx
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,34 +131,47 @@ func TestWeightedIndexDegenerate(t *testing.T) {
 	}
 }
 
-// TestCumulativeIndexMatchesWeightedIndex: over the prefix sums of a
-// positive weight vector, CumulativeIndex picks the same index as
-// WeightedIndex from an equal random state, draw for draw, and leaves the
-// two streams in step. The vectors cover length 1, equal weights, random
-// weights of random length, and weights spanning 1 to 1e300, whose prefix
-// sums stop growing once a huge weight has been added.
+// TestCumulativeIndexMatchesWeightedIndex: over a weight vector,
+// Cumulative.Index picks the same index as WeightedIndex from an equal
+// random state, draw for draw, and leaves the two streams in step. The
+// vectors cover length 1, equal weights, random weights of random
+// length, and weights spanning 1 to 1e300, whose prefix sums stop
+// growing once a huge weight has been added. "guide-sizes" builds guide
+// tables of 1 to 1024 entries whatever the vector's length, so buckets
+// both span many indices and split single ones. "extreme-draws" feeds
+// chosen draws: u = 0; u = 1−2⁻⁵³, the largest Float64, whose
+// r = fl(u·total) lands within one rounding of the total (it never
+// reaches a finite total); u = fl(1/3) and fl(2/3) over unit weights,
+// where r equals a prefix sum; and infinite totals, where u = 0 gives a
+// NaN r that only the clamp to the last index ends.
 func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 	gen := New(11)
+	random := func() []float64 {
+		w := make([]float64, 1+gen.Intn(300))
+		for i := range w {
+			w[i] = gen.Float64() + 1e-9
+		}
+		return w
+	}
 	vectors := []struct {
 		name string
 		next func() []float64
+		// guide is the guide-table size for a vector of length n; nil
+		// leaves it to Set.
+		guide func(n int) int
+		// src, when set, replaces New(12)'s source in both streams.
+		src func() rand.Source
 	}{
-		{"length-1", func() []float64 { return []float64{0.1 + gen.Float64()} }},
-		{"all-equal", func() []float64 {
+		{name: "length-1", next: func() []float64 { return []float64{0.1 + gen.Float64()} }},
+		{name: "all-equal", next: func() []float64 {
 			w := make([]float64, 1+gen.Intn(300))
 			for i := range w {
 				w[i] = 1.0 / 3
 			}
 			return w
 		}},
-		{"random", func() []float64 {
-			w := make([]float64, 1+gen.Intn(300))
-			for i := range w {
-				w[i] = gen.Float64() + 1e-9
-			}
-			return w
-		}},
-		{"1-to-1e300", func() []float64 {
+		{name: "random", next: random},
+		{name: "1-to-1e300", next: func() []float64 {
 			w := make([]float64, 2+gen.Intn(64))
 			for i := range w {
 				w[i] = math.Pow(10, 300*gen.Float64())
@@ -165,23 +180,48 @@ func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 			w[gen.Intn(len(w))] = 1e300
 			return w
 		}},
+		{name: "guide-sizes", next: random, guide: func(int) int { return 1 << gen.Intn(11) }},
+		{name: "extreme-draws", next: func() []float64 {
+			w := random()
+			switch gen.Intn(4) {
+			case 0:
+				w[gen.Intn(len(w))] = math.Inf(1)
+			case 1:
+				w[0] = 1e300 // the later weights add nothing to the sums
+			case 2:
+				// 3k unit weights: u = fl(1/3) and fl(2/3) put r
+				// exactly on the prefix sums k and 2k, inside a guide
+				// bucket, and the scan must pass them.
+				w = make([]float64, 3*(1+gen.Intn(100)))
+				for i := range w {
+					w[i] = 1
+				}
+			}
+			return w
+		}, src: func() rand.Source {
+			third := int64(math.Ldexp(1.0/3, 63))
+			return &cycleSource{vals: []int64{0, 1<<63 - 1024, third, 1, 2 * third, 1 << 62, 1<<63 - 2048, 1 << 40}}
+		}},
 	}
 	const vecs, draws = 100, 200
 	for _, vc := range vectors {
 		t.Run(vc.name, func(t *testing.T) {
 			a, b := New(12), New(12)
+			if vc.src != nil {
+				a, b = rand.New(vc.src()), rand.New(vc.src())
+			}
+			var c Cumulative
 			for v := 0; v < vecs; v++ {
 				w := vc.next()
-				cum := make([]float64, len(w))
-				acc := 0.0
-				for i, x := range w {
-					acc += x
-					cum[i] = acc
+				if vc.guide != nil {
+					c.set(w, vc.guide(len(w)))
+				} else {
+					c.Set(w)
 				}
 				for d := 0; d < draws; d++ {
-					want, got := WeightedIndex(a, w), CumulativeIndex(b, cum)
+					want, got := WeightedIndex(a, w), c.Index(b)
 					if got != want {
-						t.Fatalf("vector %d draw %d: CumulativeIndex %d, WeightedIndex %d (weights %v)", v, d, got, want, w)
+						t.Fatalf("vector %d draw %d: Cumulative.Index %d, WeightedIndex %d (weights %v, guide %d)", v, d, got, want, w, len(c.guide))
 					}
 				}
 			}
@@ -192,15 +232,63 @@ func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 	}
 }
 
-// TestCumulativeIndexDegenerate: empty or zero-total prefix sums give -1
-// without drawing, as WeightedIndex does.
+// cycleSource is a rand.Source whose Int63 cycles through vals.
+type cycleSource struct {
+	vals []int64
+	i    int
+}
+
+func (s *cycleSource) Int63() int64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+func (s *cycleSource) Seed(int64) {}
+
+// TestCumulativeIndexDegenerate: empty or zero-total weights give -1
+// without drawing, as WeightedIndex does, and a reused Cumulative
+// forgets the vector it held before.
 func TestCumulativeIndexDegenerate(t *testing.T) {
 	a, b := New(13), New(13)
-	if CumulativeIndex(a, nil) != -1 || CumulativeIndex(a, []float64{0, 0}) != -1 {
-		t.Fatal("degenerate prefix sums must give -1")
+	var c Cumulative
+	for _, w := range [][]float64{nil, {0, 0}, {}} {
+		c.Set([]float64{1, 2, 3})
+		c.Set(w)
+		if c.Index(a) != -1 {
+			t.Fatalf("weights %v must give -1", w)
+		}
 	}
 	if a.Int63() != b.Int63() {
 		t.Fatal("a degenerate call consumed randomness")
+	}
+}
+
+// TestCumulativeSetReuse: Set over a Cumulative last set to another
+// vector equals a fresh Set, prefix sums and guide table, and, warm,
+// allocates nothing.
+func TestCumulativeSetReuse(t *testing.T) {
+	gen := New(14)
+	var c Cumulative
+	for v := 0; v < 50; v++ {
+		w := make([]float64, 1+gen.Intn(300))
+		for i := range w {
+			w[i] = gen.Float64()
+		}
+		var fresh Cumulative
+		fresh.Set(w)
+		c.Set(w)
+		if !slices.Equal(c.sums, fresh.sums) || !slices.Equal(c.guide, fresh.guide) {
+			t.Fatalf("vector %d: reused Cumulative differs from a fresh Set", v)
+		}
+		if m := len(c.guide); m&(m-1) != 0 || m < len(w) || m/2 >= len(w) {
+			t.Fatalf("vector %d: guide has %d entries for %d weights, want the least power of two ≥ it", v, m, len(w))
+		}
+	}
+	w := []float64{3, 1, 4, 1, 5}
+	c.Set(w)
+	if allocs := testing.AllocsPerRun(20, func() { c.Set(w) }); allocs != 0 {
+		t.Fatalf("warm Set made %.0f allocations, want 0", allocs)
 	}
 }
 

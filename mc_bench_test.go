@@ -237,14 +237,66 @@ func TestSumProbWorkerScalingGuard(t *testing.T) {
 // per sample ("fresh", the pre-scratch behaviour) versus reusing a
 // per-worker sampler and output buffers ("scratch", what mcpar workers
 // do). The -benchmem delta between the two is the allocation the
-// scratch design removes from the hot loop.
+// scratch design removes from the hot loop. Both run on a 60-row graph
+// of 20–50-row sets: 7 nodes, palettes of 14 colors on average. "wide"
+// is the scratch form on a graph shaped like the prob-300 workload's:
+// 40 max and min answers over 60–300 of 300 rows merge into 10 nodes
+// that meet Lemma 2's degree condition, with palettes of 44 colors on
+// average and up to 119. Their 1/|R| weights differ per color but stay
+// within 5% of 1, since on uniform data wide answers barely narrow any
+// range.
 func BenchmarkColoringChain(b *testing.B) {
-	const n = 60
+	const mixFactor = 2
+	g, init := chainGraph(b, 60, 10, 20, 50)
+	b.Run("fresh", func(b *testing.B) {
+		rng := randx.New(2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := coloring.NewSamplerFrom(g, rng, init)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Mix(mixFactor)
+			if ds := s.SampleDataset(rng); len(ds) != 60 {
+				b.Fatal("short dataset")
+			}
+		}
+	})
+	scratch := func(b *testing.B, g *coloring.Graph, init []int, n int) {
+		rng := randx.New(2)
+		s, err := coloring.NewSamplerFrom(g, rng, init)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds := make([]float64, n)
+		fixed := make([]bool, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Reset(rng, init); err != nil {
+				b.Fatal(err)
+			}
+			s.Mix(mixFactor)
+			s.SampleDatasetInto(rng, ds, fixed)
+		}
+	}
+	b.Run("scratch", func(b *testing.B) { scratch(b, g, init, 60) })
+	b.Run("wide", func(b *testing.B) {
+		g, init := chainGraph(b, 300, 40, 60, 300)
+		scratch(b, g, init, 300)
+	})
+}
+
+// chainGraph builds the coloring graph of `queries` alternating max and
+// min answers, over sets of lo–hi of n rows, on a duplicate-free
+// dataset, and the graph's initial coloring.
+func chainGraph(b *testing.B, n, queries, lo, hi int) (*coloring.Graph, []int) {
 	rng := randx.New(1)
 	syn := synopsis.NewMaxMin(n, 0, 1)
 	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
-	for t := 0; t < 10; t++ {
-		set := query.NewSet(randx.SubsetSizeBetween(rng, n, 20, 50)...)
+	for t := 0; t < queries; t++ {
+		set := query.NewSet(randx.SubsetSizeBetween(rng, n, lo, hi)...)
 		q := query.Query{Set: set, Kind: query.Max}
 		if t%2 == 1 {
 			q.Kind = query.Min
@@ -268,39 +320,5 @@ func BenchmarkColoringChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const mixFactor = 2
-
-	b.Run("fresh", func(b *testing.B) {
-		rng := randx.New(2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s, err := coloring.NewSamplerFrom(g, rng, init)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Mix(mixFactor)
-			if ds := s.SampleDataset(rng); len(ds) != n {
-				b.Fatal("short dataset")
-			}
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		rng := randx.New(2)
-		s, err := coloring.NewSamplerFrom(g, rng, init)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds := make([]float64, n)
-		fixed := make([]bool, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Reset(rng, init); err != nil {
-				b.Fatal(err)
-			}
-			s.Mix(mixFactor)
-			s.SampleDatasetInto(rng, ds, fixed)
-		}
-	})
+	return g, init
 }
