@@ -43,11 +43,14 @@ race:
 ci: build lint race replication-smoke loadgen-smoke report-smoke cluster-smoke examples-smoke cover mc-fixtures bench-test bench-smoke
 
 # Golden-decision drift gate: the scripted games' decisions must match
-# testdata/mc_decisions.json at worker counts {1,4}. Any drift
-# invalidates persisted session journals — regenerate only for an
-# intentional semantic change (-update-mc-fixtures).
+# testdata/mc_decisions.json at worker counts {1,4}, and the golden
+# chains of the max∧min posterior (maxminprob), the max auditor's
+# decisions (maxprob) and the synopsis folds must keep their pinned
+# digests. Any drift invalidates persisted session journals — regenerate
+# only for an intentional semantic change (-update-mc-fixtures).
+MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain)$$
 mc-fixtures:
-	$(GO) test -run TestMCDecisionFixtures -count=1 .
+	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis
 
 # End-to-end failover drill across real OS processes: build the binary,
 # run a primary and a streaming replica, push 50 queries, diff the
