@@ -156,9 +156,9 @@ func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 	vectors := []struct {
 		name string
 		next func() []float64
-		// guide is the guide-table size for a vector of length n; nil
-		// leaves it to Set.
-		guide func(n int) int
+		// guide, when set, draws each vector's guide-table size in
+		// place of Set's.
+		guide func() int
 		// src, when set, replaces New(12)'s source in both streams.
 		src func() rand.Source
 	}{
@@ -180,7 +180,7 @@ func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 			w[gen.Intn(len(w))] = 1e300
 			return w
 		}},
-		{name: "guide-sizes", next: random, guide: func(int) int { return 1 << gen.Intn(11) }},
+		{name: "guide-sizes", next: random, guide: func() int { return 1 << gen.Intn(11) }},
 		{name: "extreme-draws", next: func() []float64 {
 			w := random()
 			switch gen.Intn(4) {
@@ -214,7 +214,7 @@ func TestCumulativeIndexMatchesWeightedIndex(t *testing.T) {
 			for v := 0; v < vecs; v++ {
 				w := vc.next()
 				if vc.guide != nil {
-					c.set(w, vc.guide(len(w)))
+					c.set(w, vc.guide())
 				} else {
 					c.Set(w)
 				}
