@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke cluster-smoke report-smoke examples-smoke
+.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke report-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-ci: build lint race replication-smoke loadgen-smoke report-smoke cluster-smoke examples-smoke cover mc-fixtures bench-test bench-smoke
+ci: build lint race replication-smoke loadgen-smoke report-smoke examples-smoke cover mc-fixtures bench-test bench-smoke
 
 # Golden-decision drift gate: the scripted games' decisions must match
 # testdata/mc_decisions.json at worker counts {1,4}, and the golden
@@ -68,17 +68,6 @@ replication-smoke:
 # transport/5xx errors, ordered latency percentiles.
 loadgen-smoke:
 	$(GO) test -run TestLoadgenSmoke -count=1 -v ./cmd/loadgen
-
-# End-to-end sharded-fleet drill: two shard pairs (primary + streaming
-# replica each) plus the auditrouter, all real OS processes, driven by
-# the real loadgen binary. Validates the even per-shard request split in
-# the LOADGEN report, bit-identical replica transcripts on both pairs,
-# then SIGKILLs one primary mid-churn, promotes its replica over HTTP,
-# and requires the router to converge onto the promoted member with zero
-# transcript divergence — the paper's simulatability argument stretched
-# across a horizontally sharded fleet.
-cluster-smoke:
-	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/auditrouter
 
 # End-to-end retrospective-auditing drill: auditserver + loadgen +
 # auditdb + auditreport as real binaries. loadgen emits the workload as

@@ -23,7 +23,8 @@
 // X-Analyst-ID header (or ?analyst= parameter; neither means the shared
 // "default" session). Each session is an isolated auditor stack built
 // from the same factories, so one analyst's denials never depend on
-// another's history — the paper's per-adversary compromise model.
+// another's history. That isolation is unsafe when analysts can collude
+// or mint new IDs (docs/DEPLOYMENT.md §1 and §11).
 // -max-sessions bounds admitted analysts (beyond it: 503 + Retry-After),
 // -session-max-live bounds materialized engines (idle sessions are
 // evicted down to their compact query log and rebuilt bit-identically by
@@ -47,8 +48,10 @@
 // together with the sensitive values once an update has changed them; the
 // server reports ready on /readyz only after replay completes. Works for
 // both auditor families (replay reconstructs Monte Carlo state exactly,
-// given the same -prob-seed and parameters). The removed -snapshot flag
-// is still recognized, only to exit at startup naming -session-snapshot.
+// given the same -prob-seed and parameters). Without it the server says
+// at startup that a restart forgets every audit history. The removed
+// -snapshot flag is still recognized, only to exit at startup naming
+// -session-snapshot.
 //
 // Shutdown is graceful: on the first SIGINT/SIGTERM the server stops
 // accepting connections, drains in-flight requests (bounded by
@@ -106,9 +109,6 @@ func main() {
 		replRetention = flag.Int("replication-retention", 4096, "records retained in the replication journal tail (followers further behind resync from a snapshot)")
 		replPollWait  = flag.Duration("replication-poll-wait", 10*time.Second, "how long a stream long-poll is held open (heartbeat interval when idle)")
 		replMaxBatch  = flag.Int("replication-max-batch", 256, "maximum records per stream response")
-
-		clusterConfig = flag.String("cluster-config", "", "fleet descriptor for sharded deployments (requires -shard-id; see docs/DEPLOYMENT.md §14)")
-		shardID       = flag.String("shard-id", "", "this node's shard ID in the -cluster-config descriptor")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "auditserver ", log.LstdFlags|log.Lmsgprefix)
@@ -119,10 +119,6 @@ func main() {
 		// The shard-waiter gauges are sized from this flag, so a value the
 		// manager would round up to its default must not reach them.
 		logger.Fatalf("-session-shards must be at least 1, got %d", *sessShards)
-	}
-	cview, fleetDesc, err := clusterSetup(*clusterConfig, *shardID)
-	if err != nil {
-		logger.Fatalf("cluster: %v", err)
 	}
 	switch *role {
 	case "standalone", "primary":
@@ -200,13 +196,6 @@ func main() {
 			Logger:    logger,
 			Observer:  metrics.NewReplicaCollector(reg),
 		})
-		// A clustered pair boots at the epoch the descriptor last recorded
-		// for its shard, so a restarted shard resumes its fence.
-		if fleetDesc != nil {
-			if sp, ok := fleetDesc.Shard(*shardID); ok && sp.Epoch > 0 {
-				node.AdoptEpoch(sp.Epoch)
-			}
-		}
 	}
 
 	opts := server.Defaults()
@@ -223,11 +212,6 @@ func main() {
 	if node != nil {
 		srvOpts = append(srvOpts, server.WithReplication(node))
 	}
-	if cview != nil {
-		srvOpts = append(srvOpts, server.WithCluster(cview))
-		logger.Printf("cluster: serving shard %s of %d (descriptor %s)",
-			cview.ShardID(), len(fleetDesc.Shards), *clusterConfig)
-	}
 	srv := server.NewWithSessions(mgr, "salary", srvOpts...)
 
 	// First SIGINT/SIGTERM cancels ctx (graceful drain); a second signal
@@ -239,6 +223,9 @@ func main() {
 	defer cancel()
 
 	logger.Printf("%s", ds.Describe())
+	if *sessSnap == "" {
+		logger.Printf("no -session-snapshot: audit histories live only in memory, so a restart forgets every one (docs/DEPLOYMENT.md §4)")
+	}
 	ready := make(chan net.Addr, 1)
 	go func() {
 		a, ok := <-ready

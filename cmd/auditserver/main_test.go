@@ -144,3 +144,19 @@ func TestSessionShardsRejectsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestWarnsWithoutSessionSnapshot: a server started without
+// -session-snapshot says once, at startup, that a restart forgets every
+// audit history (docs/DEPLOYMENT.md §4); with the flag it does not.
+func TestWarnsWithoutSessionSnapshot(t *testing.T) {
+	bin := buildServer(t)
+	const warning = "a restart forgets every one"
+	logs := startServer(t, bin).terminate(t)
+	if n := strings.Count(logs, warning); n != 1 {
+		t.Fatalf("without -session-snapshot the log has %d lines containing %q, want 1:\n%s", n, warning, logs)
+	}
+	snap := filepath.Join(t.TempDir(), "sessions.json")
+	if logs := startServer(t, bin, "-session-snapshot", snap).terminate(t); strings.Contains(logs, warning) {
+		t.Fatalf("with -session-snapshot the log still warns:\n%s", logs)
+	}
+}

@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"queryaudit/internal/metrics"
 )
 
 // metricNamesGolden pins every name /v1/metrics exports, per deployment
@@ -27,9 +25,7 @@ var metricNameConfigs = []struct {
 }{
 	{"auditors full", func(*testing.T) []string { return []string{"-auditors", "full"} }},
 	{"auditors prob", func(*testing.T) []string { return []string{"-auditors", "prob", "-mc-workers", "2"} }},
-	{"role primary, clustered", func(t *testing.T) []string {
-		return []string{"-role", "primary", "-cluster-config", writeFleetFile(t, testFleetDoc), "-shard-id", "shard-a"}
-	}},
+	{"role primary", func(*testing.T) []string { return []string{"-role", "primary"} }},
 }
 
 // TestMetricNamesGolden boots one auditserver per configuration and
@@ -75,13 +71,12 @@ func TestMetricNamesGolden(t *testing.T) {
 var docSpan = regexp.MustCompile("`[^`]+`")
 
 // docPlaceholders turn the docs' name placeholders into patterns.
-var docPlaceholders = strings.NewReplacer("<kind>", "[a-z]+", "<i>", "[0-9]+", "<shard>", "[a-z0-9_]+", "<route>", "[a-z0-9_]+", "*", "[a-z0-9_]+")
+var docPlaceholders = strings.NewReplacer("<kind>", "[a-z]+", "<i>", "[0-9]+", "<route>", "[a-z0-9_]+", "*", "[a-z0-9_]+")
 
 // TestDocumentedMetricsExist: every metric name docs/DEPLOYMENT.md gives
 // in a code span, at the span's start or as a PromQL argument, is one
-// that an auditserver in the golden file or the router's
-// metrics.NewClusterRouterMetrics exports. {a,b} groups are expanded,
-// <kind>, <i>, <shard> and a family's * stand for any name part of that
+// that an auditserver in the golden file exports. {a,b} groups are
+// expanded, <kind>, <i> and a family's * stand for any name part of that
 // shape, and a trailing [_route] means both the bare name and its
 // per-route forms.
 func TestDocumentedMetricsExist(t *testing.T) {
@@ -94,15 +89,6 @@ func TestDocumentedMetricsExist(t *testing.T) {
 		if _, name, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
 			names = append(names, name)
 		}
-	}
-	reg := metrics.NewRegistry()
-	metrics.NewClusterRouterMetrics(reg)
-	snap := reg.Snapshot()
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	for name := range snap.Gauges {
-		names = append(names, name)
 	}
 	prefixes := map[string]bool{}
 	for _, name := range names {

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"time"
 
 	"queryaudit/internal/persist"
@@ -22,7 +20,6 @@ type Report struct {
 	Workload    WorkloadEcho `json:"workload"`
 	Totals      Totals       `json:"totals"`
 	ByKind      []KindStats  `json:"by_kind"`
-	ByShard     []ShardStats `json:"by_shard,omitempty"`
 	LatencyMS   Latency      `json:"latency_ms"`
 	AchievedQPS float64      `json:"achieved_qps"`
 	SLO         SLO          `json:"slo"`
@@ -53,19 +50,6 @@ type Totals struct {
 	HTTP5xx         int     `json:"http_5xx"`
 	TransportErrors int     `json:"transport_errors"`
 	Retried421      int     `json:"retried_421,omitempty"`
-}
-
-// ShardStats is the per-shard slice of a clustered run, keyed by the
-// X-Shard-ID response header. Uniform analyst load should spread
-// requests evenly here (the cluster-smoke drill asserts it); a skewed
-// distribution means a hot shard or a stale fleet descriptor.
-type ShardStats struct {
-	Shard       string  `json:"shard"`
-	Requests    int     `json:"requests"`
-	Answered    int     `json:"answered"`
-	Denied      int     `json:"denied"`
-	DenialRate  float64 `json:"denial_rate"`
-	AchievedQPS float64 `json:"achieved_qps"`
 }
 
 // KindStats is the per-aggregate slice of the totals.
@@ -124,8 +108,6 @@ func buildReport(cfg config, samples []sample, elapsed time.Duration) *Report {
 	}
 	kinds := map[string]*kindAgg{}
 	order := []string{}
-	shards := map[string]*ShardStats{}
-	shardOrder := []string{}
 	within := 0
 	var sum time.Duration
 	for _, s := range samples {
@@ -140,16 +122,6 @@ func buildReport(cfg config, samples []sample, elapsed time.Duration) *Report {
 			order = append(order, s.kind)
 		}
 		ka.stats.Requests++
-		var sa *ShardStats
-		if s.shard != "" {
-			sa = shards[s.shard]
-			if sa == nil {
-				sa = &ShardStats{Shard: s.shard}
-				shards[s.shard] = sa
-				shardOrder = append(shardOrder, s.shard)
-			}
-			sa.Requests++
-		}
 		switch {
 		case s.failed:
 			rep.Totals.TransportErrors++
@@ -163,15 +135,9 @@ func buildReport(cfg config, samples []sample, elapsed time.Duration) *Report {
 		case s.denied:
 			rep.Totals.Denied++
 			ka.stats.Denied++
-			if sa != nil {
-				sa.Denied++
-			}
 		default:
 			rep.Totals.Answered++
 			ka.stats.Answered++
-			if sa != nil {
-				sa.Answered++
-			}
 		}
 		ka.lats = append(ka.lats, s.latency)
 		sum += s.latency
@@ -212,17 +178,6 @@ func buildReport(cfg config, samples []sample, elapsed time.Duration) *Report {
 		ka.stats.P99MS = ms(percentile(ls, 0.99))
 		rep.ByKind = append(rep.ByKind, ka.stats)
 	}
-	sort.Strings(shardOrder)
-	for _, id := range shardOrder {
-		sa := shards[id]
-		if decided := sa.Answered + sa.Denied; decided > 0 {
-			sa.DenialRate = float64(sa.Denied) / float64(decided)
-		}
-		if elapsed > 0 {
-			sa.AchievedQPS = float64(sa.Requests) / elapsed.Seconds()
-		}
-		rep.ByShard = append(rep.ByShard, *sa)
-	}
 	return rep
 }
 
@@ -246,19 +201,11 @@ func (r *Report) write(path string) error {
 
 // summary is the one human-readable line printed after a run.
 func (r *Report) summary() string {
-	s := fmt.Sprintf(
+	return fmt.Sprintf(
 		"loadgen: %d reqs in %.1fs (%.1f qps) | answered %d, denied %d (%.1f%%), 4xx %d, 5xx %d, transport %d | p50 %.2fms p99 %.2fms | %.1f qps within %.0fms SLO (%.1f%%)",
 		r.Totals.Requests, r.Workload.DurationSec, r.AchievedQPS,
 		r.Totals.Answered, r.Totals.Denied, 100*r.Totals.DenialRate,
 		r.Totals.HTTP4xx, r.Totals.HTTP5xx, r.Totals.TransportErrors,
 		r.LatencyMS.P50, r.LatencyMS.P99,
 		r.SLO.QPSWithinSLO, r.SLO.ThresholdMS, 100*r.SLO.WithinFraction)
-	if len(r.ByShard) > 0 {
-		parts := make([]string, len(r.ByShard))
-		for i, sh := range r.ByShard {
-			parts[i] = fmt.Sprintf("%s=%d", sh.Shard, sh.Requests)
-		}
-		s += fmt.Sprintf(" | shards %s (421 follows %d)", strings.Join(parts, " "), r.Totals.Retried421)
-	}
-	return s
 }

@@ -172,9 +172,8 @@ type sample struct {
 	denied   bool
 	answered bool
 	answer   float64
-	failed   bool   // transport error (no HTTP status)
-	shard    string // X-Shard-ID of the answering node (clustered runs)
-	retried  bool   // followed one 421 misdirected hop
+	failed   bool // transport error (no HTTP status)
+	retried  bool // followed one 421 misdirected hop
 }
 
 // outcome classifies the sample the way an audit log records it:
@@ -297,11 +296,11 @@ func newPicker(rng *rand.Rand, s float64, n int) func() int {
 }
 
 // doQuery posts one SQL statement as the given analyst and classifies
-// the outcome. A 421 misdirected response from a clustered node names
-// the analyst's real owner; the harness follows it exactly once (the
-// same hop a router or well-behaved client makes), so driving a shard
-// directly still exercises the whole fleet. The recorded latency spans
-// both hops — that IS the cost a misrouted client pays.
+// the outcome. A 421 misdirected response from a replica names the
+// primary in primary_url; the harness follows it exactly once (the same
+// hop a well-behaved client makes), so driving a replica still reaches
+// the auditor. The recorded latency spans both hops — that IS the cost
+// a misdirected client pays.
 func doQuery(client *http.Client, base, analyst string, st statement) sample {
 	body, _ := json.Marshal(map[string]string{"sql": st.sql})
 	t0 := time.Now()
@@ -335,7 +334,6 @@ func doQuery(client *http.Client, base, analyst string, st statement) sample {
 	defer resp.Body.Close()
 	out.latency = time.Since(t0)
 	out.status = resp.StatusCode
-	out.shard = resp.Header.Get("X-Shard-ID")
 	var qr struct {
 		Denied bool     `json:"denied"`
 		Answer *float64 `json:"answer"`

@@ -16,7 +16,7 @@ import (
 
 // docCommands are the binaries whose invocations the docs are checked
 // for.
-var docCommands = []string{"auditserver", "auditdb", "auditreport", "auditrouter", "loadgen"}
+var docCommands = []string{"auditserver", "auditdb", "auditreport", "loadgen"}
 
 // helpFlag matches one flag line of the flag package's -h listing.
 var helpFlag = regexp.MustCompile(`(?m)^  -([A-Za-z0-9][\w.-]*)`)

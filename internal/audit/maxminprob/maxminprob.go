@@ -131,6 +131,11 @@ type Auditor struct {
 	part   interval.Partition
 	window interval.RatioWindow
 	syn    *synopsis.MaxMin
+	// g is the decision graph, refilled by coloring.BuildInto for every
+	// candidate-answer check and once per Decide. Decide calls are
+	// serialized by the engine, and the Monte Carlo lanes only read g
+	// until mcpar.Vote returns, so one graph serves every decision.
+	g coloring.Graph
 	// decisions counts Decide calls; each decision derives its own base
 	// seed from (params.Seed, decisions) so samples are fresh per decision
 	// yet bit-reproducible across runs and worker counts.
@@ -212,14 +217,13 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 // Section 3.2 prescribes.
 func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	limit := a.params.enumerateLimit()
-	var g coloring.Graph
 	for _, cand := range a.candidates(q.Set) {
 		if a.syn.Fold(q.Kind, q.Set, cand) != nil {
 			continue // inconsistent answers cannot occur
 		}
-		err := coloring.BuildInto(&g, a.syn)
+		err := coloring.BuildInto(&a.g, a.syn)
 		a.syn.Rollback()
-		if err != nil || !g.MeetsLemma2() && g.SpaceSize(limit) >= limit {
+		if err != nil || !a.g.MeetsLemma2() && a.g.SpaceSize(limit) >= limit {
 			return false
 		}
 	}
@@ -402,8 +406,8 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	// The coloring graph of the current synopsis is identical for every
 	// outer sample: build it (and its deterministic starting coloring)
 	// once per decision and share both read-only across the workers.
-	g, err := coloring.Build(a.syn)
-	if err != nil {
+	g := &a.g
+	if err := coloring.BuildInto(g, a.syn); err != nil {
 		return audit.Deny, err
 	}
 	init, err := g.InitialColoring()

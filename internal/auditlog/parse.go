@@ -21,10 +21,9 @@ type Format string
 
 const (
 	// FormatAuto sniffs the format: a session journal if the input has
-	// a journal's shape (persist envelope, snapshot wrapper, snapshot,
-	// or snapshot list) — a damaged journal is rejected, not re-read as
-	// ndjson — else ndjson when the first byte is '{', else pgAudit-
-	// style CSV.
+	// a journal's shape (persist envelope, snapshot, or snapshot list)
+	// — a damaged journal is rejected, not re-read as ndjson — else
+	// ndjson when the first byte is '{', else pgAudit-style CSV.
 	FormatAuto Format = "auto"
 	// FormatPGAuditCSV is a pgAudit-style CSV line per statement:
 	//
@@ -41,8 +40,7 @@ const (
 	FormatNDJSON Format = "ndjson"
 	// FormatJournal is an exported session journal: a persist
 	// session-logs snapshot file, a single session.LogSnapshot (what
-	// GET /v1/journal returns), a {"snapshot": {...}} wrapper (the
-	// cluster journal response), or a JSON array of snapshots. Journals
+	// GET /v1/journal returns), or a JSON array of snapshots. Journals
 	// are digest-verified as a unit — a corrupt journal is a hard
 	// error, not a recoverable line.
 	FormatJournal Format = "journal"
@@ -250,10 +248,9 @@ func parseNDJSONLine(line string) (Entry, bool, bool) {
 // errNotJournal reports input without the shape of a session journal.
 var errNotJournal = errors.New("auditlog: input is not a recognizable session journal")
 
-// decodeJournal extracts the journal snapshots from any accepted
-// wrapper: a persist envelope (kind + payload), a
-// cluster.JournalResponse (snapshot), a bare session.LogSnapshot
-// (analyst + events) or an array of bare snapshots. The wrapper is
+// decodeJournal extracts the journal snapshots from any accepted shape:
+// a persist envelope (kind + payload), a bare session.LogSnapshot
+// (analyst + events) or an array of bare snapshots. The shape is
 // recognized by its top-level keys alone, and only input without any of
 // those shapes yields errNotJournal, so format detection takes a
 // damaged journal for one even when decoding it fails. Digest chains
@@ -274,19 +271,15 @@ func decodeJournal(data []byte) ([]session.LogSnapshot, error) {
 	if json.Unmarshal(trimmed, &obj) != nil {
 		return nil, errNotJournal
 	}
-	var snap session.LogSnapshot
-	var err error
 	switch {
 	case hasKeys(obj, "kind", "payload"):
 		return persist.LoadSessions(bytes.NewReader(trimmed))
-	case hasKeys(obj, "snapshot"):
-		err = json.Unmarshal(obj["snapshot"], &snap)
 	case hasKeys(obj, "analyst", "events"):
-		err = json.Unmarshal(trimmed, &snap)
-	default:
-		return nil, errNotJournal
+		var snap session.LogSnapshot
+		err := json.Unmarshal(trimmed, &snap)
+		return []session.LogSnapshot{snap}, err
 	}
-	return []session.LogSnapshot{snap}, err
+	return nil, errNotJournal
 }
 
 // hasKeys reports whether obj has every key.

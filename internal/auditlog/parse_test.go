@@ -163,10 +163,6 @@ func TestParseJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := json.Marshal(map[string]any{"shard": "shard-a", "snapshot": snap})
-	if err != nil {
-		t.Fatal(err)
-	}
 	array, err := json.Marshal([]session.LogSnapshot{snap})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +170,7 @@ func TestParseJournal(t *testing.T) {
 	shapes := []struct {
 		name string
 		data []byte
-	}{{"bare", bare}, {"cluster-wrapped", wrapped}, {"array", array}}
+	}{{"bare", bare}, {"array", array}}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			entries, st, err := ParseBytes(sh.data, sh.name, FormatAuto)

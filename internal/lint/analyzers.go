@@ -8,9 +8,7 @@ package lint
 
 // DecisionPathPrefixes are the packages whose code decides or samples:
 // everything under the auditors, the coloring sampler, the Monte Carlo
-// engine, the attack game, the cluster placement logic (router and
-// shards must compute identical owners from the descriptor alone, so
-// the ring is a decision path too), and the retrospective pipeline
+// engine, the attack game, and the retrospective pipeline
 // (reports are reproducible artifacts: same inputs, same bytes).
 // detrand runs here.
 var DecisionPathPrefixes = []string{
@@ -19,7 +17,6 @@ var DecisionPathPrefixes = []string{
 	"queryaudit/internal/coloring",
 	"queryaudit/internal/mcpar",
 	"queryaudit/internal/game",
-	"queryaudit/internal/cluster",
 }
 
 // FloatEqPrefixes are the packages doing probability and bound
@@ -40,7 +37,6 @@ var PersistPaths = []string{"queryaudit/internal/persist"}
 // here.
 var CtxLeakPrefixes = []string{
 	"queryaudit/internal/replica",
-	"queryaudit/internal/cluster",
 	"queryaudit/internal/server",
 	"queryaudit/internal/auditlog",
 }

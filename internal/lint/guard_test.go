@@ -18,7 +18,7 @@ func TestDecisionPathsStayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := LoadPackages(root, "./internal/audit/...", "./internal/auditlog", "./internal/mcpar", "./internal/coloring", "./internal/cluster")
+	prog, err := LoadPackages(root, "./internal/audit/...", "./internal/auditlog", "./internal/mcpar", "./internal/coloring")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +32,9 @@ func TestDecisionPathsStayDeterministic(t *testing.T) {
 }
 
 // TestServiceLayersStayConcurrencyClean pins the concurrency-discipline
-// invariants the same way: the replication and sharding layers — the
-// packages that spawn followers, janitors and mirror workers and nest
-// the deepest lock chains — must stay free of unsuppressed ctxleak and
+// invariants the same way: the replication layer — the package that
+// spawns followers, janitors and mirror workers and nests the deepest
+// lock chains — must stay free of unsuppressed ctxleak and
 // lockorder findings. A ghost goroutine surviving a demotion, or a
 // lock-order cycle between the journal and the session table, is a
 // split-history bug replication cannot detect from inside.
@@ -46,7 +46,7 @@ func TestServiceLayersStayConcurrencyClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := LoadPackages(root, "./internal/replica/...", "./internal/cluster/...")
+	prog, err := LoadPackages(root, "./internal/replica/...")
 	if err != nil {
 		t.Fatal(err)
 	}

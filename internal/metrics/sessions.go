@@ -79,8 +79,7 @@ func (c *SessionCollector) ObserveSessionEvicted() {
 }
 
 // ObserveSessionRemoved counts one session removed from the table, log
-// included; expired marks a TTL expiry, as opposed to an explicit drop
-// or a migration away.
+// included; expired marks a TTL expiry, as opposed to an explicit drop.
 func (c *SessionCollector) ObserveSessionRemoved(expired bool) {
 	if c == nil {
 		return

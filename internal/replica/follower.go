@@ -258,10 +258,6 @@ func (n *Node) applyRecord(rec Record) {
 		n.applyDecision(rec)
 	case RecordUpdate:
 		n.applyUpdate(rec)
-	case RecordSession:
-		n.applySession(rec)
-	case RecordForget:
-		n.mgr.Drop(rec.Analyst)
 	default:
 		n.logger.Printf("replica: unknown record kind %q at seq %d (skipped)", rec.Kind, rec.Seq)
 	}
@@ -306,34 +302,6 @@ func (n *Node) applyDecision(rec Record) {
 		return
 	}
 	n.pendAck(rec.Analyst, rec.SessionSeq, digest)
-}
-
-// applySession applies a migrated-in session journal (cross-shard
-// import on the primary): rebuild the session by replaying the shipped
-// journal, exactly as the primary's import did. The snapshot's own
-// digest chain authenticates the payload (Manager.Import validates it);
-// an existing local timeline that is not a prefix of the shipped one is
-// dropped and re-imported — the primary's copy is authoritative.
-func (n *Node) applySession(rec Record) {
-	if _, bad := n.Quarantined(rec.Analyst); bad {
-		return
-	}
-	if rec.Snapshot == nil || rec.Snapshot.Analyst != rec.Analyst {
-		n.quarantine(rec.Analyst, fmt.Sprintf("malformed session record at seq %d", rec.Seq))
-		return
-	}
-	_, _, err := n.mgr.Import(*rec.Snapshot)
-	if errors.Is(err, session.ErrImportConflict) {
-		n.mgr.Drop(rec.Analyst)
-		_, _, err = n.mgr.Import(*rec.Snapshot)
-	}
-	if err != nil {
-		n.quarantine(rec.Analyst, fmt.Sprintf("session import at seq %d: %v", rec.Seq, err))
-		return
-	}
-	if seq, digest, ok := n.mgr.PositionOf(rec.Analyst); ok {
-		n.pendAck(rec.Analyst, seq, digest)
-	}
 }
 
 func (n *Node) applyUpdate(rec Record) {

@@ -264,36 +264,6 @@ func (n *Node) TapUpdate(index int, value float64, marks []session.Mark) {
 	})
 }
 
-// JournalSessionImport journals a whole migrated-in session for the
-// followers. A cross-shard import replays the journal directly into the
-// manager (session.Manager.Import), bypassing the decision tap — so
-// without this record a follower would see the session's NEXT event
-// arrive at a sequence far past 1 and quarantine it as a gap. Call it
-// on the primary immediately after a successful import, while still
-// serving the import request (no decision for the analyst can land in
-// between: the session was not owned here before the import, and
-// ownership traffic follows the migration).
-func (n *Node) JournalSessionImport(snap session.LogSnapshot) {
-	if n.Role() != RolePrimary {
-		return
-	}
-	n.journal.Append(Record{
-		Kind:     RecordSession,
-		Analyst:  snap.Analyst,
-		Snapshot: &snap,
-	})
-}
-
-// JournalSessionForget journals a migrated-away session's drop so
-// followers drop their copy too instead of carrying an orphaned
-// timeline into a future promotion.
-func (n *Node) JournalSessionForget(analyst string) {
-	if n.Role() != RolePrimary {
-		return
-	}
-	n.journal.Append(Record{Kind: RecordForget, Analyst: analyst})
-}
-
 // Promote makes a replica the primary: stops the follower loop, bumps
 // the cluster epoch past everything this node has seen, and fences the
 // old primary (best effort — the epoch carried by any surviving

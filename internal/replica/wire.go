@@ -22,15 +22,6 @@ const (
 	// plus the journal marks it appended to every session that existed on
 	// the primary at that instant.
 	RecordUpdate = "update"
-	// RecordSession carries one whole session journal, shipped when a
-	// cross-shard migration imports a session onto this primary: the
-	// imported history never passed through the decision tap, so the
-	// follower receives it as a unit and rebuilds by replay, exactly as
-	// the primary did.
-	RecordSession = "session"
-	// RecordForget announces that a session was migrated away (dropped at
-	// a verified position); the follower drops its copy too.
-	RecordForget = "forget"
 )
 
 // WireMark is a session journal position on the wire: analyst, sequence
@@ -64,11 +55,6 @@ type Record struct {
 	Value float64 `json:"value,omitempty"`
 	// Sessions are the per-session marker positions the update appended.
 	Sessions []WireMark `json:"sessions,omitempty"`
-
-	// Snapshot is the whole-journal payload (Kind == RecordSession). The
-	// snapshot's own digest chain authenticates it; Analyst names the
-	// session for RecordSession and RecordForget alike.
-	Snapshot *session.LogSnapshot `json:"snapshot,omitempty"`
 }
 
 // StreamRequest is the body of POST /v1/replication/stream: a long-poll
@@ -134,8 +120,7 @@ type StatusResponse struct {
 	Head    uint64 `json:"head"`
 	Applied uint64 `json:"applied"`
 	Lag     uint64 `json:"lag"`
-	// Sessions is the node's tracked-session count, surfaced so the
-	// cluster ring (GET /v1/cluster) can report per-shard load.
+	// Sessions is the node's tracked-session count.
 	Sessions    int      `json:"sessions"`
 	PrimaryURL  string   `json:"primary_url,omitempty"`
 	Quarantined []string `json:"quarantined,omitempty"`

@@ -73,7 +73,7 @@ func WithReadinessGate() Option { return func(s *Server) { s.gated = true } }
 
 // WithReplication attaches a replication node: the /v1/replication/*
 // endpoints mount, state-mutating endpoints answer 421 whenever the node
-// is not the cluster primary, and sessions the node has quarantined
+// is not the primary, and sessions the node has quarantined
 // after divergence detection answer 503 instead of serving state the
 // primary never produced.
 func WithReplication(n *replica.Node) Option { return func(s *Server) { s.repl = n } }
@@ -108,8 +108,6 @@ var routes = []string{
 	"/v1/replication/status", "/v1/replication/snapshot",
 	"/v1/replication/stream", "/v1/replication/promote",
 	"/v1/replication/demote",
-	"/v1/cluster/node", "/v1/cluster/journal", "/v1/cluster/import",
-	"/v1/cluster/forget", "/v1/cluster/config",
 	"/healthz", "/readyz",
 }
 
@@ -230,11 +228,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				return
 			}
 			defer s.limiter.release(client)
-		}
-		if s.cview != nil {
-			// Every response names the serving shard, so load generators
-			// and proxies can attribute traffic without a second lookup.
-			w.Header().Set("X-Shard-ID", s.cview.ShardID())
 		}
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()

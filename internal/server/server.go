@@ -76,7 +76,6 @@ import (
 	"sync/atomic"
 
 	"queryaudit/internal/audit"
-	"queryaudit/internal/cluster"
 	"queryaudit/internal/core"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
@@ -108,10 +107,6 @@ type Server struct {
 	// repl, when set, makes role and quarantine part of request routing:
 	// writes are fenced to the primary, divergent sessions answer 503.
 	repl *replica.Node
-	// cview, when set, makes shard ownership part of request routing:
-	// analysts owned by another shard answer 421 naming the owner.
-	cview    *cluster.NodeView
-	clusterM *metrics.ClusterNodeMetrics
 	// ready gates the session-scoped endpoints; it starts true unless
 	// WithReadinessGate is given, and flips once via MarkReady.
 	ready atomic.Bool
@@ -152,15 +147,12 @@ func NewWithSessions(mgr *session.Manager, sensitive string, opts ...Option) *Se
 	if s.repl != nil {
 		s.mux.Handle("/v1/replication/", s.repl.Handler())
 	}
-	if s.cview != nil {
-		s.clusterRoutes()
-	}
 	s.handler = s.middleware(s.mux)
 	return s
 }
 
 // writable wraps a state-mutating handler with the replication role
-// gate: on a node that is not the cluster primary the request is
+// gate: on a node that is not the primary the request is
 // misdirected (421) and the response names the primary, so a client (or
 // proxy) can follow. Non-replicated servers pass through untouched.
 //
@@ -172,19 +164,12 @@ func NewWithSessions(mgr *session.Manager, sensitive string, opts ...Option) *Se
 func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.repl != nil && !s.repl.Writable() {
-			resp := replicaErrorResponse{
+			s.writeJSON(w, http.StatusMisdirectedRequest, replicaErrorResponse{
 				Error:      "this node is a read-only replica; direct writes to the primary",
 				Role:       s.repl.Role().String(),
 				Epoch:      s.repl.Epoch(),
 				PrimaryURL: s.repl.PrimaryURL(),
-			}
-			if s.cview != nil {
-				// Clustered nodes name their shard so a proxy can tell this
-				// role redirect (same shard, wrong member) from an ownership
-				// redirect to a different shard.
-				resp.Shard = s.cview.ShardID()
-			}
-			s.writeJSON(w, http.StatusMisdirectedRequest, resp)
+			})
 			return
 		}
 		h(w, r)
@@ -226,9 +211,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // AnalystID extracts the analyst identity: X-Analyst-ID header first,
 // then the ?analyst= query parameter, else the shared default session.
 // IDs are capped at 128 bytes of printable ASCII so arbitrary header
-// bytes never become map keys or log lines. A router in front of the
-// shards must place requests by exactly this identity, or placement and
-// ownership disagree.
+// bytes never become map keys or log lines.
 func AnalystID(r *http.Request) (string, error) {
 	a := r.Header.Get("X-Analyst-ID")
 	if a == "" {
@@ -257,9 +240,6 @@ func (s *Server) analyst(w http.ResponseWriter, r *http.Request) (string, bool) 
 	a, err := AnalystID(r)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return "", false
-	}
-	if !s.ownershipGate(w, a) {
 		return "", false
 	}
 	if s.repl != nil {
@@ -330,13 +310,11 @@ type errorResponse struct {
 }
 
 // replicaErrorResponse carries a role-aware refusal (421) with enough
-// context for the caller to find the primary. Shard is set on clustered
-// nodes (see cluster.MisdirectedBody for the ownership-redirect form).
+// context for the caller to find the primary.
 type replicaErrorResponse struct {
 	Error      string `json:"error"`
 	Role       string `json:"role"`
 	Epoch      uint64 `json:"epoch"`
-	Shard      string `json:"shard,omitempty"`
 	PrimaryURL string `json:"primary_url,omitempty"`
 }
 
@@ -510,12 +488,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJournal exports the requesting analyst's session journal — the
-// same digest-chained session.LogSnapshot the cluster migration
-// endpoint ships, but reachable on every deployment (GET
-// /v1/cluster/journal mounts only with -cluster-config), so the
-// retrospective pipeline (cmd/auditreport) can ingest from any live
-// server. The snapshot is self-verifying: auditreport recomputes the
+// handleJournal exports the requesting analyst's session journal — a
+// digest-chained session.LogSnapshot — so the retrospective pipeline
+// (cmd/auditreport) can ingest from any live server. The snapshot is self-verifying: auditreport recomputes the
 // digest chain before replaying a single event.
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	analyst, ok := s.analyst(w, r)

@@ -1,22 +1,10 @@
 package session
 
 import (
-	"errors"
 	"testing"
 
-	"queryaudit/internal/core"
 	"queryaudit/internal/query"
 )
-
-// mustParseDigest converts a snapshot's hex digest for DropIfAt.
-func mustParseDigest(t *testing.T, s string) core.Digest {
-	t.Helper()
-	d, err := core.ParseDigest(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 // askN issues n distinct sum queries so the journal advances.
 func askN(t *testing.T, m *Manager, analyst string, n int) {
@@ -35,11 +23,11 @@ func TestExportAbsentSession(t *testing.T) {
 	}
 }
 
-// TestExportImportRoundTrip: export from one manager, import into a
+// TestExportRestoreRoundTrip: export from one manager, restore into a
 // fresh one over the same dataset, verify the replayed position is
-// bit-identical, and confirm the migrated session continues the game
+// bit-identical, and confirm the restored session continues the game
 // exactly where the original would.
-func TestExportImportRoundTrip(t *testing.T) {
+func TestExportRestoreRoundTrip(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
 	m1 := newTestManager(t, Config{}, vals)
 	askN(t, m1, "alice", 5)
@@ -52,12 +40,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 
 	m2 := newTestManager(t, Config{}, vals)
-	seq, digest, err := m2.Import(snap)
-	if err != nil {
+	if err := m2.Restore([]LogSnapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
-	if seq != snap.Seq || digest.Hex() != snap.Digest {
-		t.Fatalf("import replayed to (seq %d, %s), exported (seq %d, %s)",
+	seq, digest, ok := m2.PositionOf("alice")
+	if !ok || seq != snap.Seq || digest.Hex() != snap.Digest {
+		t.Fatalf("restore replayed to (seq %d, %s), exported (seq %d, %s)",
 			seq, digest.Hex(), snap.Seq, snap.Digest)
 	}
 
@@ -66,90 +54,6 @@ func TestExportImportRoundTrip(t *testing.T) {
 	r1, err1 := m1.Ask("alice", q)
 	r2, err2 := m2.Ask("alice", q)
 	if (err1 == nil) != (err2 == nil) || r1.Denied != r2.Denied || r1.Answer != r2.Answer {
-		t.Fatalf("migrated session diverged: %+v/%v vs %+v/%v", r1, err1, r2, err2)
-	}
-}
-
-// TestImportIsPrefixTolerant: re-delivering the same journal is a
-// no-op, and a LONGER journal whose chain extends the resident copy
-// replaces it — the shape a migration retry produces after live
-// traffic grew the source journal.
-func TestImportIsPrefixTolerant(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	m1 := newTestManager(t, Config{}, vals)
-	askN(t, m1, "alice", 3)
-	short, _ := m1.Export("alice")
-	askN(t, m1, "alice", 3)
-	long, _ := m1.Export("alice")
-
-	m2 := newTestManager(t, Config{}, vals)
-	if _, _, err := m2.Import(short); err != nil {
-		t.Fatal(err)
-	}
-	// Exact re-delivery: idempotent.
-	seq, digest, err := m2.Import(short)
-	if err != nil || seq != short.Seq || digest.Hex() != short.Digest {
-		t.Fatalf("re-import of identical journal: (%d, %s), %v", seq, digest.Hex(), err)
-	}
-	// Extension over the verified prefix: accepted, lands at the head.
-	seq, digest, err = m2.Import(long)
-	if err != nil || seq != long.Seq || digest.Hex() != long.Digest {
-		t.Fatalf("import of extended journal: (%d, %s), %v, want (%d, %s)",
-			seq, digest.Hex(), err, long.Seq, long.Digest)
-	}
-}
-
-// TestImportRefusesDivergentTimeline: a resident session whose history
-// is NOT a prefix of the imported journal is an unresolvable conflict.
-func TestImportRefusesDivergentTimeline(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	m1 := newTestManager(t, Config{}, vals)
-	askN(t, m1, "alice", 4)
-	snap, _ := m1.Export("alice")
-
-	m2 := newTestManager(t, Config{}, vals)
-	// Give m2's alice a different first move — divergent from step one.
-	if _, err := m2.Ask("alice", query.New(query.Sum, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m2.Import(snap); !errors.Is(err, ErrImportConflict) {
-		t.Fatalf("err = %v, want ErrImportConflict", err)
-	}
-	// A resident journal LONGER than the import is equally fatal.
-	m3 := newTestManager(t, Config{}, vals)
-	askN(t, m3, "alice", 6)
-	shortSnap := snap
-	if _, _, err := m3.Import(shortSnap); !errors.Is(err, ErrImportConflict) {
-		t.Fatalf("import of a strict-prefix journal: err = %v, want ErrImportConflict", err)
-	}
-}
-
-// TestDropIfAt covers the conditional-drop cut: wrong position refused
-// with ErrPositionMoved, right position drops, absent session is a
-// no-op success (idempotent re-delivery of the forget).
-func TestDropIfAt(t *testing.T) {
-	m := newTestManager(t, Config{}, []float64{1, 2, 3, 4})
-	askN(t, m, "alice", 3)
-	snap, _ := m.Export("alice")
-	digest := mustParseDigest(t, snap.Digest)
-
-	if err := m.DropIfAt("alice", snap.Seq+1, digest); !errors.Is(err, ErrPositionMoved) {
-		t.Fatalf("wrong seq: err = %v, want ErrPositionMoved", err)
-	}
-	// Advance the journal, then try the now-stale cut.
-	askN(t, m, "alice", 1)
-	if err := m.DropIfAt("alice", snap.Seq, digest); !errors.Is(err, ErrPositionMoved) {
-		t.Fatalf("stale cut: err = %v, want ErrPositionMoved", err)
-	}
-	cur, _ := m.Export("alice")
-	if err := m.DropIfAt("alice", cur.Seq, mustParseDigest(t, cur.Digest)); err != nil {
-		t.Fatalf("drop at current position: %v", err)
-	}
-	if _, ok := m.Export("alice"); ok {
-		t.Fatal("session still exportable after drop")
-	}
-	// Re-delivered forget: success, not an error.
-	if err := m.DropIfAt("alice", cur.Seq, mustParseDigest(t, cur.Digest)); err != nil {
-		t.Fatalf("idempotent re-drop: %v", err)
+		t.Fatalf("restored session diverged: %+v/%v vs %+v/%v", r1, err1, r2, err2)
 	}
 }

@@ -95,7 +95,7 @@ func TestLRUListInvariant(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("maxlive=%d/seed=%d", maxLive, seed), func(t *testing.T) {
 				rng := randx.New(seed)
-				// Source journals for Import and Restore.
+				// Source journals for Restore.
 				src := newTestManager(t, Config{}, vals)
 				var srcSnaps []LogSnapshot
 				for i := 0; i < 4; i++ {
@@ -113,7 +113,7 @@ func TestLRUListInvariant(t *testing.T) {
 				checkLRU(t, m)
 				for step := 0; step < 300; step++ {
 					a := fmt.Sprintf("a%d", rng.Intn(8))
-					switch op := rng.Intn(10); op {
+					switch op := rng.Intn(8); op {
 					case 0, 1, 2:
 						if _, err := m.Ask(a, randomQuery(rng)); err != nil {
 							t.Fatalf("step %d: ask %s: %v", step, a, err)
@@ -123,24 +123,12 @@ func TestLRUListInvariant(t *testing.T) {
 					case 4:
 						m.Drop(a)
 					case 5:
-						seq, d, _ := m.PositionOf(a)
-						if rng.Intn(2) == 0 {
-							seq++
-						}
-						if err := m.DropIfAt(a, seq, d); err != nil && !errors.Is(err, ErrPositionMoved) {
-							t.Fatalf("step %d: drop-if-at %s: %v", step, a, err)
-						}
-					case 6:
 						m.Sweep(clk.read())
-					case 7:
-						if _, _, err := m.Import(srcSnaps[rng.Intn(len(srcSnaps))]); err != nil && !errors.Is(err, ErrImportConflict) {
-							t.Fatalf("step %d: import: %v", step, err)
-						}
-					case 8:
+					case 6:
 						if err := m.Restore([]LogSnapshot{srcSnaps[rng.Intn(len(srcSnaps))]}); err != nil {
 							t.Fatalf("step %d: restore: %v", step, err)
 						}
-					case 9:
+					case 7:
 						if _, err := m.Ask(DefaultAnalyst, randomQuery(rng)); err != nil {
 							t.Fatalf("step %d: ask default: %v", step, err)
 						}

@@ -711,6 +711,19 @@ func (m *Manager) PositionOf(analyst string) (uint64, core.Digest, bool) {
 	return seq, d, true
 }
 
+// Export returns a snapshot of the analyst's journal (digest chain
+// included) without creating, materializing or touching the session.
+// The snapshot is internally consistent — Log.Snapshot holds the log
+// lock — so a concurrent decision lands either wholly before or wholly
+// after the cut.
+func (m *Manager) Export(analyst string) (LogSnapshot, bool) {
+	s := m.peek(analyst)
+	if s == nil {
+		return LogSnapshot{}, false
+	}
+	return s.log.Snapshot(analyst), true
+}
+
 // Drop removes one session outright — engine AND journal — regardless of
 // TTL. Replication uses it when a primary
 // restarts an analyst's timeline (a shipped event with sequence number 1

@@ -162,8 +162,8 @@ func TestTTLSweep(t *testing.T) {
 	}
 }
 
-// TestDropIsNotExpiry: Drop and a migration's DropIfAt remove sessions
-// without counting TTL expiries, and both lower sessions_tracked.
+// TestDropIsNotExpiry: Drop removes sessions without counting TTL
+// expiries, and lowers sessions_tracked.
 func TestDropIsNotExpiry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := newTestManager(t, Config{Observer: metrics.NewSessionCollector(reg, 16)}, []float64{1, 2, 3})
@@ -175,18 +175,13 @@ func TestDropIsNotExpiry(t *testing.T) {
 	if got := metric(reg, "sessions_tracked"); got != 3 {
 		t.Fatalf("sessions_tracked=%d, want 3 (default, alice, bob)", got)
 	}
-	if !m.Drop("alice") {
-		t.Fatal("dropping alice failed")
-	}
-	seq, digest, ok := m.PositionOf("bob")
-	if !ok {
-		t.Fatal("bob has no session")
-	}
-	if err := m.DropIfAt("bob", seq, digest); err != nil {
-		t.Fatal(err)
+	for _, analyst := range []string{"alice", "bob"} {
+		if !m.Drop(analyst) {
+			t.Fatalf("dropping %s failed", analyst)
+		}
 	}
 	if got := metric(reg, "sessions_expired_total"); got != 0 {
-		t.Fatalf("sessions_expired_total=%d after Drop and DropIfAt, want 0", got)
+		t.Fatalf("sessions_expired_total=%d after two drops, want 0", got)
 	}
 	if got := metric(reg, "sessions_tracked"); got != 1 {
 		t.Fatalf("sessions_tracked=%d, want 1 (default)", got)
