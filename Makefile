@@ -46,9 +46,11 @@ ci: build lint race replication-smoke loadgen-smoke report-smoke examples-smoke 
 # testdata/mc_decisions.json at worker counts {1,4}, and the golden
 # chains of the max∧min posterior (maxminprob), the max auditor's
 # decisions (maxprob) and the synopsis folds must keep their pinned
-# digests. Any drift invalidates persisted session journals — regenerate
-# only for an intentional semantic change (-update-mc-fixtures).
-MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain)$$
+# digests. The max∧min lanes' trial-state memo must give every sample
+# the verdict a fresh scratch gives. Any drift invalidates persisted
+# session journals — regenerate only for an intentional semantic change
+# (-update-mc-fixtures).
+MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain|TestTrialMemoMatchesFreshScratch)$$
 mc-fixtures:
 	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis
 

@@ -74,12 +74,37 @@ var docSpan = regexp.MustCompile("`[^`]+`")
 var docPlaceholders = strings.NewReplacer("<kind>", "[a-z]+", "<i>", "[0-9]+", "<route>", "[a-z0-9_]+", "*", "[a-z0-9_]+")
 
 // TestDocumentedMetricsExist: every metric name docs/DEPLOYMENT.md gives
-// in a code span, at the span's start or as a PromQL argument, is one
-// that an auditserver in the golden file exports. {a,b} groups are
-// expanded, <kind>, <i> and a family's * stand for any name part of that
-// shape, and a trailing [_route] means both the bare name and its
-// per-route forms.
+// in a code span is one that an auditserver in the golden file exports
+// (see docMetricsMissing for what counts as a metric name).
 func TestDocumentedMetricsExist(t *testing.T) {
+	names := goldenMetricNames(t)
+	doc, err := os.ReadFile(filepath.FromSlash("../../docs/DEPLOYMENT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing, checked := docMetricsMissing(string(doc), names)
+	for _, m := range missing {
+		t.Errorf("docs/DEPLOYMENT.md:%s is not an exported metric", m)
+	}
+	if checked == 0 {
+		t.Fatal("found no metric names in docs/DEPLOYMENT.md")
+	}
+}
+
+// TestDocMetricsMissingReportsGoneFamily is the scan's negative control:
+// a documented metric whose whole family no longer exists is reported,
+// next to a live name, which is not.
+func TestDocMetricsMissingReportsGoneFamily(t *testing.T) {
+	doc := "Alert on `cluster_failovers_total` rising.\nWatch `rate(mc_decisions_total[5m])`.\n"
+	missing, checked := docMetricsMissing(doc, goldenMetricNames(t))
+	if want := []string{"1: cluster_failovers_total"}; !slices.Equal(missing, want) || checked != 2 {
+		t.Fatalf("scan reported %q after %d checks, want %q after 2", missing, checked, want)
+	}
+}
+
+// goldenMetricNames returns every metric name of the golden file.
+func goldenMetricNames(t *testing.T) []string {
+	t.Helper()
 	golden, err := os.ReadFile(filepath.FromSlash(metricNamesGolden))
 	if err != nil {
 		t.Fatal(err)
@@ -90,28 +115,47 @@ func TestDocumentedMetricsExist(t *testing.T) {
 			names = append(names, name)
 		}
 	}
+	return names
+}
+
+// docMetricsMissing scans doc, markdown text, for metric names in code
+// spans, at a span's start or as a PromQL argument, and returns each one
+// that matches none of names, as "line: name", with the number of names
+// it checked. A name is metric-shaped when its first part is a family
+// of names (the text before its first "_") or its last part ends names
+// of more than one family (such as _total or _seconds), so a documented
+// metric whose whole family is gone is still checked. {a,b} groups are
+// expanded, <kind>, <i>, <route> and a family's * stand for any name
+// part of that shape, and a trailing [_route] means both the bare name
+// and its per-route forms.
+func docMetricsMissing(doc string, names []string) (missing []string, checked int) {
 	prefixes := map[string]bool{}
+	suffixFamilies := map[string]map[string]bool{}
 	for _, name := range names {
 		p, _, _ := strings.Cut(name, "_")
 		prefixes[p] = true
+		s := name[strings.LastIndexByte(name, '_')+1:]
+		if suffixFamilies[s] == nil {
+			suffixFamilies[s] = map[string]bool{}
+		}
+		suffixFamilies[s][p] = true
 	}
-	alts := make([]string, 0, len(prefixes))
-	for p := range prefixes {
-		alts = append(alts, p)
+	var suffixes []string
+	for s, fams := range suffixFamilies {
+		if len(fams) > 1 {
+			suffixes = append(suffixes, s)
+		}
 	}
-	sort.Strings(alts)
 	// A match followed by "." is a file name (qindex_equiv_test.go).
-	docMetric := regexp.MustCompile(`(?:^|\()((?:` + strings.Join(alts, "|") + `)_[a-z0-9_{},<>*]*)(\[_route\])?(\.?)`)
-
-	doc, err := os.ReadFile(filepath.FromSlash("../../docs/DEPLOYMENT.md"))
-	if err != nil {
-		t.Fatal(err)
+	docName := regexp.MustCompile(`(?:^|\()([a-z][a-z0-9]*_[a-z0-9_{},<>*]*)(\[_route\])?(\.?)`)
+	metricShaped := func(name string) bool {
+		p, _, _ := strings.Cut(name, "_")
+		return prefixes[p] || slices.ContainsFunc(suffixes, func(s string) bool { return strings.HasSuffix(name, "_"+s) })
 	}
-	checked := 0
-	for i, line := range strings.Split(string(doc), "\n") {
+	for i, line := range strings.Split(doc, "\n") {
 		for _, span := range docSpan.FindAllString(line, -1) {
-			for _, m := range docMetric.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
-				if m[3] != "" {
+			for _, m := range docName.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+				if m[3] != "" || !metricShaped(m[1]) {
 					continue
 				}
 				for _, name := range expandBraces(m[1]) {
@@ -123,16 +167,14 @@ func TestDocumentedMetricsExist(t *testing.T) {
 						checked++
 						re := regexp.MustCompile("^" + docPlaceholders.Replace(form) + "$")
 						if !slices.ContainsFunc(names, re.MatchString) {
-							t.Errorf("docs/DEPLOYMENT.md:%d: %s is not an exported metric", i+1, form)
+							missing = append(missing, fmt.Sprintf("%d: %s", i+1, form))
 						}
 					}
 				}
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("found no metric names in docs/DEPLOYMENT.md")
-	}
+	return missing, checked
 }
 
 // expandBraces expands every {a,b,...} group of s.

@@ -12,14 +12,16 @@ import (
 	"queryaudit/internal/randx"
 )
 
-// TestDecideLeavesSharedSynopsis runs Decide at four workers on a private
-// scheduler, so samples run concurrently on lanes of their own, over a
-// seeded stream of wide max and min queries until twelve are answered,
-// at the prob-300 shape of TestSampleAllocs. Every sample folds into its
-// lane's copy of the synopsis; the shared a.syn must read byte-identical
-// before and after each Decide, and the decisions must equal those at
-// one worker. Under the race detector it also guards that no sample
-// writes shared state.
+// TestDecideLeavesSharedSynopsis runs Decide at two and four workers on
+// a private scheduler, so samples run concurrently on lanes of their
+// own, over a seeded stream of wide max and min queries until twelve are
+// answered, at the prob-300 shape of TestSampleAllocs. Every sample
+// folds into its lane's copy of the synopsis, where the fold stays open
+// while the lane's samples draw the same answer; the shared a.syn must
+// read byte-identical before and after each Decide, and the decisions
+// must equal those at one worker, however the samples fell to the
+// lanes. Under the race detector it also guards that no sample writes
+// shared state.
 func TestDecideLeavesSharedSynopsis(t *testing.T) {
 	sched := mcpar.NewScheduler(4)
 	defer sched.Close()
@@ -63,8 +65,10 @@ func TestDecideLeavesSharedSynopsis(t *testing.T) {
 		return ds
 	}
 	want := run(1)
-	if got := run(4); !slices.Equal(got, want) {
-		t.Fatalf("decisions at 4 workers %v, want those at 1 worker %v", got, want)
+	for _, workers := range []int{2, 4} {
+		if got := run(workers); !slices.Equal(got, want) {
+			t.Fatalf("decisions at %d workers %v, want those at 1 worker %v", workers, got, want)
+		}
 	}
 }
 

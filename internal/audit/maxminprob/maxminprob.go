@@ -25,11 +25,16 @@
 // once per decision and shared read-only, each worker keeps a reusable
 // chain sampler and dataset buffers, and every outer sample draws from a
 // counter-based stream keyed by (decision seed, sample index) so the
-// decision is bit-identical at any worker count.
+// decision is bit-identical at any worker count. Each worker also keeps
+// the trial state of the last answer it folded — the graph and what
+// depends on it alone — and reuses it while its samples draw that
+// answer, as they often do; the state uses no randomness, so reuse
+// changes no verdict.
 package maxminprob
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -128,14 +133,19 @@ func (p Params) enumerateLimit() int {
 type Auditor struct {
 	n      int
 	params Params
-	part   interval.Partition
+	// cells are the Γ cells of the partition of [0,1], and prior the
+	// prior probability 1/Γ of each.
+	cells  []interval.Interval
+	prior  float64
 	window interval.RatioWindow
 	syn    *synopsis.MaxMin
-	// g is the decision graph, refilled by coloring.BuildInto for every
-	// candidate-answer check and once per Decide. Decide calls are
-	// serialized by the engine, and the Monte Carlo lanes only read g
-	// until mcpar.Vote returns, so one graph serves every decision.
+	// g is the decision graph, refilled by coloring.BuildInto once per
+	// Decide. Decide calls are serialized by the engine, and the Monte
+	// Carlo lanes only read g until mcpar.Vote returns, so one graph
+	// serves every decision.
 	g coloring.Graph
+	// census counts each candidate answer's graph for the Lemma 2 check.
+	census coloring.Census
 	// decisions counts Decide calls; each decision derives its own base
 	// seed from (params.Seed, decisions) so samples are fresh per decision
 	// yet bit-reproducible across runs and worker counts.
@@ -151,10 +161,16 @@ func New(n int, params Params) (*Auditor, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	part := interval.NewPartition(0, 1, params.Gamma)
+	cells := make([]interval.Interval, params.Gamma)
+	for j := range cells {
+		cells[j] = part.Cell(j + 1)
+	}
 	return &Auditor{
 		n:             n,
 		params:        params,
-		part:          interval.NewPartition(0, 1, params.Gamma),
+		cells:         cells,
+		prior:         part.Prior(),
 		window:        interval.RatioWindow{Lambda: params.Lambda},
 		syn:           synopsis.NewMaxMin(n, 0, 1),
 		denyThreshold: params.Delta / (2 * float64(params.T)),
@@ -221,22 +237,44 @@ func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 		if a.syn.Fold(q.Kind, q.Set, cand) != nil {
 			continue // inconsistent answers cannot occur
 		}
-		err := coloring.BuildInto(&a.g, a.syn)
+		err := a.census.Count(a.syn)
 		a.syn.Rollback()
-		if err != nil || !a.g.MeetsLemma2() && a.g.SpaceSize(limit) >= limit {
+		if err != nil || !a.census.MeetsLemma2() && a.census.SpaceSize(limit) >= limit {
 			return false
 		}
 	}
 	return true
 }
 
-// posterior is the reusable state of one posterior estimate: the
-// coloring graph of the synopsis under test, the witness counts behind
-// its witness probabilities, and the per-element witness-mass table
-// safeState reads. Each Monte Carlo worker owns one, so once its buffers
-// have grown an estimate allocates little beyond the chain's start.
+// posterior is one Monte Carlo lane's posterior estimate, split in two.
+// Its trial state is a pure function of the synopsis under test, so load
+// computes it once per state: the coloring graph, the route to the
+// witness probabilities (exact enumeration, or the chain's starting
+// coloring) and any failure on the way. Each element's Γ overlap
+// fractions and range-only λ-verdict are filled the first time a sample
+// reads them, and on the exact path the whole safeState verdict is kept.
+// A sample then pays only for its own part: the chain's witness counts,
+// drawn from its rng, and the λ-window over the elements that carry
+// witness mass.
 type posterior struct {
 	g coloring.Graph
+	// err is the trial state's failure: a fold that did not apply, an
+	// inconsistent graph, or one that fails Lemma 2 and exceeds the
+	// enumeration limit. Every estimate on the state fails with it.
+	err error
+	// exact holds the enumerated witness probabilities; nil when the
+	// chain estimates them, starting each run from init on sampler.
+	exact   [][]float64
+	init    []int
+	sampler *coloring.Sampler
+	// verdict is safeState's verdict on the exact path, once known.
+	verdict verdict
+	// fracs[i*Γ+j-1] is the fraction of element i's range that overlaps
+	// partition cell j, and rangeOnly[i] the λ-verdict of element i when
+	// it carries no witness mass; both are filled together when first
+	// read, and rangeOnly[i] == unknown marks the pair unfilled.
+	fracs     []float64
+	rangeOnly []verdict
 	// counts holds every node's witness counts back to back; probs[v]
 	// views node v's run.
 	counts []float64
@@ -244,6 +282,22 @@ type posterior struct {
 	// massAt[i]:massAt[i+1] delimits element i's entries in mass.
 	massAt []int
 	mass   []witnessMass
+}
+
+// verdict is a λ-window verdict that may not be computed yet.
+type verdict uint8
+
+const (
+	unknown verdict = iota
+	safe
+	unsafe
+)
+
+func verdictOf(ok bool) verdict {
+	if ok {
+		return safe
+	}
+	return unsafe
 }
 
 // witnessMass is one node's witness probability on one element.
@@ -257,34 +311,67 @@ type witnessMass struct {
 // the Markov chain otherwise. It is a one-off estimate on fresh scratch.
 func witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) (*coloring.Graph, [][]float64, error) {
 	ps := new(posterior)
-	probs, err := ps.witnessProbs(b, params, rng)
+	ps.load(b, params, nil)
+	probs, err := ps.witnessProbs(params, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &ps.g, probs, nil
 }
 
-// witnessProbs is the package-level witnessProbs over ps's buffers: the
-// graph it estimates is ps.g, and the returned rows alias ps until its
-// next estimate.
-func (ps *posterior) witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) ([][]float64, error) {
+// load makes ps the trial state of b, or, when foldErr is non-nil, of a
+// fold that failed with it.
+func (ps *posterior) load(b *synopsis.MaxMin, params Params, foldErr error) {
+	ps.exact, ps.init, ps.verdict = nil, nil, unknown
+	ps.fracs = slices.Grow(ps.fracs[:0], b.N()*params.Gamma)[:b.N()*params.Gamma]
+	ps.rangeOnly = slices.Grow(ps.rangeOnly[:0], b.N())[:b.N()]
+	clear(ps.rangeOnly)
+	ps.err = foldErr
+	if ps.err == nil {
+		ps.err = ps.route(b, params)
+	}
+}
+
+// route builds the coloring graph of b and settles how its witness
+// probabilities are computed.
+func (ps *posterior) route(b *synopsis.MaxMin, params Params) error {
 	if err := coloring.BuildInto(&ps.g, b); err != nil {
-		return nil, err
+		return err
 	}
 	g := &ps.g
 	limit := params.enumerateLimit()
 	if !g.MeetsLemma2() || g.SpaceSize(limit) < limit {
 		if probs, ok := coloring.ExactWitnessProbs(g, limit); ok {
-			return probs, nil
+			ps.exact = probs
+			return nil
 		}
 		if !g.MeetsLemma2() {
-			return nil, fmt.Errorf("maxminprob: graph fails Lemma 2 and exceeds the enumeration limit")
+			return fmt.Errorf("maxminprob: graph fails Lemma 2 and exceeds the enumeration limit")
 		}
 	}
-	s, err := coloring.NewSampler(g, rng)
-	if err != nil {
+	init, err := g.InitialColoring()
+	ps.init = init
+	return err
+}
+
+// witnessProbs returns the witness probabilities of ps's trial state:
+// the enumerated ones, or a fresh chain estimate drawn from rng. The
+// rows alias ps until its next estimate.
+func (ps *posterior) witnessProbs(params Params, rng *rand.Rand) ([][]float64, error) {
+	if ps.err != nil || ps.exact != nil {
+		return ps.exact, ps.err
+	}
+	g := &ps.g
+	if ps.sampler == nil {
+		s, err := coloring.NewSamplerFrom(g, rng, ps.init)
+		if err != nil {
+			return nil, err
+		}
+		ps.sampler = s
+	} else if err := ps.sampler.Reset(rng, ps.init); err != nil {
 		return nil, err
 	}
+	s := ps.sampler
 	s.Mix(params.mixFactor()) // burn-in
 	inner := params.inner()
 	total := 0
@@ -318,14 +405,27 @@ func (ps *posterior) witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.R
 	return counts, nil
 }
 
-// safeState checks the λ-window for every element × interval given a
-// synopsis state, using Monte Carlo witness probabilities drawn from rng
-// on the worker's scratch ps.
-func (a *Auditor) safeState(b *synopsis.MaxMin, rng *rand.Rand, ps *posterior) (bool, error) {
-	probs, err := ps.witnessProbs(b, a.params, rng)
+// safeState checks the λ-window for every element × interval of ps's
+// trial state, with witness probabilities drawn from rng on the chain
+// path.
+func (a *Auditor) safeState(rng *rand.Rand, ps *posterior) (bool, error) {
+	if ps.verdict != unknown {
+		return ps.verdict == safe, nil
+	}
+	probs, err := ps.witnessProbs(a.params, rng)
 	if err != nil {
 		return false, err
 	}
+	ok := a.safeWindow(ps, probs)
+	if ps.exact != nil {
+		ps.verdict = verdictOf(ok)
+	}
+	return ok, nil
+}
+
+// safeWindow is safeState's λ-window over the witness probabilities
+// probs of ps's graph.
+func (a *Auditor) safeWindow(ps *posterior, probs [][]float64) bool {
 	g := &ps.g
 	// Gather, per element, its witness probability mass per node value,
 	// in (node, palette) order. Count each element's entries, turn the
@@ -355,35 +455,57 @@ func (a *Auditor) safeState(b *synopsis.MaxMin, rng *rand.Rand, ps *posterior) (
 	}
 	copy(ps.massAt[1:], ps.massAt[:a.n])
 	ps.massAt[0] = 0
-	prior := a.part.Prior()
+	last := len(a.cells) - 1
 	for i := 0; i < a.n; i++ {
-		r := g.Range(i)
 		wit := ps.mass[ps.massAt[i]:ps.massAt[i+1]]
-		constrained := len(wit) > 0 || r.Lo > 0 || r.Hi < 1
-		if !constrained {
-			continue // posterior equals prior exactly
+		rangeOnly := a.fillElement(ps, i)
+		if len(wit) == 0 {
+			if rangeOnly == unsafe {
+				return false
+			}
+			continue
 		}
+		fracs := ps.fracs[i*len(a.cells) : (i+1)*len(a.cells)]
 		var witTotal float64
 		for _, m := range wit {
 			witTotal += m.p
 		}
 		free := 1 - witTotal
-		iv := interval.Interval{Lo: r.Lo, Hi: r.Hi}
-		for j := 1; j <= a.params.Gamma; j++ {
-			cell := a.part.Cell(j)
-			post := free * iv.OverlapFraction(cell)
+		for j, cell := range a.cells {
+			post := free * fracs[j]
 			for _, m := range wit {
 				//auditlint:allow floateq final partition cell is closed at beta; the exact-endpoint test mirrors interval.CellIndex
-				if m.value >= cell.Lo && (m.value < cell.Hi || (j == a.params.Gamma && m.value == cell.Hi)) {
+				if m.value >= cell.Lo && (m.value < cell.Hi || (j == last && m.value == cell.Hi)) {
 					post += m.p
 				}
 			}
-			if !a.window.SafePosterior(post, prior) {
-				return false, nil
+			if !a.window.SafePosterior(post, a.prior) {
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
+}
+
+// fillElement fills element i's overlap fractions and range-only
+// verdict in ps on first use and returns the verdict. An element whose
+// range is all of [0,1] and that carries no witness mass has posterior
+// equal to prior, so it is safe; otherwise its posterior on each cell is
+// the cell's share of its range.
+func (a *Auditor) fillElement(ps *posterior, i int) verdict {
+	if v := ps.rangeOnly[i]; v != unknown {
+		return v
+	}
+	r := ps.g.Range(i)
+	iv := interval.Interval{Lo: r.Lo, Hi: r.Hi}
+	fracs := ps.fracs[i*len(a.cells) : (i+1)*len(a.cells)]
+	ok := true
+	for j, cell := range a.cells {
+		fracs[j] = iv.OverlapFraction(cell)
+		ok = ok && a.window.SafePosterior(fracs[j], a.prior)
+	}
+	ps.rangeOnly[i] = verdictOf(ok || r.Lo <= 0 && r.Hi >= 1)
+	return ps.rangeOnly[i]
 }
 
 // Decide implements audit.Auditor: Lemma 2 pre-check, then the sampled
@@ -446,9 +568,9 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 // unsafeSample is one outer Monte Carlo sample of Decide: it draws a
 // dataset from P(X | B) via the coloring chain of the decision graph g
 // (Lemma 1), reusing the worker's sampler rebased onto this sample's
-// random stream, folds q's answer on it into the lane's copy of the
-// synopsis, reports whether that state breaks the λ-window and rolls the
-// fold back. The shared synopsis a.syn is only read.
+// random stream, makes the trial state of q's answer on it current in
+// the lane and reports whether that state breaks the λ-window. The
+// shared synopsis a.syn is only read.
 func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng *rand.Rand, sc *decideScratch) bool {
 	if sc.sampler == nil {
 		s, err := coloring.NewSamplerFrom(g, rng, init)
@@ -461,26 +583,47 @@ func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng
 	}
 	sc.sampler.Mix(a.params.mixFactor())
 	sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
-	if sc.syn.Fold(q.Kind, q.Set, q.Eval(sc.xs)) != nil {
-		return true // sampled-consistent answers should fold cleanly
-	}
-	ok, err := a.safeState(sc.syn, rng, &sc.post)
-	sc.syn.Rollback()
+	sc.trial(q, q.Eval(sc.xs), a.params)
+	ok, err := a.safeState(rng, &sc.post)
 	return err != nil || !ok
+}
+
+// trial makes sc.post the trial state of q answered ans. An answer with
+// the float bits of the one already loaded keeps the state as it is;
+// any other rolls the lane's open fold back, folds ans and loads its
+// state. A fold that fails, which sampled answers should not, leaves
+// no fold open and a state whose estimates fail.
+func (sc *decideScratch) trial(q query.Query, ans float64, params Params) {
+	bits := math.Float64bits(ans)
+	if sc.loaded && bits == sc.answer {
+		return
+	}
+	if sc.open {
+		sc.syn.Rollback()
+	}
+	sc.loaded, sc.answer = true, bits
+	err := sc.syn.Fold(q.Kind, q.Set, ans)
+	sc.open = err == nil
+	sc.post.load(sc.syn, params, err)
 }
 
 // decideScratch is the per-lane reusable state of one Decide: the chain
 // sampler over the shared decision graph, the dataset buffers, the
-// lane's copy of the synopsis, which each sample folds its answer into
-// and rolls back, and the posterior scratch of those trial states. A
-// lane is made once per Decide, so its copy is the synopsis the
-// decision started from.
+// lane's copy of the synopsis and the trial state of the last answer
+// folded into it. A lane is made once per Decide, so its copy is the
+// synopsis the decision started from, plus at most that one open fold,
+// which the lane keeps until a sample draws another answer; the copy is
+// dropped with the lane.
 type decideScratch struct {
 	sampler *coloring.Sampler
 	xs      []float64
 	fixed   []bool
 	syn     *synopsis.MaxMin
-	post    posterior
+	// loaded reports that post is the trial state of the answer with
+	// float bits answer; open, that this answer's fold is open in syn.
+	loaded, open bool
+	answer       uint64
+	post         posterior
 }
 
 // Record implements audit.Auditor.

@@ -281,14 +281,88 @@ func (g *Graph) ColoringFromDataset(xs []float64) ([]int, error) {
 // SpaceSize returns the product of palette sizes — an upper bound on the
 // number of colorings — saturating at cap.
 func (g *Graph) SpaceSize(cap int) int {
+	return spaceSize(len(g.Nodes), func(v int) int { return len(g.Nodes[v].Colors) }, cap)
+}
+
+// spaceSize is the product of the k palette sizes palette(v), saturating
+// at cap.
+func spaceSize(k int, palette func(v int) int, cap int) int {
 	size := 1
-	for _, v := range g.Nodes {
-		size *= len(v.Colors)
+	for v := 0; v < k; v++ {
+		size *= palette(v)
 		if size >= cap || size < 0 {
 			return cap
 		}
 	}
 	return size
+}
+
+// Census is what MeetsLemma2 and SpaceSize read of a synopsis's coloring
+// graph, counted without building the graph: each node's set size,
+// palette size and degree, but no weights, prefix sums, guide tables or
+// adjacency lists. A Census reuses its buffers across Count calls.
+type Census struct {
+	ranges []synopsis.Range
+	preds  []synopsis.Pred
+	// sets[v], colors[v] and degree[v] are node v's |S(v)|, palette size
+	// and degree, except that degree leaves out edges between two forced
+	// nodes, whose degrees MeetsLemma2 never reads.
+	sets, colors, degree []int
+}
+
+// Count fills c from the coloring graph of b. It fails exactly when
+// BuildInto does, with the same error; then c's contents are
+// unspecified.
+func (c *Census) Count(b *synopsis.MaxMin) error {
+	if math.IsInf(b.Alpha(), 0) || math.IsInf(b.Beta(), 0) {
+		return fmt.Errorf("coloring: synopsis must have finite data range, got [%g,%g]", b.Alpha(), b.Beta())
+	}
+	c.ranges = b.Ranges(c.ranges)
+	c.preds, _ = b.AppendEqPreds(c.preds[:0])
+	defer clear(c.preds) // drop the listing's references into b's sets
+	c.sets, c.colors = c.sets[:0], c.colors[:0]
+	for _, p := range c.preds {
+		k := 0
+		for _, i := range p.Set {
+			if c.ranges[i].Contains(p.Value) {
+				k++
+			}
+		}
+		if k == 0 {
+			return ErrNoValidColoring
+		}
+		c.sets = append(c.sets, len(p.Set))
+		c.colors = append(c.colors, k)
+	}
+	c.degree = slices.Grow(c.degree[:0], len(c.preds))[:len(c.preds)]
+	clear(c.degree)
+	for i := range c.preds {
+		for j := i + 1; j < len(c.preds); j++ {
+			if c.colors[i] == 1 && c.colors[j] == 1 || c.preds[i].Value == c.preds[j].Value {
+				continue // as BuildInto's adjacency, skipping pairs of forced nodes
+			}
+			if c.preds[i].Set.Overlaps(c.preds[j].Set) {
+				c.degree[i]++
+				c.degree[j]++
+			}
+		}
+	}
+	return nil
+}
+
+// MeetsLemma2 is Graph.MeetsLemma2 of the counted graph.
+func (c *Census) MeetsLemma2() bool {
+	for v, k := range c.colors {
+		if k > 1 && c.sets[v] < c.degree[v]+2 {
+			return false
+		}
+	}
+	return true
+}
+
+// SpaceSize is Graph.SpaceSize of the counted graph.
+func (c *Census) SpaceSize(cap int) int {
+	return spaceSize(len(c.colors), func(v int) int { return c.colors[v] }, cap)
 }
 
 // ExactWitnessProbs computes the exact marginal witness probabilities

@@ -1,7 +1,10 @@
 package coloring
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -153,4 +156,94 @@ func TestQuickInitialColoringAgreesWithExistence(t *testing.T) {
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCensusMatchesBuild: over seeded synopses — small ones, where
+// palettes are short and Lemma 2 often fails, and prob-300-shaped wide
+// ones — with candidate answers folded in, Census.Count fails exactly
+// when BuildInto does, with the same error, and otherwise gives
+// MeetsLemma2 and SpaceSize at every cap as the built graph does. One
+// Census and one Graph serve every case, so buffer reuse is covered
+// too. A synopsis over an unbounded data range is the error case.
+func TestCensusMatchesBuild(t *testing.T) {
+	var (
+		c                  Census
+		g                  Graph
+		cases, failLemma2  int
+		enumerable, failed int
+	)
+	caps := []int{1, 2, 3, 7, 64, 20000, math.MaxInt}
+	check := func(label string, b *synopsis.MaxMin) {
+		t.Helper()
+		cases++
+		cerr, gerr := c.Count(b), BuildInto(&g, b)
+		if (cerr == nil) != (gerr == nil) || cerr != nil && cerr.Error() != gerr.Error() {
+			t.Fatalf("%s: Count error %v, BuildInto error %v", label, cerr, gerr)
+		}
+		if cerr != nil {
+			failed++
+			return
+		}
+		if c.MeetsLemma2() != g.MeetsLemma2() {
+			t.Fatalf("%s: Census.MeetsLemma2 %v, graph %v", label, c.MeetsLemma2(), g.MeetsLemma2())
+		}
+		if !g.MeetsLemma2() {
+			failLemma2++
+		}
+		if g.SpaceSize(20000) < 20000 {
+			enumerable++
+		}
+		for _, cp := range caps {
+			if got, want := c.SpaceSize(cp), g.SpaceSize(cp); got != want {
+				t.Fatalf("%s: Census.SpaceSize(%d) = %d, graph %d", label, cp, got, want)
+			}
+		}
+	}
+	// trials folds candidate answers of random queries into b, checking
+	// each state that folds, and b itself.
+	trials := func(label string, b *synopsis.MaxMin, rng *rand.Rand) {
+		check(label, b)
+		values := []float64{0, 1, rng.Float64()}
+		for v := range b.EqValues() {
+			values = append(values, v, v+1e-9, v-1e-9)
+		}
+		sort.Float64s(values) // EqValues is a map
+		for k := 0; k < 12; k++ {
+			var idx []int
+			for i := 0; i < b.N(); i++ {
+				if rng.Intn(3) == 0 {
+					idx = append(idx, i)
+				}
+			}
+			if len(idx) == 0 {
+				continue
+			}
+			kind := query.Max
+			if k%2 == 1 {
+				kind = query.Min
+			}
+			ans := values[rng.Intn(len(values))]
+			if b.Fold(kind, query.NewSet(idx...), ans) != nil {
+				continue
+			}
+			check(fmt.Sprintf("%s fold %d", label, k), b)
+			b.Rollback()
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		b, _ := randomTruthSynopsis(seed, 4+int(seed%5), 2+int(seed%4))
+		trials(fmt.Sprintf("small seed %d", seed), b, rand.New(rand.NewSource(seed)))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		trials(fmt.Sprintf("wide seed %d", seed), wideSynopsis(t, seed, int(2+seed*2)), rand.New(rand.NewSource(seed)))
+	}
+	unbounded := synopsis.NewMaxMin(3, math.Inf(-1), math.Inf(1))
+	if err := unbounded.AddMax(query.NewSet(0, 1), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	check("unbounded", unbounded)
+	if failLemma2 == 0 || enumerable == 0 || failed == 0 || cases-failed-failLemma2 == 0 {
+		t.Fatalf("%d cases: %d fail Lemma 2, %d enumerable, %d errors; want each kind", cases, failLemma2, enumerable, failed)
+	}
+	t.Logf("%d cases: %d fail Lemma 2, %d enumerable, %d errors", cases, failLemma2, enumerable, failed)
 }
