@@ -95,13 +95,15 @@ examples-smoke:
 # budget latency, the multi-analyst aggregate-QPS sweep over the shared
 # scheduler, and the coloring chain — plus the session-manager
 # benchmarks (hot-path lookup, the 1000-analyst eviction/replay churn
-# and eviction at the live-engine cap) and the query-resolution benchmarks (naive scan vs indexed
+# and eviction at the live-engine cap), the restart benchmark (loading a
+# churn-shaped session snapshot: decode, check, parallel replay) and the
+# query-resolution benchmarks (naive scan vs indexed
 # resolver, and the full HTTP Ask path with allocs/op), archived as a
 # dated JSON stream of test2json events so runs are diffable across
 # machines and commits.
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
-BENCH_PATTERN = Decide$$|DecideDefaultBudget$$|AggregateDecideQPS$$|ColoringChain|^BenchmarkSession|^BenchmarkResolve|^BenchmarkServeAsk
-BENCH_PKGS = . ./internal/session ./internal/server
+BENCH_PATTERN = Decide$$|DecideDefaultBudget$$|AggregateDecideQPS$$|ColoringChain|^BenchmarkSession|^BenchmarkLoadFile$$|^BenchmarkResolve|^BenchmarkServeAsk
+BENCH_PKGS = . ./internal/session ./internal/persist ./internal/server
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -json $(BENCH_PKGS) > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"

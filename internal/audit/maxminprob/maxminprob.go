@@ -37,6 +37,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/coloring"
@@ -540,6 +541,11 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	barrier := mcpar.DenyBarrier(budget, a.denyThreshold)
 	seed := randx.DeriveSeed(a.params.Seed, a.decisions)
 	a.decisions++
+	// Lanes are made on the goroutines that first run a sample; every
+	// lane's open fold is closed once the vote is over, so its undo
+	// trails go back to the pool.
+	var lanesMu sync.Mutex
+	var lanes []*decideScratch
 	out := mcpar.Vote(
 		mcpar.Config{
 			Workers:       a.params.Workers,
@@ -550,15 +556,22 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		},
 		budget, barrier,
 		func() *decideScratch {
-			return &decideScratch{
+			sc := &decideScratch{
 				xs:    make([]float64, a.n),
 				fixed: make([]bool, a.n),
 				syn:   a.syn.Clone(),
 			}
+			lanesMu.Lock()
+			lanes = append(lanes, sc)
+			lanesMu.Unlock()
+			return sc
 		},
 		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
 			return a.unsafeSample(q, g, init, rng, sc)
 		})
+	for _, sc := range lanes {
+		sc.close()
+	}
 	if out.Exceeded {
 		return audit.Deny, nil
 	}
@@ -607,13 +620,23 @@ func (sc *decideScratch) trial(q query.Query, ans float64, params Params) {
 	sc.post.load(sc.syn, params, err)
 }
 
+// close ends the lane: its open fold, if any, is committed to the
+// lane's copy of the synopsis, which is dropped, so that the fold's
+// undo trails return to the pool.
+func (sc *decideScratch) close() {
+	if sc.open {
+		sc.syn.Commit()
+		sc.open = false
+	}
+}
+
 // decideScratch is the per-lane reusable state of one Decide: the chain
 // sampler over the shared decision graph, the dataset buffers, the
 // lane's copy of the synopsis and the trial state of the last answer
 // folded into it. A lane is made once per Decide, so its copy is the
 // synopsis the decision started from, plus at most that one open fold,
-// which the lane keeps until a sample draws another answer; the copy is
-// dropped with the lane.
+// which the lane keeps until a sample draws another answer or the vote
+// ends (close); the copy is dropped with the lane.
 type decideScratch struct {
 	sampler *coloring.Sampler
 	xs      []float64

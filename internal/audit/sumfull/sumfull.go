@@ -19,6 +19,7 @@ package sumfull
 
 import (
 	"fmt"
+	"slices"
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/field"
@@ -36,6 +37,14 @@ type Auditor[E any, F field.Field[E]] struct {
 	col []int
 	// answered counts committed answers (diagnostics only).
 	answered int
+	// pending is the residual of the last set Decide would answer, taken
+	// at basis generation gen; Record of that set at that generation
+	// commits it without reducing the set again.
+	pending struct {
+		set query.Set
+		gen uint64
+		r   []E
+	}
 }
 
 // New returns a sum auditor over n records using the fast GF(2^61−1)
@@ -93,20 +102,30 @@ func (a *Auditor[E, F]) Decide(q query.Query) (audit.Decision, error) {
 	if err != nil {
 		return audit.Deny, err
 	}
-	if a.ech.WouldCreateElementary(v) {
+	r := a.ech.Reduce(v)
+	if a.ech.WouldCreateElementaryResidual(r) {
 		return audit.Deny, nil
 	}
+	a.pending.set, a.pending.gen, a.pending.r = q.Set, a.ech.Gen(), r
 	return audit.Answer, nil
 }
 
 // Record implements audit.Auditor. The answer value is ignored: under
-// classical compromise only the query vectors matter.
+// classical compromise only the query vectors matter. Recording the set
+// the last Decide answered, with the basis unchanged since, commits the
+// residual that Decide reduced.
 func (a *Auditor[E, F]) Record(q query.Query, _ float64) {
-	v, err := a.vector(q.Set)
-	if err != nil {
-		panic(fmt.Sprintf("sumfull: Record after successful Decide failed: %v", err))
+	p := &a.pending
+	if p.r != nil && p.gen == a.ech.Gen() && slices.Equal(p.set, q.Set) {
+		a.ech.AddResidual(p.r)
+	} else {
+		v, err := a.vector(q.Set)
+		if err != nil {
+			panic(fmt.Sprintf("sumfull: Record after successful Decide failed: %v", err))
+		}
+		a.ech.Add(v)
 	}
-	a.ech.Add(v)
+	p.set, p.r = nil, nil
 	a.answered++
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // This file defines the transcript digest: a hash chain over a session's
@@ -56,40 +57,37 @@ const (
 	chainTagUpdate   = 0x02
 )
 
+// chainBufs pools the buffers ChainDecision encodes an event into, so a
+// decision costs no allocation whatever the size of its set.
+var chainBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // ChainDecision extends the chain with one committed protocol decision.
 // The encoding is canonical: fixed-width big-endian fields, the query set
 // length-prefixed, the answer hashed as its IEEE-754 bit pattern so the
-// digest distinguishes values JSON round-trips conflate (-0 vs 0).
+// digest distinguishes values JSON round-trips conflate (-0 vs 0). The
+// whole encoding is hashed in one write.
 func ChainDecision(prev Digest, ev DecisionEvent) Digest {
-	h := sha256.New()
-	h.Write(prev[:])
-	var buf [8]byte
-	h.Write([]byte{chainTagDecision, byte(ev.Outcome)})
-	binary.BigEndian.PutUint64(buf[:], uint64(ev.Query.Kind))
-	h.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(len(ev.Query.Set)))
-	h.Write(buf[:])
+	bp := chainBufs.Get().(*[]byte)
+	b := append((*bp)[:0], prev[:]...)
+	b = append(b, chainTagDecision, byte(ev.Outcome))
+	b = binary.BigEndian.AppendUint64(b, uint64(ev.Query.Kind))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(ev.Query.Set)))
 	for _, i := range ev.Query.Set {
-		binary.BigEndian.PutUint64(buf[:], uint64(i))
-		h.Write(buf[:])
+		b = binary.BigEndian.AppendUint64(b, uint64(i))
 	}
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(ev.Answer))
-	h.Write(buf[:])
-	var out Digest
-	h.Sum(out[:0])
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(ev.Answer))
+	out := Digest(sha256.Sum256(b))
+	*bp = b
+	chainBufs.Put(bp)
 	return out
 }
 
 // ChainUpdate extends the chain with a dataset-update marker at this
 // point of the session's timeline.
 func ChainUpdate(prev Digest, index int) Digest {
-	h := sha256.New()
-	h.Write(prev[:])
-	var buf [8]byte
-	h.Write([]byte{chainTagUpdate})
-	binary.BigEndian.PutUint64(buf[:], uint64(index))
-	h.Write(buf[:])
-	var out Digest
-	h.Sum(out[:0])
-	return out
+	var buf [len(prev) + 1 + 8]byte
+	b := append(buf[:0], prev[:]...)
+	b = append(b, chainTagUpdate)
+	b = binary.BigEndian.AppendUint64(b, uint64(index))
+	return sha256.Sum256(b)
 }

@@ -34,6 +34,8 @@ type Echelon[E any, F field.Field[E]] struct {
 	pivot []int
 	// rowOfPivot maps a pivot column to its row index, or -1.
 	rowOfPivot []int
+	// gen advances on every change to the basis (Gen).
+	gen uint64
 }
 
 // NewEchelon returns an empty row space over ncols columns.
@@ -52,12 +54,18 @@ func (e *Echelon[E, F]) Rank() int { return len(e.rows) }
 // NumCols returns the current number of columns.
 func (e *Echelon[E, F]) NumCols() int { return e.ncols }
 
+// Gen returns the basis's generation, which advances whenever a row is
+// added or columns are appended. A residual Reduce returned stays the
+// residual of its vector while Gen is unchanged.
+func (e *Echelon[E, F]) Gen() uint64 { return e.gen }
+
 // AppendColumns widens the matrix by k zero columns (used when a database
 // update introduces new value versions).
 func (e *Echelon[E, F]) AppendColumns(k int) {
 	if k <= 0 {
 		return
 	}
+	e.gen++
 	z := e.f.Zero()
 	for i, row := range e.rows {
 		wide := make([]E, e.ncols+k)
@@ -153,7 +161,12 @@ func (e *Echelon[E, F]) leading(r []E) int {
 // (false means v was already in the span). RREF is restored before
 // returning.
 func (e *Echelon[E, F]) Add(v []E) bool {
-	r := e.Reduce(v)
+	return e.AddResidual(e.Reduce(v))
+}
+
+// AddResidual is Add for the residual r of a vector, as Reduce returned
+// it at the current Gen. The basis takes r over.
+func (e *Echelon[E, F]) AddResidual(r []E) bool {
 	p := e.leading(r)
 	if p < 0 {
 		return false
@@ -164,6 +177,7 @@ func (e *Echelon[E, F]) Add(v []E) bool {
 
 // addReduced commits an already-reduced residual r with leading column p.
 func (e *Echelon[E, F]) addReduced(r []E, p int) {
+	e.gen++
 	e.normalize(r, p)
 	// Eliminate column p from all existing rows (zeros above the pivot).
 	for _, row := range e.rows {
@@ -240,7 +254,13 @@ func (e *Echelon[E, F]) ElementaryColumns() []int {
 // If v is already in the span it reports false: answering a dependent
 // query adds no information.
 func (e *Echelon[E, F]) WouldCreateElementary(v []E) bool {
-	r := e.Reduce(v)
+	return e.WouldCreateElementaryResidual(e.Reduce(v))
+}
+
+// WouldCreateElementaryResidual is WouldCreateElementary for the residual
+// r of a vector, as Reduce returned it at the current Gen. r is only
+// read.
+func (e *Echelon[E, F]) WouldCreateElementaryResidual(r []E) bool {
 	p := e.leading(r)
 	if p < 0 {
 		return false

@@ -5,13 +5,15 @@
 //
 // Every auditor is simulatable (§2.2 of the paper): its state is a
 // function of the answered/denied history alone. So the per-analyst
-// journals are the complete persisted auditor state, and
-// session.Manager.Restore rebuilds any auditor stack from them by replay;
-// a file saved after an update also carries the values it wrote. A
-// snapshot is JSON in a versioned envelope; loading re-validates each
-// journal's structure and digest chain (snapshots may come from untrusted
-// storage), and a snapshot that fails validation is rejected rather than
-// partially loaded. WriteAtomic makes the write itself crash-safe.
+// journals are the complete persisted auditor state, and a restart
+// rebuilds any auditor stack from them by replay; a file saved after an
+// update also carries the values it wrote. A snapshot is JSON in a
+// versioned envelope, decoded in one pass. Loading checks every
+// journal's structure and digest chain once, before it changes any
+// state (snapshots may come from untrusted storage), so a snapshot that
+// fails validation is rejected rather than partially loaded; the
+// journals are then replayed on every CPU (session.Manager.Install).
+// WriteAtomic makes the write itself crash-safe.
 package persist
 
 import (
@@ -32,11 +34,13 @@ const Version = 1
 // Kind names the payload an envelope carries.
 type Kind string
 
-// envelope wraps a payload with identification.
-type envelope struct {
-	Version int             `json:"version"`
-	Kind    Kind            `json:"kind"`
-	Payload json.RawMessage `json:"payload"`
+// envelope wraps a payload with identification. Files are written with
+// the payload encoded ahead (json.RawMessage) and read in one pass into
+// the typed payload.
+type envelope[P any] struct {
+	Version int  `json:"version"`
+	Kind    Kind `json:"kind"`
+	Payload P    `json:"payload"`
 }
 
 // KindSessionLogs names the multi-analyst session-journal snapshot: the
@@ -71,7 +75,7 @@ func save(w io.Writer, p sessionLogsPayload) error {
 	if err != nil {
 		return fmt.Errorf("persist: encode session logs: %w", err)
 	}
-	return json.NewEncoder(w).Encode(envelope{Version: Version, Kind: KindSessionLogs, Payload: raw})
+	return json.NewEncoder(w).Encode(envelope[json.RawMessage]{Version: Version, Kind: KindSessionLogs, Payload: raw})
 }
 
 // SaveFile writes mgr's session journals, tagged with the epoch, to path
@@ -86,10 +90,13 @@ func SaveFile(path string, mgr *session.Manager, epoch uint64) (int, error) {
 	return len(logs), WriteAtomic(path, func(w io.Writer) error { return save(w, p) })
 }
 
-// LoadFile restores a SaveFile file into mgr — dataset values first, then
-// every journal by replay — and returns the journal count and the epoch.
-// A missing file is a fresh start. Journals that record updates without
-// dataset values are refused: the regenerated table would undo them.
+// LoadFile restores a SaveFile file into mgr and returns the journal
+// count and the epoch. A missing file is a fresh start. Every journal is
+// decoded and checked before anything changes, so a file that fails
+// validation leaves the dataset and mgr untouched; then the dataset
+// values are restored, then every journal is replayed. Journals that
+// record updates without dataset values are refused: the regenerated
+// table would undo them.
 func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -103,6 +110,10 @@ func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	journals, err := session.BuildJournals(p.Sessions)
+	if err != nil {
+		return 0, 0, fmt.Errorf("persist: %w", err)
+	}
 	if p.Dataset != nil {
 		if err := mgr.RestoreSensitiveState(*p.Dataset); err != nil {
 			return 0, 0, fmt.Errorf("persist: %w", err)
@@ -110,7 +121,7 @@ func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
 	} else if hasUpdate(p.Sessions) {
 		return 0, 0, errors.New("persist: the journals record updates but the file holds no dataset values")
 	}
-	if err := mgr.Restore(p.Sessions); err != nil {
+	if err := mgr.Install(journals); err != nil {
 		return 0, 0, err
 	}
 	return len(p.Sessions), p.Epoch, nil
@@ -136,45 +147,27 @@ func hasUpdate(logs []session.LogSnapshot) bool {
 // session.Manager.Restore.
 func LoadSessions(r io.Reader) ([]session.LogSnapshot, error) {
 	p, err := load(r)
-	return p.Sessions, err
+	if err != nil {
+		return nil, err
+	}
+	if _, err := session.BuildJournals(p.Sessions); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return p.Sessions, nil
 }
 
-// load decodes and validates a session-journal snapshot.
+// load decodes a session-journal snapshot, envelope and payload in one
+// pass, and checks its version and kind.
 func load(r io.Reader) (sessionLogsPayload, error) {
-	var env envelope
+	var env envelope[sessionLogsPayload]
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return sessionLogsPayload{}, fmt.Errorf("persist: decode envelope: %w", err)
+		return sessionLogsPayload{}, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if err := env.check(KindSessionLogs); err != nil {
-		return sessionLogsPayload{}, err
-	}
-	var p sessionLogsPayload
-	if err := json.Unmarshal(env.Payload, &p); err != nil {
-		return sessionLogsPayload{}, fmt.Errorf("persist: decode %s: %w", env.Kind, err)
-	}
-	seen := make(map[string]bool, len(p.Sessions))
-	for _, snap := range p.Sessions {
-		if snap.Analyst == "" {
-			return sessionLogsPayload{}, fmt.Errorf("persist: session snapshot with empty analyst id")
-		}
-		if seen[snap.Analyst] {
-			return sessionLogsPayload{}, fmt.Errorf("persist: duplicate session snapshot for analyst %q", snap.Analyst)
-		}
-		seen[snap.Analyst] = true
-		if err := snap.Validate(); err != nil {
-			return sessionLogsPayload{}, fmt.Errorf("persist: analyst %q: %w", snap.Analyst, err)
-		}
-	}
-	return p, nil
-}
-
-// check validates an envelope's version and kind.
-func (env envelope) check(want Kind) error {
 	if env.Version != Version {
-		return fmt.Errorf("persist: unsupported snapshot version %d", env.Version)
+		return sessionLogsPayload{}, fmt.Errorf("persist: unsupported snapshot version %d", env.Version)
 	}
-	if env.Kind != want {
-		return fmt.Errorf("persist: snapshot kind %q, want %q", env.Kind, want)
+	if env.Kind != KindSessionLogs {
+		return sessionLogsPayload{}, fmt.Errorf("persist: snapshot kind %q, want %q", env.Kind, KindSessionLogs)
 	}
-	return nil
+	return env.Payload, nil
 }

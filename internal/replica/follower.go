@@ -135,10 +135,11 @@ func (n *Node) sleep(ctx context.Context, backoff time.Duration) time.Duration {
 	return next
 }
 
-// resync seeds the follower from a primary snapshot: restore the dataset
-// state and every session journal (rebuilding auditor state by replay),
-// drop sessions the primary no longer tracks, and point the journal
-// cursor at the snapshot's cut. All quarantines lift — the node's state
+// resync seeds the follower from a primary snapshot: check every session
+// journal, then restore the dataset state and the journals (rebuilding
+// auditor state by replay), drop sessions the primary no longer tracks,
+// and point the journal cursor at the snapshot's cut. A snapshot with a
+// bad journal changes nothing. All quarantines lift — the node's state
 // is a fresh verified copy.
 func (n *Node) resync(ctx context.Context) error {
 	var snap SnapshotResponse
@@ -148,10 +149,14 @@ func (n *Node) resync(ctx context.Context) error {
 	if snap.Epoch < n.Epoch() {
 		return fmt.Errorf("%w: snapshot from epoch %d, ours is %d", errFenced, snap.Epoch, n.Epoch())
 	}
+	journals, err := session.BuildJournals(snap.Sessions)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot sessions: %w", err)
+	}
 	if err := n.mgr.RestoreSensitiveState(snap.Sensitive); err != nil {
 		return fmt.Errorf("replica: snapshot dataset state: %w", err)
 	}
-	if err := n.mgr.Restore(snap.Sessions); err != nil {
+	if err := n.mgr.Install(journals); err != nil {
 		return fmt.Errorf("replica: snapshot sessions: %w", err)
 	}
 	keep := make(map[string]bool, len(snap.Sessions))

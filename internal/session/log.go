@@ -25,7 +25,9 @@
 package session
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 
 	"queryaudit/internal/core"
@@ -193,7 +195,7 @@ type EventSnapshot struct {
 	Op string `json:"op"`
 	// Query fields (Op == "query").
 	Kind    string  `json:"kind,omitempty"`
-	Indices []int   `json:"indices,omitempty"`
+	Indices Indices `json:"indices,omitempty"`
 	Outcome string  `json:"outcome,omitempty"`
 	Answer  float64 `json:"answer,omitempty"`
 	// Index is the updated record (Op == "update").
@@ -271,15 +273,8 @@ func (l *Log) Snapshot(analyst string) LogSnapshot {
 // or bit-flipped journal is rejected here instead of replaying into a
 // silently different auditor.
 func (s LogSnapshot) Validate() error {
-	var d core.Digest
-	for i, es := range s.Events {
-		ev, err := DecodeEvent(es)
-		if err != nil {
-			return fmt.Errorf("session: event %d: %w", i, err)
-		}
-		d = ev.chain(d)
-	}
-	return s.checkPosition(d)
+	_, err := logFromSnapshot(s)
+	return err
 }
 
 // checkPosition compares the snapshot's recorded seq and digest, when
@@ -301,8 +296,8 @@ func (s LogSnapshot) checkPosition(d core.Digest) error {
 }
 
 // logFromSnapshot rebuilds a Log (with recomputed tallies, seq and
-// digest) from a snapshot, decoding and chaining each event once. It
-// refuses the snapshot with the errors Validate reports.
+// digest) from a snapshot, decoding and chaining each event once, and
+// refuses a snapshot that fails Validate's checks.
 func logFromSnapshot(s LogSnapshot) (*Log, error) {
 	l := NewLog()
 	l.events = make([]Event, 0, len(s.Events))
@@ -317,4 +312,129 @@ func logFromSnapshot(s LogSnapshot) (*Log, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// Indices is the index set of a journaled query. It encodes as a JSON
+// array of integers and decodes exactly as encoding/json decodes into
+// []int, without reflection: journals are mostly index arrays, and a
+// restart decodes every one of them.
+type Indices []int
+
+// UnmarshalJSON implements json.Unmarshaler. It accepts null (a nil set)
+// or an array whose elements are integers in int's range or null (a 0,
+// as encoding/json leaves an int it is given null), with JSON whitespace
+// anywhere between tokens. Fractions, exponents, overflow, strings and
+// any other value are refused.
+func (x *Indices) UnmarshalJSON(data []byte) error {
+	p := intsParser{data: data}
+	p.space()
+	if p.literal("null") {
+		p.space()
+		if p.i != len(p.data) {
+			return p.fail()
+		}
+		*x = nil
+		return nil
+	}
+	if !p.eat('[') {
+		return p.fail()
+	}
+	out := make(Indices, 0, bytes.Count(data, []byte{','})+1)
+	p.space()
+	if !p.eat(']') {
+		for {
+			p.space()
+			v, ok := p.element()
+			if !ok {
+				return p.fail()
+			}
+			out = append(out, v)
+			p.space()
+			if p.eat(']') {
+				break
+			}
+			if !p.eat(',') {
+				return p.fail()
+			}
+		}
+	}
+	p.space()
+	if p.i != len(p.data) {
+		return p.fail()
+	}
+	*x = out
+	return nil
+}
+
+// intsParser is UnmarshalJSON's cursor over its input.
+type intsParser struct {
+	data []byte
+	i    int
+}
+
+func (p *intsParser) fail() error {
+	return fmt.Errorf("session: index set is not a JSON array of integers (byte %d)", p.i)
+}
+
+// space skips JSON whitespace.
+func (p *intsParser) space() {
+	for p.i < len(p.data) {
+		switch p.data[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c if it is next.
+func (p *intsParser) eat(c byte) bool {
+	if p.i < len(p.data) && p.data[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// literal consumes lit if it is next.
+func (p *intsParser) literal(lit string) bool {
+	if bytes.HasPrefix(p.data[p.i:], []byte(lit)) {
+		p.i += len(lit)
+		return true
+	}
+	return false
+}
+
+// element consumes one array element: a JSON integer that fits an int, or
+// null for 0. A number with a fraction or an exponent is refused.
+func (p *intsParser) element() (int, bool) {
+	if p.literal("null") {
+		return 0, true
+	}
+	neg := p.eat('-')
+	start := p.i
+	var mag uint64
+	for p.i < len(p.data) && '0' <= p.data[p.i] && p.data[p.i] <= '9' {
+		d := uint64(p.data[p.i] - '0')
+		if mag > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		mag = mag*10 + d
+		p.i++
+	}
+	digits := p.i - start
+	if digits == 0 || digits > 1 && p.data[start] == '0' {
+		return 0, false
+	}
+	if neg {
+		if mag > uint64(math.MaxInt)+1 {
+			return 0, false
+		}
+		return int(-mag), true
+	}
+	if mag > math.MaxInt {
+		return 0, false
+	}
+	return int(mag), true
 }

@@ -243,7 +243,9 @@ func TestAdmissionCapConcurrent(t *testing.T) {
 
 // TestRestoreBuildsOncePerJournal: restoring a journal builds one engine
 // and evicts at most one, and lands every session at its source position.
+// It runs on at least two CPUs, so journals replay in parallel.
 func TestRestoreBuildsOncePerJournal(t *testing.T) {
+	atLeastTwoProcs(t)
 	vals := []float64{2, 4, 6, 8, 10, 12}
 	n := len(vals)
 	src := newTestManager(t, Config{}, vals)

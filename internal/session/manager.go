@@ -349,22 +349,42 @@ func (m *Manager) reserveSession() bool {
 func (m *Manager) materializeLocked(s *Session) error {
 	m.evictForCapacity()
 	start := time.Now()
-	eng, err := m.spec.Build()
+	events := s.log.Events()
+	eng, err := m.replayEvents(s.analyst, events)
 	if err != nil {
 		return err
 	}
-	events := s.log.Events()
+	m.installEngineLocked(s, eng)
+	if len(events) > 0 {
+		m.obs.ObserveReplay(len(events), time.Since(start))
+	}
+	return nil
+}
+
+// replayEvents builds a fresh engine and replays the analyst's journal
+// events into it. It touches no session state, so it may run for many
+// journals at once.
+func (m *Manager) replayEvents(analyst string, events []Event) (*core.Engine, error) {
+	eng, err := m.spec.Build()
+	if err != nil {
+		return nil, err
+	}
 	for i, ev := range events {
 		if ev.Update {
-			if err := eng.NoteUpdate(ev.Index); err != nil {
-				return fmt.Errorf("session: %q event %d: %w", s.analyst, i, err)
-			}
-			continue
+			err = eng.NoteUpdate(ev.Index)
+		} else {
+			err = eng.Replay(ev.Decision)
 		}
-		if err := eng.Replay(ev.Decision); err != nil {
-			return fmt.Errorf("session: %q event %d: %w", s.analyst, i, err)
+		if err != nil {
+			return nil, fmt.Errorf("session: %q event %d: %w", analyst, i, err)
 		}
 	}
+	return eng, nil
+}
+
+// installEngineLocked makes eng, which has replayed s's whole journal,
+// s's live engine; s.mu is held.
+func (m *Manager) installEngineLocked(s *Session, eng *core.Engine) {
 	// Journal only after the journal has been drained, or replay would
 	// re-append every event.
 	eng.SetRecorder(s.log)
@@ -373,10 +393,6 @@ func (m *Manager) materializeLocked(s *Session) error {
 	m.lruFront(s)
 	m.live.Add(1)
 	m.obs.ObserveLive(1)
-	if len(events) > 0 {
-		m.obs.ObserveReplay(len(events), time.Since(start))
-	}
-	return nil
 }
 
 // evictForCapacity drops least-recently-used idle engines until the
@@ -880,43 +896,6 @@ func (m *Manager) RestoreSensitiveState(st dataset.SensitiveState) error {
 	m.dsMu.Lock()
 	defer m.dsMu.Unlock()
 	return m.ds.RestoreSensitive(st)
-}
-
-// Restore loads persisted session journals and replays each into a
-// fresh engine, eagerly, so a ready-gated server only starts answering
-// once every analyst's privacy state is reconstructed. Call before
-// serving traffic. Restoring the default session replaces its eager
-// empty journal. Each analyst costs one engine build and at most one
-// eviction.
-func (m *Manager) Restore(snaps []LogSnapshot) error {
-	for _, snap := range snaps {
-		if snap.Analyst == "" {
-			return errors.New("session: snapshot with empty analyst id")
-		}
-		lg, err := logFromSnapshot(snap)
-		if err != nil {
-			return fmt.Errorf("session: restoring %q: %w", snap.Analyst, err)
-		}
-		m.wireLog(snap.Analyst, lg)
-		m.dsMu.RLock()
-		s, err := m.lookupOrCreate(snap.Analyst)
-		if err != nil {
-			m.dsMu.RUnlock()
-			return fmt.Errorf("session: restoring %q: %w", snap.Analyst, err)
-		}
-		// Swap in the restored journal and rebuild from it.
-		if s.eng != nil {
-			m.dropEngineLocked(s)
-		}
-		s.log = lg
-		err = m.materializeLocked(s)
-		s.mu.Unlock()
-		m.dsMu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("session: restoring %q: %w", snap.Analyst, err)
-		}
-	}
-	return nil
 }
 
 // Sweep removes sessions idle longer than the TTL (log included — see
