@@ -6,7 +6,7 @@
 //
 // The REPL is one session (session.DefaultAnalyst) on auditserver's
 // stack and session manager. -auditors prob takes its parameters from
-// auditlog.DefaultStackConfig and scales salaries to [0,1], so -csv
+// core.DefaultStackConfig and scales salaries to [0,1], so -csv
 // requires -auditors full.
 //
 // Usage:
@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 
-	"queryaudit/internal/auditlog"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/persist"
@@ -57,12 +56,17 @@ func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // run is the whole program: it returns the exit code.
 func run(args []string, in io.Reader, out, errOut io.Writer) int {
-	stack := auditlog.DefaultStackConfig()
 	flags := flag.NewFlagSet("auditdb", flag.ContinueOnError)
 	flags.SetOutput(errOut)
-	flags.IntVar(&stack.N, "n", stack.N, "number of records")
-	flags.Int64Var(&stack.Seed, "seed", stack.Seed, "random seed for the synthetic table")
-	flags.StringVar(&stack.Family, "auditors", stack.Family, "auditor family: full (exact disclosure auditors) or prob (Section 3 probabilistic auditors)")
+	// Of the stack flags auditdb takes the table and the family; the prob
+	// parameters stay DefaultStackConfig's.
+	stack := core.DefaultStackConfig()
+	stackFlags := flag.NewFlagSet("", flag.ContinueOnError)
+	stack.RegisterFlags(stackFlags)
+	for _, name := range []string{"n", "seed", "auditors"} {
+		f := stackFlags.Lookup(name)
+		flags.Var(f.Value, f.Name, f.Usage)
+	}
 	snapPath := flags.String("session-snapshot", "", "session journal file: replayed at startup, rewritten after every query and update")
 	csvPath := flags.String("csv", "", "load the table from a headered CSV instead of generating one (-auditors full only)")
 	sensitive := flags.String("sensitive", "salary", "sensitive column name for -csv")
@@ -112,7 +116,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 // open loads the table — generated from the stack, or read from csvPath
 // — builds a session manager over the stack's auditors, and replays the
 // journal at snapPath if that file exists.
-func open(stack auditlog.StackConfig, snapPath, csvPath, sensitive, csvNum string) (*session.Manager, *dataset.Dataset, error) {
+func open(stack core.StackConfig, snapPath, csvPath, sensitive, csvNum string) (*session.Manager, *dataset.Dataset, error) {
 	if err := stack.Validate(); err != nil {
 		return nil, nil, err
 	}

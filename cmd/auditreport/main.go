@@ -8,13 +8,14 @@
 //	auditreport -auditors full -n 300 -seed 1 -o report.json audit.ndjson
 //	auditreport -auditors prob -prob-seed 7 -verify sessions.json
 //
-// The stack flags mirror auditserver's: give auditreport the same
-// -auditors/-n/-seed (and -prob-*) values the live server ran with and
-// the offline stack is construction-identical, so — by the paper's
-// simulatability property — the offline verdicts reproduce the recorded
-// live verdicts bit-for-bit. -verify makes any divergence (or any
-// malformed input line) fatal, turning the pipeline into a compliance
-// check; without it the report simply records the mismatches.
+// The stack flags are auditserver's (core.StackConfig.RegisterFlags):
+// give auditreport the same -auditors/-n/-seed (and -prob-*) values the
+// live server ran with and the offline stack is construction-identical,
+// so — by the paper's simulatability property — the offline verdicts
+// reproduce the recorded live verdicts bit-for-bit. -verify makes any
+// divergence (or any malformed input line) fatal, turning the pipeline
+// into a compliance check; without it the report simply records the
+// mismatches.
 //
 // Running the pipeline twice over the same inputs yields byte-identical
 // reports: the artifact carries input digests instead of timestamps,
@@ -30,6 +31,7 @@ import (
 	"os"
 
 	"queryaudit/internal/auditlog"
+	"queryaudit/internal/core"
 	"queryaudit/internal/mcpar"
 	"queryaudit/internal/persist"
 	"queryaudit/internal/qindex"
@@ -46,18 +48,9 @@ func main() {
 		workers   = flag.Int("workers", 0, "analyst replay fan-out (0 = GOMAXPROCS)")
 		verify    = flag.Bool("verify", false, "exit nonzero on any verdict mismatch or malformed input line")
 		quiet     = flag.Bool("quiet", false, "suppress the stderr summary")
-
-		auditors  = flag.String("auditors", "full", "auditor family the history ran against: full or prob")
-		n         = flag.Int("n", 300, "number of records in the synthetic table")
-		seed      = flag.Int64("seed", 1, "random seed for the synthetic table")
-		mcWorkers = flag.Int("mc-workers", 0, "per-decision cap on the shared Monte Carlo scheduler (prob auditors; 0 = GOMAXPROCS)")
-		mcAlpha   = flag.Float64("mc-adaptive-alpha", 0, "prob auditors: adaptive sample-budget error bound α (0 disables)")
-		probLam   = flag.Float64("prob-lambda", 0.45, "prob auditors: tolerated posterior/prior drift λ in (0,1)")
-		probGamma = flag.Int("prob-gamma", 4, "prob auditors: partition intervals γ")
-		probDelta = flag.Float64("prob-delta", 0.2, "prob auditors: attacker winning-probability bound δ")
-		probT     = flag.Int("prob-t", 12, "prob auditors: game rounds T")
-		probSeed  = flag.Int64("prob-seed", 1, "prob auditors: Monte Carlo seed")
 	)
+	stack := core.DefaultStackConfig()
+	stack.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger := log.New(os.Stderr, "auditreport ", 0)
 	if *quiet {
@@ -70,11 +63,6 @@ func main() {
 		log.New(os.Stderr, "auditreport ", 0).Fatalf(formatStr, args...)
 	}
 
-	stack := auditlog.StackConfig{
-		Family: *auditors, N: *n, Seed: *seed,
-		Lambda: *probLam, Gamma: *probGamma, Delta: *probDelta, T: *probT,
-		MCWorkers: *mcWorkers, AdaptiveAlpha: *mcAlpha, ProbSeed: *probSeed,
-	}
 	if err := stack.Validate(); err != nil {
 		fatal("%v", err)
 	}
@@ -119,7 +107,7 @@ func main() {
 	// pristine dataset serves both enrichment breadth and SQL replay
 	// (predicates touch only immutable public attributes).
 	sel := qindex.NewResolver(stack.NewDataset())
-	en := &auditlog.Enricher{Dict: dict, Records: *n, Sensitive: *sensitive, Sel: sel}
+	en := &auditlog.Enricher{Dict: dict, Records: stack.N, Sensitive: *sensitive, Sel: sel}
 	scored := en.Enrich(entries)
 	if *enriched != "" {
 		err := persist.WriteAtomic(*enriched, func(w io.Writer) error {
@@ -136,7 +124,7 @@ func main() {
 	// exactly like the live server.
 	rp := &auditlog.Replayer{Stack: stack, Workers: *workers, Sensitive: *sensitive}
 	if stack.Family == "prob" {
-		rp.Sched = mcpar.NewScheduler(*mcWorkers)
+		rp.Sched = mcpar.NewScheduler(stack.MCWorkers)
 	}
 	result, err := rp.Replay(entries)
 	if err != nil {

@@ -69,7 +69,6 @@ import (
 	"syscall"
 	"time"
 
-	"queryaudit/internal/auditlog"
 	"queryaudit/internal/core"
 	"queryaudit/internal/mcpar"
 	"queryaudit/internal/metrics"
@@ -81,8 +80,6 @@ import (
 
 func main() {
 	var (
-		n           = flag.Int("n", 300, "number of records in the synthetic table")
-		seed        = flag.Int64("seed", 1, "random seed for the synthetic table")
 		addr        = flag.String("addr", ":8080", "listen address")
 		snapshot    = flag.String("snapshot", "", "removed: use -session-snapshot (setting it exits at startup)")
 		sessSnap    = flag.String("session-snapshot", "", "path for the per-analyst session logs (restored by replay at startup)")
@@ -95,14 +92,6 @@ func main() {
 		perClient   = flag.Int("per-client-concurrency", 0, "maximum in-flight requests per client IP (0 = unlimited)")
 		drain       = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain window on SIGINT/SIGTERM")
 		quietAccess = flag.Bool("quiet", false, "disable per-request access logging")
-		auditors    = flag.String("auditors", "full", "auditor family: full (exact disclosure auditors) or prob (Section 3 probabilistic auditors)")
-		mcWorkers   = flag.Int("mc-workers", 0, "per-decision cap on the shared Monte Carlo scheduler for prob auditors (0 = GOMAXPROCS, 1 = sequential); the assist pool itself is sized to this cap and multiplexed across all sessions' decisions")
-		mcAlpha     = flag.Float64("mc-adaptive-alpha", 0, "prob auditors: adaptive sample-budget error bound α (0 disables; e.g. 0.01 stops a decision early once its outcome is pinned with 99% confidence — still deterministic per seed)")
-		probLambda  = flag.Float64("prob-lambda", 0.45, "prob auditors: tolerated posterior/prior drift λ in (0,1)")
-		probGamma   = flag.Int("prob-gamma", 4, "prob auditors: partition intervals γ")
-		probDelta   = flag.Float64("prob-delta", 0.2, "prob auditors: attacker winning-probability bound δ")
-		probT       = flag.Int("prob-t", 12, "prob auditors: game rounds T")
-		probSeed    = flag.Int64("prob-seed", 1, "prob auditors: Monte Carlo seed (decisions are reproducible per seed)")
 
 		role          = flag.String("role", "standalone", "replication role: standalone (no replication), primary (ships its journal), or replica (read-only follower)")
 		primaryURL    = flag.String("primary-url", "", "replica: base URL of the primary to stream from (e.g. http://127.0.0.1:8080)")
@@ -110,6 +99,8 @@ func main() {
 		replPollWait  = flag.Duration("replication-poll-wait", 10*time.Second, "how long a stream long-poll is held open (heartbeat interval when idle)")
 		replMaxBatch  = flag.Int("replication-max-batch", 256, "maximum records per stream response")
 	)
+	stack := core.DefaultStackConfig()
+	stack.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger := log.New(os.Stderr, "auditserver ", log.LstdFlags|log.Lmsgprefix)
 	if *snapshot != "" {
@@ -133,17 +124,11 @@ func main() {
 		logger.Fatalf("-primary-url only applies to -role=replica")
 	}
 
-	// StackConfig is the shared construction path with the offline
-	// pipeline (internal/auditlog): an auditreport run handed the same
-	// family/N/seed/prob parameters builds a bit-identical stack, which
-	// is what makes retrospective verdicts reproduce live ones.
-	stack := auditlog.StackConfig{
-		Family: *auditors, N: *n, Seed: *seed,
-		Lambda: *probLambda, Gamma: *probGamma, Delta: *probDelta, T: *probT,
-		MCWorkers: *mcWorkers, AdaptiveAlpha: *mcAlpha, ProbSeed: *probSeed,
-	}
+	// The stack flags are auditreport's: an auditreport run handed the
+	// same values builds a bit-identical stack, which is what makes
+	// retrospective verdicts reproduce live ones.
 	if err := stack.Validate(); err != nil {
-		logger.Fatalf("%v (unknown -auditors? want full or prob)", err)
+		logger.Fatalf("%v", err)
 	}
 	ds := stack.NewDataset()
 
@@ -156,15 +141,15 @@ func main() {
 	if err := stack.RegisterAuditors(spec); err != nil {
 		logger.Fatalf("auditors: %v", err)
 	}
-	if *auditors == "prob" {
+	if stack.Family == "prob" {
 		// One assist pool for the whole process: every session's decisions
 		// multiplex over it, so concurrent analysts share the machine
 		// instead of each fanning out their own goroutines.
-		sched := mcpar.NewScheduler(*mcWorkers)
+		sched := mcpar.NewScheduler(stack.MCWorkers)
 		sched.SetObserver(metrics.NewSchedCollector(reg))
 		spec.SetMCScheduler(sched)
 		logger.Printf("probabilistic auditors: lambda=%g gamma=%d delta=%g T=%d mc-workers=%d sched-pool=%d adaptive-alpha=%g (sensitive values normalized to [0,1])",
-			*probLambda, *probGamma, *probDelta, *probT, *mcWorkers, sched.Size(), *mcAlpha)
+			stack.Lambda, stack.Gamma, stack.Delta, stack.T, stack.MCWorkers, sched.Size(), stack.AdaptiveAlpha)
 	}
 
 	mgr, err := session.NewManager(spec, session.Config{

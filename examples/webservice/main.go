@@ -11,12 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
-	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/server"
 	"queryaudit/internal/session"
@@ -28,8 +24,9 @@ func main() {
 	n := 80
 	ds := dataset.GenerateHospital(randx.New(3), dataset.DefaultHospitalConfig(n))
 	spec := core.NewEngineSpec(ds)
-	spec.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	spec.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: n}).RegisterAuditors(spec); err != nil {
+		panic(err)
+	}
 	mgr, err := session.NewManager(spec, session.Config{})
 	if err != nil {
 		panic(err)

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -79,29 +78,26 @@ func ParseFile(path string, format Format) ([]Entry, SourceStats, error) {
 	return ParseBytes(data, path, format)
 }
 
-// Parse normalizes one audit-log source into the Entry stream.
-func Parse(r io.Reader, source string, format Format) ([]Entry, SourceStats, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, SourceStats{}, err
-	}
-	return ParseBytes(data, source, format)
-}
-
 // ParseBytes normalizes one in-memory audit-log source. The
 // line-oriented formats recover per line: a malformed line increments
 // Malformed and parsing continues, so one corrupt record never discards
 // a day of history. Journal sources are validated as a unit (their
 // digest chain either verifies or the file is rejected).
 func ParseBytes(data []byte, source string, format Format) ([]Entry, SourceStats, error) {
-	if format == FormatAuto {
-		format = detectFormat(data)
-	}
 	st := SourceStats{Source: source, Format: string(format)}
+	if format == FormatAuto || format == FormatJournal {
+		js, err := decodeJournal(data)
+		if format == FormatJournal || !errors.Is(err, errNotJournal) {
+			st.Format = string(FormatJournal)
+			if err != nil {
+				return nil, st, fmt.Errorf("auditlog: %s: %w", source, err)
+			}
+			return journalEntries(js, source, &st), st, nil
+		}
+		format = lineFormat(data)
+		st.Format = string(format)
+	}
 	switch format {
-	case FormatJournal:
-		entries, err := parseJournal(data, source, &st)
-		return entries, st, err
 	case FormatNDJSON:
 		return parseLines(data, source, &st, parseNDJSONLine), st, nil
 	case FormatPGAuditCSV:
@@ -111,12 +107,9 @@ func ParseBytes(data []byte, source string, format Format) ([]Entry, SourceStats
 	}
 }
 
-// detectFormat sniffs the input: a journal's shape wins, then a leading
-// '{' selects ndjson, anything else is treated as CSV.
-func detectFormat(data []byte) Format {
-	if _, err := decodeJournal(data); !errors.Is(err, errNotJournal) {
-		return FormatJournal
-	}
+// lineFormat sniffs input that is not a journal: a leading '{' or '['
+// selects ndjson, anything else is treated as CSV.
+func lineFormat(data []byte) Format {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && (trimmed[0] == '{' || trimmed[0] == '[') {
 		return FormatNDJSON
@@ -248,77 +241,71 @@ func parseNDJSONLine(line string) (Entry, bool, bool) {
 // errNotJournal reports input without the shape of a session journal.
 var errNotJournal = errors.New("auditlog: input is not a recognizable session journal")
 
-// decodeJournal extracts the journal snapshots from any accepted shape:
-// a persist envelope (kind + payload), a bare session.LogSnapshot
-// (analyst + events) or an array of bare snapshots. The shape is
-// recognized by its top-level keys alone, and only input without any of
-// those shapes yields errNotJournal, so format detection takes a
-// damaged journal for one even when decoding it fails. Digest chains
-// are verified in parseJournal, once, with per-snapshot error context
-// (a persist envelope is also checked by persist.LoadSessions).
-func decodeJournal(data []byte) ([]session.LogSnapshot, error) {
+// seen records that a JSON key is present, without keeping its value.
+type seen bool
+
+func (s *seen) UnmarshalJSON([]byte) error { *s = true; return nil }
+
+// journalKeys are the top-level keys that identify a journal's shape.
+type journalKeys struct {
+	Kind    seen `json:"kind"`
+	Payload seen `json:"payload"`
+	Analyst seen `json:"analyst"`
+	Events  seen `json:"events"`
+}
+
+// isEnvelope reports whether k has a persist envelope's keys.
+func (k journalKeys) isEnvelope() bool { return bool(k.Kind && k.Payload) }
+
+// isSnapshot reports whether k has a bare session.LogSnapshot's keys.
+func (k journalKeys) isSnapshot() bool { return bool(k.Analyst && k.Events) }
+
+// decodeJournal rebuilds and checks (session.BuildJournals) the
+// journals of any accepted shape: a persist envelope (kind + payload), a
+// bare session.LogSnapshot (analyst + events) or an array of bare
+// snapshots. The shape is recognized by its top-level keys alone, and
+// only input without any of those shapes yields errNotJournal, so format
+// detection takes a damaged journal for one even when decoding it fails.
+func decodeJournal(data []byte) ([]session.Journal, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	var snaps []session.LogSnapshot
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var arr []map[string]json.RawMessage
-		if json.Unmarshal(trimmed, &arr) != nil || len(arr) == 0 || !hasKeys(arr[0], "analyst", "events") {
+		var arr []journalKeys
+		if json.Unmarshal(trimmed, &arr) != nil || len(arr) == 0 || !arr[0].isSnapshot() {
 			return nil, errNotJournal
 		}
-		var snaps []session.LogSnapshot
-		err := json.Unmarshal(trimmed, &snaps)
-		return snaps, err
-	}
-	var obj map[string]json.RawMessage
-	if json.Unmarshal(trimmed, &obj) != nil {
-		return nil, errNotJournal
-	}
-	switch {
-	case hasKeys(obj, "kind", "payload"):
-		return persist.LoadSessions(bytes.NewReader(trimmed))
-	case hasKeys(obj, "analyst", "events"):
-		var snap session.LogSnapshot
-		err := json.Unmarshal(trimmed, &snap)
-		return []session.LogSnapshot{snap}, err
-	}
-	return nil, errNotJournal
-}
-
-// hasKeys reports whether obj has every key.
-func hasKeys(obj map[string]json.RawMessage, keys ...string) bool {
-	for _, k := range keys {
-		if _, ok := obj[k]; !ok {
-			return false
+		if err := json.Unmarshal(trimmed, &snaps); err != nil {
+			return nil, err
+		}
+	} else {
+		var keys journalKeys
+		switch {
+		case json.Unmarshal(trimmed, &keys) != nil:
+			return nil, errNotJournal
+		case keys.isEnvelope():
+			return persist.LoadJournals(bytes.NewReader(trimmed))
+		case !keys.isSnapshot():
+			return nil, errNotJournal
+		}
+		snaps = make([]session.LogSnapshot, 1)
+		if err := json.Unmarshal(trimmed, &snaps[0]); err != nil {
+			return nil, err
 		}
 	}
-	return true
+	return session.BuildJournals(snaps)
 }
 
-// parseJournal converts exported session journals into the Entry
-// stream. Every snapshot's digest chain is verified first: a truncated
-// or bit-flipped journal is rejected outright rather than replayed into
-// a silently different auditor.
-func parseJournal(data []byte, source string, st *SourceStats) ([]Entry, error) {
-	snaps, err := decodeJournal(data)
-	if err != nil {
-		return nil, fmt.Errorf("auditlog: %s: %w", source, err)
-	}
+// journalEntries converts checked session journals into the Entry
+// stream.
+func journalEntries(js []session.Journal, source string, st *SourceStats) []Entry {
 	var entries []Entry
-	for _, snap := range snaps {
-		if snap.Analyst == "" {
-			return nil, fmt.Errorf("auditlog: %s: journal snapshot without analyst", source)
-		}
-		if err := snap.Validate(); err != nil {
-			return nil, fmt.Errorf("auditlog: %s: %w", source, err)
-		}
-		for i, es := range snap.Events {
-			ev, err := session.DecodeEvent(es)
-			if err != nil {
-				return nil, fmt.Errorf("auditlog: %s: analyst %q event %d: %w", source, snap.Analyst, i, err)
-			}
+	for _, j := range js {
+		for i, ev := range j.Events() {
 			st.Lines++
 			e := Entry{
 				Source:  source,
 				Line:    i + 1,
-				Analyst: snap.Analyst,
+				Analyst: j.Analyst(),
 			}
 			if ev.Update {
 				e.Op = OpUpdate
@@ -337,5 +324,5 @@ func parseJournal(data []byte, source string, st *SourceStats) ([]Entry, error) 
 			st.Entries++
 		}
 	}
-	return entries, nil
+	return entries
 }

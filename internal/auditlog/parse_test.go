@@ -2,7 +2,9 @@ package auditlog
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -127,7 +129,7 @@ func TestAutoDetect(t *testing.T) {
 
 // exportJournal drives a live stack and returns one analyst's exported
 // snapshot — the shared setup for the journal parsing and replay tests.
-func exportJournal(t *testing.T, stack StackConfig, analyst string, sqls []string) (session.LogSnapshot, []core.Response) {
+func exportJournal(t *testing.T, stack core.StackConfig, analyst string, sqls []string) (session.LogSnapshot, []core.Response) {
 	t.Helper()
 	mgr := newTestManager(t, stack)
 	var resps []core.Response
@@ -152,7 +154,7 @@ func exportJournal(t *testing.T, stack StackConfig, analyst string, sqls []strin
 // TestParseJournal: an exported session journal normalizes into entries
 // whose outcomes mirror the live transcript, in every accepted wrapper.
 func TestParseJournal(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 40, Seed: 1}
+	stack := core.StackConfig{Family: "full", N: 40, Seed: 1}
 	snap, _ := exportJournal(t, stack, "alice", []string{
 		"SELECT sum(salary) WHERE age >= 30",
 		"SELECT max(salary) WHERE dept = 'eng'",
@@ -197,28 +199,73 @@ func TestParseJournal(t *testing.T) {
 
 // TestParseJournalRejectsTamper: a bit-flipped journal fails its digest
 // chain and is rejected as a unit — no partial ingest of corrupt
-// history. Auto-detection must reject it too, not re-read it as another
-// format.
+// history — with an error naming the analyst. Auto-detection must reject
+// it too, not re-read it as another format.
 func TestParseJournalRejectsTamper(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 40, Seed: 1}
-	snap, _ := exportJournal(t, stack, "alice", []string{"SELECT sum(salary) WHERE age >= 30"})
-	snap.Events[0].Outcome = "denied"
-	bare, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
+	stack := core.StackConfig{Family: "full", N: 40, Seed: 1}
+	clean, _ := exportJournal(t, stack, "alice", []string{"SELECT sum(salary) WHERE age >= 30"})
+	damages := []struct {
+		name   string
+		damage func(*session.LogSnapshot)
+	}{
+		{"outcome", func(s *session.LogSnapshot) { s.Events[0].Outcome = "denied" }},
+		{"digest", func(s *session.LogSnapshot) {
+			d := []byte(s.Digest)
+			d[0] ^= 1 // a different hex digit
+			s.Digest = string(d)
+		}},
+		{"op", func(s *session.LogSnapshot) { s.Events[0].Op = "drop" }},
 	}
-	var envelope bytes.Buffer
-	if err := persist.SaveSessionState(&envelope, []session.LogSnapshot{snap}, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range []struct {
-		name string
-		data []byte
-	}{{"bare", bare}, {"envelope", envelope.Bytes()}} {
-		for _, format := range []Format{FormatJournal, FormatAuto} {
-			if _, st, err := ParseBytes(sh.data, "tampered", format); err == nil {
-				t.Fatalf("%s tampered journal under %s must be rejected (parsed as %s)", sh.name, format, st.Format)
+	for _, dm := range damages {
+		snap := clean
+		snap.Events = append([]session.EventSnapshot(nil), clean.Events...)
+		dm.damage(&snap)
+		bare, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope bytes.Buffer
+		if err := persist.SaveSessionState(&envelope, []session.LogSnapshot{snap}, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range []struct {
+			name string
+			data []byte
+		}{{"bare", bare}, {"envelope", envelope.Bytes()}} {
+			for _, format := range []Format{FormatJournal, FormatAuto} {
+				_, st, err := ParseBytes(sh.data, "tampered", format)
+				if err == nil || st.Format != string(FormatJournal) {
+					t.Fatalf("%s journal with a damaged %s under %s must be rejected as a journal (parsed as %s, err %v)", sh.name, dm.name, format, st.Format, err)
+				}
+				if !strings.Contains(err.Error(), `"alice"`) {
+					t.Errorf("%s journal with a damaged %s under %s: error does not name the analyst: %v", sh.name, dm.name, format, err)
+				}
 			}
+		}
+	}
+}
+
+// TestParseCommittedSessionsFile: the committed session file
+// internal/persist/testdata/sessions_v1.json parses to pinned entries
+// (the SHA-256 of their JSON), under -format journal and auto alike.
+func TestParseCommittedSessionsFile(t *testing.T) {
+	const wantSHA256 = "f8f779cf82045dd8b6588fb62ff65b7b1e621b11859aa760b6fa0b95ae96a2c7"
+	path := filepath.Join("..", "persist", "testdata", "sessions_v1.json")
+	for _, format := range []Format{FormatJournal, FormatAuto} {
+		entries, st, err := ParseFile(path, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SourceStats{Source: path, Format: string(FormatJournal), Lines: 23, Entries: 23}
+		if st != want {
+			t.Fatalf("%s: stats %+v, want %+v", format, st, want)
+		}
+		raw, err := json.Marshal(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != wantSHA256 {
+			t.Fatalf("%s: entries digest %s, want %s", format, got, wantSHA256)
 		}
 	}
 }

@@ -71,7 +71,7 @@ type ReplayResult struct {
 // when set, is the process-wide Monte Carlo scheduler every engine's
 // probabilistic decisions multiplex over, mirroring the live server.
 type Replayer struct {
-	Stack StackConfig
+	Stack core.StackConfig
 	// Workers bounds the analyst-level fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Sched is the shared mcpar assist pool (optional).

@@ -11,10 +11,10 @@ import (
 
 // newTestManager builds a live session manager over the stack — the
 // "live server" half of the replay equivalence tests.
-func newTestManager(t *testing.T, stack StackConfig) *session.Manager {
+func newTestManager(t *testing.T, stack core.StackConfig) *session.Manager {
 	t.Helper()
-	spec, err := stack.NewSpec()
-	if err != nil {
+	spec := core.NewEngineSpec(stack.NewDataset())
+	if err := stack.RegisterAuditors(spec); err != nil {
 		t.Fatal(err)
 	}
 	mgr, err := session.NewManager(spec, session.Config{})
@@ -39,7 +39,7 @@ var testStatements = []string{
 // driveLive runs the workload for several analysts against a live
 // stack, returning the journal bytes (array of snapshots) plus the
 // live outcome ledger per analyst in issue order.
-func driveLive(t *testing.T, stack StackConfig, analysts []string) ([]byte, map[string][]core.Response) {
+func driveLive(t *testing.T, stack core.StackConfig, analysts []string) ([]byte, map[string][]core.Response) {
 	t.Helper()
 	mgr := newTestManager(t, stack)
 	live := map[string][]core.Response{}
@@ -75,7 +75,7 @@ func driveLive(t *testing.T, stack StackConfig, analysts []string) ([]byte, map[
 // construction-identical offline stack reproduces every recorded
 // verdict — zero mismatches, every entry compared.
 func TestReplayJournalBitForBit(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	analysts := []string{"alice", "bob", "carol"}
 	data, live := driveLive(t, stack, analysts)
 
@@ -121,7 +121,7 @@ func TestReplayJournalBitForBit(t *testing.T) {
 // + recorded answer, the loadgen emission shape) re-resolve and
 // re-decide to the same verdicts and the same released values.
 func TestReplaySQLBitForBit(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	mgr := newTestManager(t, stack)
 	var entries []Entry
 	for _, sql := range testStatements {
@@ -158,7 +158,7 @@ func TestReplaySQLBitForBit(t *testing.T) {
 // TestReplayDetectsTamper: flipping one recorded outcome makes the
 // diff report exactly that divergence.
 func TestReplayDetectsTamper(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	data, _ := driveLive(t, stack, []string{"alice"})
 	entries, _, err := ParseBytes(data, "journal", FormatJournal)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestReplayDetectsTamper(t *testing.T) {
 // TestReplayJournalWithUpdates: update markers replay through
 // NoteUpdate and the post-update history still verifies bit-for-bit.
 func TestReplayJournalWithUpdates(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 30, Seed: 5}
+	stack := core.StackConfig{Family: "full", N: 30, Seed: 5}
 	mgr := newTestManager(t, stack)
 	ask := func(sql string) {
 		q, err := core.ResolveSQL(mgr.Resolver(), "salary", sql)
@@ -239,7 +239,7 @@ func TestReplayJournalWithUpdates(t *testing.T) {
 // also verifies bit-for-bit, and the whole result is identical across
 // runs and worker counts.
 func TestReplayProbBitForBit(t *testing.T) {
-	stack := StackConfig{Family: "prob", N: 24, Seed: 3, Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, ProbSeed: 7}
+	stack := core.StackConfig{Family: "prob", N: 24, Seed: 3, Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, ProbSeed: 7}
 	data, _ := driveLive(t, stack, []string{"alice", "bob"})
 	entries, _, err := ParseBytes(data, "journal", FormatJournal)
 	if err != nil {
@@ -270,7 +270,7 @@ func TestReplayProbBitForBit(t *testing.T) {
 // policy must not desynchronize the stack when the failed query never
 // reached an auditor.
 func TestReplaySkipsTransportErrors(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	entries := []Entry{
 		{Analyst: "alice", Op: OpQuery, SQL: "SELECT sum(salary) WHERE age >= 21", Outcome: "error"},
 		{Analyst: "alice", Op: OpQuery, SQL: "SELECT sum(salary) WHERE age >= 30"},
@@ -295,7 +295,7 @@ func TestReplaySkipsTransportErrors(t *testing.T) {
 // function of the input, not of goroutine scheduling, across repeated
 // runs.
 func TestReplayOrderIndependence(t *testing.T) {
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	var entries []Entry
 	for a := 0; a < 4; a++ {
 		for _, sql := range testStatements {

@@ -62,13 +62,13 @@ type AnalystReport struct {
 // Report is the pipeline's final artifact. Given identical inputs it is
 // byte-identical: no timestamps, sorted analysts, sorted map keys.
 type Report struct {
-	Stack    StackConfig `json:"stack"`
-	Inputs   []Input     `json:"inputs"`
-	Entries  int         `json:"entries"`
-	Queries  int         `json:"queries"`
-	Updates  int         `json:"updates"`
-	Skipped  int         `json:"skipped"`
-	Unscored int         `json:"unscored"`
+	Stack    core.StackConfig `json:"stack"`
+	Inputs   []Input          `json:"inputs"`
+	Entries  int              `json:"entries"`
+	Queries  int              `json:"queries"`
+	Updates  int              `json:"updates"`
+	Skipped  int              `json:"skipped"`
+	Unscored int              `json:"unscored"`
 	// Compared/Mismatches summarize the bit-for-bit diff against the
 	// recorded live outcomes: Mismatches == 0 means the offline stack
 	// reproduced the entire recorded history exactly.
@@ -81,7 +81,7 @@ type Report struct {
 // BuildReport joins the enriched stream with the replay result (by
 // stream position) into the final artifact. topRisk caps the top-risk
 // table (<=0 means 10).
-func BuildReport(stack StackConfig, inputs []Input, enriched []Enriched, replay ReplayResult, topRisk int) Report {
+func BuildReport(stack core.StackConfig, inputs []Input, enriched []Enriched, replay ReplayResult, topRisk int) Report {
 	if topRisk <= 0 {
 		topRisk = 10
 	}

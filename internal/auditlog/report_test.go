@@ -5,13 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"queryaudit/internal/core"
 )
 
 // buildTestReport runs the full pipeline (parse → enrich → replay →
 // report) over a fixed in-memory workload.
 func buildTestReport(t *testing.T, topRisk int) Report {
 	t.Helper()
-	stack := StackConfig{Family: "full", N: 60, Seed: 3}
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
 	var entries []Entry
 	for _, analyst := range []string{"alice", "bob"} {
 		for _, sql := range testStatements {

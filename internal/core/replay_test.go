@@ -4,10 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/naive"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/query"
 )
@@ -23,8 +20,9 @@ func fullSpec(t *testing.T, ds *dataset.Dataset) *EngineSpec {
 	t.Helper()
 	sp := NewEngineSpec(ds)
 	n := ds.N()
-	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (StackConfig{Family: "full", N: n}).RegisterAuditors(sp); err != nil {
+		t.Fatal(err)
+	}
 	return sp
 }
 

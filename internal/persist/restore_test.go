@@ -11,9 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/query"
@@ -27,8 +24,9 @@ func newFullManager(tb testing.TB, xs []float64, maxLive int) *session.Manager {
 	tb.Helper()
 	n := len(xs)
 	sp := core.NewEngineSpec(dataset.FromValues(xs))
-	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: n}).RegisterAuditors(sp); err != nil {
+		tb.Fatal(err)
+	}
 	m, err := session.NewManager(sp, session.Config{MaxLive: maxLive, NoJanitor: true})
 	if err != nil {
 		tb.Fatal(err)

@@ -106,13 +106,9 @@ func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	p, err := load(f)
+	p, journals, err := loadJournals(f)
 	if err != nil {
 		return 0, 0, err
-	}
-	journals, err := session.BuildJournals(p.Sessions)
-	if err != nil {
-		return 0, 0, fmt.Errorf("persist: %w", err)
 	}
 	if p.Dataset != nil {
 		if err := mgr.RestoreSensitiveState(*p.Dataset); err != nil {
@@ -146,14 +142,29 @@ func hasUpdate(logs []session.LogSnapshot) bool {
 // ranges, auditor agreement with logged outcomes) happen in
 // session.Manager.Restore.
 func LoadSessions(r io.Reader) ([]session.LogSnapshot, error) {
+	p, _, err := loadJournals(r)
+	return p.Sessions, err
+}
+
+// LoadJournals is LoadSessions for a reader of the journals: it returns
+// each journal as session.BuildJournals rebuilt and checked it.
+func LoadJournals(r io.Reader) ([]session.Journal, error) {
+	_, js, err := loadJournals(r)
+	return js, err
+}
+
+// loadJournals decodes a session-journal snapshot and rebuilds and
+// checks every journal it holds.
+func loadJournals(r io.Reader) (sessionLogsPayload, []session.Journal, error) {
 	p, err := load(r)
 	if err != nil {
-		return nil, err
+		return sessionLogsPayload{}, nil, err
 	}
-	if _, err := session.BuildJournals(p.Sessions); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	js, err := session.BuildJournals(p.Sessions)
+	if err != nil {
+		return sessionLogsPayload{}, nil, fmt.Errorf("persist: %w", err)
 	}
-	return p.Sessions, nil
+	return p, js, nil
 }
 
 // load decodes a session-journal snapshot, envelope and payload in one

@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/maxminprob"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
@@ -70,8 +68,9 @@ type family struct {
 func fullSpec(ds *dataset.Dataset) *core.EngineSpec {
 	sp := core.NewEngineSpec(ds)
 	n := ds.N()
-	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: n}).RegisterAuditors(sp); err != nil {
+		panic(err)
+	}
 	return sp
 }
 

@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/qindex"
@@ -70,8 +67,9 @@ func BenchmarkResolve(b *testing.B) {
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	spec := core.NewEngineSpec(benchDataset())
-	spec.Register(func() (audit.Auditor, error) { return sumfull.New(benchRows), nil }, query.Sum)
-	spec.Register(func() (audit.Auditor, error) { return maxminfull.New(benchRows), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: benchRows}).RegisterAuditors(spec); err != nil {
+		b.Fatal(err)
+	}
 	mgr, err := session.NewManager(spec, session.Config{NoJanitor: true})
 	if err != nil {
 		b.Fatal(err)

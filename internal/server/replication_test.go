@@ -8,12 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
-	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/replica"
 	"queryaudit/internal/session"
@@ -22,8 +18,9 @@ import (
 func replSpec(n int) *core.EngineSpec {
 	ds := dataset.UniformDuplicateFree(randx.New(5), n, 1, 100)
 	sp := core.NewEngineSpec(ds)
-	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: n}).RegisterAuditors(sp); err != nil {
+		panic(err)
+	}
 	return sp
 }
 

@@ -241,7 +241,7 @@ func TestReplicaSnapshotConsistentCut(t *testing.T) {
 		if logs[i].Analyst == "alice" {
 			alice = &logs[i]
 		}
-		if err := logs[i].Validate(); err != nil {
+		if _, err := BuildJournals([]LogSnapshot{logs[i]}); err != nil {
 			t.Fatalf("snapshot journal %s invalid: %v", logs[i].Analyst, err)
 		}
 	}
@@ -309,8 +309,9 @@ func TestEventWireCodec(t *testing.T) {
 	}
 }
 
-// TestSnapshotValidate: a corrupted journal digest is refused at
-// validation time with an error naming the digest.
+// TestSnapshotValidate: BuildJournals refuses a corrupted journal
+// digest with an error naming the digest, and a seq that disagrees with
+// the event count.
 func TestSnapshotValidate(t *testing.T) {
 	f := determinismFamilies()[0]
 	m := f.newManager(t)
@@ -322,20 +323,20 @@ func TestSnapshotValidate(t *testing.T) {
 			snap = l
 		}
 	}
-	if err := snap.Validate(); err != nil {
+	if _, err := BuildJournals([]LogSnapshot{snap}); err != nil {
 		t.Fatalf("clean snapshot invalid: %v", err)
 	}
 	// Tamper with one answer; the stored digest no longer matches.
 	tampered := snap
 	tampered.Events = append([]EventSnapshot(nil), snap.Events...)
 	tampered.Events[0].Answer += 1
-	if err := tampered.Validate(); err == nil || !strings.Contains(err.Error(), "digest") {
+	if _, err := BuildJournals([]LogSnapshot{tampered}); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("tampered snapshot validated: %v", err)
 	}
 	// Seq disagreeing with the event count is also structural corruption.
 	short := snap
 	short.Seq = snap.Seq + 5
-	if err := short.Validate(); err == nil {
+	if _, err := BuildJournals([]LogSnapshot{short}); err == nil {
 		t.Fatal("wrong-seq snapshot validated")
 	}
 }

@@ -35,7 +35,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("no snapshot")
 	}
-	if err := snap.Validate(); err != nil {
+	if _, err := BuildJournals([]LogSnapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -267,16 +267,6 @@ func (l *Log) Snapshot(analyst string) LogSnapshot {
 	return LogSnapshot{Analyst: analyst, Seq: l.seq, Digest: l.digest.Hex(), Events: es}
 }
 
-// Validate checks the structural invariants of a snapshot (snapshots may
-// come from untrusted storage) and, when the snapshot carries a seq or
-// digest, that they agree with the recomputed hash chain — a truncated
-// or bit-flipped journal is rejected here instead of replaying into a
-// silently different auditor.
-func (s LogSnapshot) Validate() error {
-	_, err := logFromSnapshot(s)
-	return err
-}
-
 // checkPosition compares the snapshot's recorded seq and digest, when
 // present, with its event count and the recomputed chain digest d.
 func (s LogSnapshot) checkPosition(d core.Digest) error {
@@ -296,8 +286,11 @@ func (s LogSnapshot) checkPosition(d core.Digest) error {
 }
 
 // logFromSnapshot rebuilds a Log (with recomputed tallies, seq and
-// digest) from a snapshot, decoding and chaining each event once, and
-// refuses a snapshot that fails Validate's checks.
+// digest) from a snapshot, decoding and chaining each event once. It
+// checks the snapshot's structure (snapshots may come from untrusted
+// storage) and, when the snapshot carries a seq or digest, that they
+// agree with the recomputed chain: a truncated or bit-flipped journal
+// is refused instead of replaying into a silently different auditor.
 func logFromSnapshot(s LogSnapshot) (*Log, error) {
 	l := NewLog()
 	l.events = make([]Event, 0, len(s.Events))

@@ -5,9 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"queryaudit/internal/audit"
-	"queryaudit/internal/audit/maxminfull"
-	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
 	"queryaudit/internal/metrics"
@@ -19,8 +16,9 @@ import (
 func fullSpec(ds *dataset.Dataset) *core.EngineSpec {
 	sp := core.NewEngineSpec(ds)
 	n := ds.N()
-	sp.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
-	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
+	if err := (core.StackConfig{Family: "full", N: n}).RegisterAuditors(sp); err != nil {
+		panic(err)
+	}
 	return sp
 }
 

@@ -24,9 +24,15 @@ type Journal struct {
 	log     *Log
 }
 
+// Analyst is the journal's analyst id.
+func (j Journal) Analyst() string { return j.analyst }
+
+// Events returns a copy of the journal's decoded events.
+func (j Journal) Events() []Event { return j.log.Events() }
+
 // BuildJournals rebuilds a Log from every snapshot, checking each
 // journal's structure and, when the snapshot carries them, its seq and
-// digest chain — the checks LogSnapshot.Validate makes, each made once.
+// digest chain, each once.
 // Empty and duplicate analyst ids are refused before any journal is
 // decoded. Journals are decoded on GOMAXPROCS goroutines; when several
 // fail, the error is the lowest-index one's.
