@@ -47,12 +47,14 @@ ci: build lint race replication-smoke loadgen-smoke report-smoke examples-smoke 
 # chains of the max∧min posterior (maxminprob), the max auditor's
 # decisions (maxprob) and the synopsis folds must keep their pinned
 # digests. The max∧min lanes' trial-state memo must give every sample
-# the verdict a fresh scratch gives. Any drift invalidates persisted
+# the verdict a fresh scratch gives, the λ-window's mass-bound accept
+# must agree with its exact per-cell loop, and the chain's direct
+# SplitMix draws must equal math/rand's. Any drift invalidates persisted
 # session journals — regenerate only for an intentional semantic change
 # (-update-mc-fixtures).
-MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain|TestTrialMemoMatchesFreshScratch)$$
+MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain|TestTrialMemoMatchesFreshScratch|TestMassBoundMatchesExactWindow|TestDirectDrawsMatchRand)$$
 mc-fixtures:
-	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis
+	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis ./internal/randx
 
 # End-to-end failover drill across real OS processes: build the binary,
 # run a primary and a streaming replica, push 50 queries, diff the

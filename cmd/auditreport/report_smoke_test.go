@@ -218,14 +218,25 @@ func checkAuditdbJournal(t *testing.T, dbBin, reportBin, dir string, stack, scri
 	}
 }
 
-// loadJournal reads the session journals saved at path.
+// loadJournal reads the session journals saved at path, as snapshots
+// without their seq and digest.
 func loadJournal(path string) ([]session.LogSnapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return persist.LoadSessions(f)
+	js, err := persist.LoadJournals(data)
+	if err != nil {
+		return nil, err
+	}
+	logs := make([]session.LogSnapshot, len(js))
+	for k, j := range js {
+		logs[k].Analyst = j.Analyst()
+		for _, ev := range j.Events() {
+			logs[k].Events = append(logs[k].Events, session.EncodeEvent(ev))
+		}
+	}
+	return logs, nil
 }
 
 // verify writes data to name.json in dir and runs auditreport -verify on

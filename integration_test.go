@@ -196,13 +196,13 @@ func TestEndToEndSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapBytes := snap.Len()
-	logs, err := persist.LoadSessions(&snap)
+	journals, err := persist.LoadJournals(snap.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds3 := dataset.GenerateHospital(randx.New(12), dataset.DefaultHospitalConfig(n))
 	restored := newIntegrationManager(t, integrationSpec(ds3, nil))
-	if err := restored.Restore(logs); err != nil {
+	if err := restored.Install(journals); err != nil {
 		t.Fatal(err)
 	}
 	for probe := 0; probe < 60; probe++ {

@@ -1,7 +1,6 @@
 package maxminprob
 
 import (
-	"math/rand"
 	"testing"
 
 	"queryaudit/internal/audit"
@@ -56,7 +55,6 @@ func TestSampleAllocs(t *testing.T) {
 	}
 	sc := &decideScratch{xs: make([]float64, n), fixed: make([]bool, n), syn: a.syn.Clone()}
 	src := randx.NewSplitMix(7, 0)
-	srng := rand.New(src)
 	q := history[len(history)-1]
 	// Every sample replays stream 0, so each draws the same answer; a
 	// new-answer sample first makes the lane forget it.
@@ -65,7 +63,7 @@ func TestSampleAllocs(t *testing.T) {
 		if forget {
 			sc.loaded = false
 		}
-		a.unsafeSample(q, g, init, srng, sc)
+		a.unsafeSample(q, g, init, src, sc)
 	}
 	for k := 0; k < 8; k++ {
 		sample(k%2 == 0)

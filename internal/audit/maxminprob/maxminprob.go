@@ -22,14 +22,27 @@
 //
 // The outer Monte Carlo loop runs on the shared parallel engine
 // (internal/mcpar): the coloring graph of the current synopsis is built
-// once per decision and shared read-only, each worker keeps a reusable
+// once per decision and shared read-only, each lane keeps a reusable
 // chain sampler and dataset buffers, and every outer sample draws from a
 // counter-based stream keyed by (decision seed, sample index) so the
-// decision is bit-identical at any worker count. Each worker also keeps
+// decision is bit-identical at any worker count. Each lane also keeps
 // the trial state of the last answer it folded — the graph and what
 // depends on it alone — and reuses it while its samples draw that
 // answer, as they often do; the state uses no randomness, so reuse
 // changes no verdict.
+//
+// A sample therefore costs its coloring chains — the one that draws the
+// dataset, then the one that counts witnesses — plus work proportional
+// to the witness entries the second chain hit. Its draws read the lane's
+// SplitMix directly (coloring.Sampler.ResetSource), with no interface
+// call or division per step. Its λ-window sums each hit element's
+// witness mass and compares it with a bound, computed once per trial
+// state for each class of elements with the same range, below which the
+// element passes in every cell wherever its witnesses fall; only the
+// rare element above its bound runs the exact per-cell loop (window). A
+// sample that draws a new answer also pays for the fold and the rebuild
+// of its trial state. Finished lanes go back to a pool that every
+// auditor draws from, so a lane's buffers serve many decisions.
 package maxminprob
 
 import (
@@ -251,12 +264,10 @@ func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 // Its trial state is a pure function of the synopsis under test, so load
 // computes it once per state: the coloring graph, the route to the
 // witness probabilities (exact enumeration, or the chain's starting
-// coloring) and any failure on the way. Each element's Γ overlap
-// fractions and range-only λ-verdict are filled the first time a sample
-// reads them, and on the exact path the whole safeState verdict is kept.
-// A sample then pays only for its own part: the chain's witness counts,
-// drawn from its rng, and the λ-window over the elements that carry
-// witness mass.
+// coloring), the λ-window's range classes, and any failure on the way;
+// on the exact path the whole safeState verdict is kept too. A sample
+// then pays only for its own part: the chain's witness counts, drawn
+// from its stream, and the λ-window over the entries the chain hit.
 type posterior struct {
 	g coloring.Graph
 	// err is the trial state's failure: a fold that did not apply, an
@@ -270,19 +281,11 @@ type posterior struct {
 	sampler *coloring.Sampler
 	// verdict is safeState's verdict on the exact path, once known.
 	verdict verdict
-	// fracs[i*Γ+j-1] is the fraction of element i's range that overlaps
-	// partition cell j, and rangeOnly[i] the λ-verdict of element i when
-	// it carries no witness mass; both are filled together when first
-	// read, and rangeOnly[i] == unknown marks the pair unfilled.
-	fracs     []float64
-	rangeOnly []verdict
+	win     window
 	// counts holds every node's witness counts back to back; probs[v]
 	// views node v's run.
 	counts []float64
 	probs  [][]float64
-	// massAt[i]:massAt[i+1] delimits element i's entries in mass.
-	massAt []int
-	mass   []witnessMass
 }
 
 // verdict is a λ-window verdict that may not be computed yet.
@@ -301,35 +304,36 @@ func verdictOf(ok bool) verdict {
 	return unsafe
 }
 
-// witnessMass is one node's witness probability on one element.
-type witnessMass struct {
-	value float64
-	p     float64
-}
-
 // witnessProbs computes π_i(v) for a synopsis: exactly (by enumeration)
 // when the graph is small or fails Lemma 2's ergodicity condition, by
 // the Markov chain otherwise. It is a one-off estimate on fresh scratch.
 func witnessProbs(b *synopsis.MaxMin, params Params, rng *rand.Rand) (*coloring.Graph, [][]float64, error) {
 	ps := new(posterior)
-	ps.load(b, params, nil)
-	probs, err := ps.witnessProbs(params, rng)
+	if err := ps.route(b, params); err != nil {
+		return nil, nil, err
+	}
+	probs, scale, err := ps.witnessCounts(params, rng, nil)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, row := range probs {
+		for ci := range row {
+			row[ci] /= scale
+		}
 	}
 	return &ps.g, probs, nil
 }
 
 // load makes ps the trial state of b, or, when foldErr is non-nil, of a
 // fold that failed with it.
-func (ps *posterior) load(b *synopsis.MaxMin, params Params, foldErr error) {
+func (ps *posterior) load(a *Auditor, b *synopsis.MaxMin, foldErr error) {
 	ps.exact, ps.init, ps.verdict = nil, nil, unknown
-	ps.fracs = slices.Grow(ps.fracs[:0], b.N()*params.Gamma)[:b.N()*params.Gamma]
-	ps.rangeOnly = slices.Grow(ps.rangeOnly[:0], b.N())[:b.N()]
-	clear(ps.rangeOnly)
 	ps.err = foldErr
 	if ps.err == nil {
-		ps.err = ps.route(b, params)
+		ps.err = ps.route(b, a.params)
+	}
+	if ps.err == nil {
+		ps.win.load(a, &ps.g)
 	}
 }
 
@@ -355,22 +359,27 @@ func (ps *posterior) route(b *synopsis.MaxMin, params Params) error {
 	return err
 }
 
-// witnessProbs returns the witness probabilities of ps's trial state:
-// the enumerated ones, or a fresh chain estimate drawn from rng. The
-// rows alias ps until its next estimate.
-func (ps *posterior) witnessProbs(params Params, rng *rand.Rand) ([][]float64, error) {
+// witnessCounts returns the witness counts of ps's trial state and the
+// number of runs they are over: the enumerated probabilities over 1, or
+// a fresh chain's tallies over its inner samples, drawn from src
+// directly when it is non-nil and from rng otherwise. π_i(v) is a count
+// divided by the scale. The rows alias ps until its next estimate.
+func (ps *posterior) witnessCounts(params Params, rng *rand.Rand, src *randx.SplitMix) ([][]float64, float64, error) {
 	if ps.err != nil || ps.exact != nil {
-		return ps.exact, ps.err
+		return ps.exact, 1, ps.err
 	}
 	g := &ps.g
-	if ps.sampler == nil {
-		s, err := coloring.NewSamplerFrom(g, rng, ps.init)
-		if err != nil {
-			return nil, err
-		}
-		ps.sampler = s
-	} else if err := ps.sampler.Reset(rng, ps.init); err != nil {
-		return nil, err
+	var err error
+	switch {
+	case src == nil: // a one-off estimate (witnessProbs)
+		ps.sampler, err = coloring.NewSamplerFrom(g, rng, ps.init)
+	case ps.sampler == nil:
+		ps.sampler, err = coloring.NewSamplerSource(g, src, ps.init)
+	default:
+		err = ps.sampler.ResetSource(src, ps.init)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	s := ps.sampler
 	s.Mix(params.mixFactor()) // burn-in
@@ -398,115 +407,25 @@ func (ps *posterior) witnessProbs(params Params, rng *rand.Rand) ([][]float64, e
 			counts[v][ci]++
 		}
 	}
-	for v := range counts {
-		for ci := range counts[v] {
-			counts[v][ci] /= float64(inner)
-		}
-	}
-	return counts, nil
+	return counts, float64(inner), nil
 }
 
 // safeState checks the λ-window for every element × interval of ps's
-// trial state, with witness probabilities drawn from rng on the chain
+// trial state, with witness probabilities drawn from src on the chain
 // path.
-func (a *Auditor) safeState(rng *rand.Rand, ps *posterior) (bool, error) {
+func (a *Auditor) safeState(src *randx.SplitMix, ps *posterior) (bool, error) {
 	if ps.verdict != unknown {
 		return ps.verdict == safe, nil
 	}
-	probs, err := ps.witnessProbs(a.params, rng)
+	probs, scale, err := ps.witnessCounts(a.params, nil, src)
 	if err != nil {
 		return false, err
 	}
-	ok := a.safeWindow(ps, probs)
+	ok := a.safeWindow(ps, probs, scale)
 	if ps.exact != nil {
 		ps.verdict = verdictOf(ok)
 	}
 	return ok, nil
-}
-
-// safeWindow is safeState's λ-window over the witness probabilities
-// probs of ps's graph.
-func (a *Auditor) safeWindow(ps *posterior, probs [][]float64) bool {
-	g := &ps.g
-	// Gather, per element, its witness probability mass per node value,
-	// in (node, palette) order. Count each element's entries, turn the
-	// counts into start offsets, place the entries while advancing the
-	// offsets, then shift them back.
-	ps.massAt = slices.Grow(ps.massAt[:0], a.n+1)[:a.n+1]
-	clear(ps.massAt)
-	for v := range g.Nodes {
-		for ci, col := range g.Nodes[v].Colors {
-			if probs[v][ci] > 0 {
-				ps.massAt[col+1]++
-			}
-		}
-	}
-	for i := 0; i < a.n; i++ {
-		ps.massAt[i+1] += ps.massAt[i]
-	}
-	ps.mass = slices.Grow(ps.mass[:0], ps.massAt[a.n])[:ps.massAt[a.n]]
-	for v := range g.Nodes {
-		node := &g.Nodes[v]
-		for ci, col := range node.Colors {
-			if probs[v][ci] > 0 {
-				ps.mass[ps.massAt[col]] = witnessMass{value: node.Value, p: probs[v][ci]}
-				ps.massAt[col]++
-			}
-		}
-	}
-	copy(ps.massAt[1:], ps.massAt[:a.n])
-	ps.massAt[0] = 0
-	last := len(a.cells) - 1
-	for i := 0; i < a.n; i++ {
-		wit := ps.mass[ps.massAt[i]:ps.massAt[i+1]]
-		rangeOnly := a.fillElement(ps, i)
-		if len(wit) == 0 {
-			if rangeOnly == unsafe {
-				return false
-			}
-			continue
-		}
-		fracs := ps.fracs[i*len(a.cells) : (i+1)*len(a.cells)]
-		var witTotal float64
-		for _, m := range wit {
-			witTotal += m.p
-		}
-		free := 1 - witTotal
-		for j, cell := range a.cells {
-			post := free * fracs[j]
-			for _, m := range wit {
-				//auditlint:allow floateq final partition cell is closed at beta; the exact-endpoint test mirrors interval.CellIndex
-				if m.value >= cell.Lo && (m.value < cell.Hi || (j == last && m.value == cell.Hi)) {
-					post += m.p
-				}
-			}
-			if !a.window.SafePosterior(post, a.prior) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// fillElement fills element i's overlap fractions and range-only
-// verdict in ps on first use and returns the verdict. An element whose
-// range is all of [0,1] and that carries no witness mass has posterior
-// equal to prior, so it is safe; otherwise its posterior on each cell is
-// the cell's share of its range.
-func (a *Auditor) fillElement(ps *posterior, i int) verdict {
-	if v := ps.rangeOnly[i]; v != unknown {
-		return v
-	}
-	r := ps.g.Range(i)
-	iv := interval.Interval{Lo: r.Lo, Hi: r.Hi}
-	fracs := ps.fracs[i*len(a.cells) : (i+1)*len(a.cells)]
-	ok := true
-	for j, cell := range a.cells {
-		fracs[j] = iv.OverlapFraction(cell)
-		ok = ok && a.window.SafePosterior(fracs[j], a.prior)
-	}
-	ps.rangeOnly[i] = verdictOf(ok || r.Lo <= 0 && r.Hi >= 1)
-	return ps.rangeOnly[i]
 }
 
 // Decide implements audit.Auditor: Lemma 2 pre-check, then the sampled
@@ -541,9 +460,10 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	barrier := mcpar.DenyBarrier(budget, a.denyThreshold)
 	seed := randx.DeriveSeed(a.params.Seed, a.decisions)
 	a.decisions++
-	// Lanes are made on the goroutines that first run a sample; every
-	// lane's open fold is closed once the vote is over, so its undo
-	// trails go back to the pool.
+	// Lanes are taken from the pool on the goroutines that first run a
+	// sample, and each starts from a copy of the synopsis. Once the vote
+	// is over every lane's open fold is closed, so its undo trails go back
+	// to the synopsis pool, and the lane goes back to the lane pool.
 	var lanesMu sync.Mutex
 	var lanes []*decideScratch
 	out := mcpar.Vote(
@@ -556,21 +476,22 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		},
 		budget, barrier,
 		func() *decideScratch {
-			sc := &decideScratch{
-				xs:    make([]float64, a.n),
-				fixed: make([]bool, a.n),
-				syn:   a.syn.Clone(),
+			sc, _ := lanePool.Get().(*decideScratch)
+			if sc == nil || len(sc.xs) != a.n {
+				sc = &decideScratch{xs: make([]float64, a.n), fixed: make([]bool, a.n)}
 			}
+			sc.syn = a.syn.Clone()
 			lanesMu.Lock()
 			lanes = append(lanes, sc)
 			lanesMu.Unlock()
 			return sc
 		},
-		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
-			return a.unsafeSample(q, g, init, rng, sc)
+		func(_ int, _ *rand.Rand, src *randx.SplitMix, sc *decideScratch) bool {
+			return a.unsafeSample(q, g, init, src, sc)
 		})
 	for _, sc := range lanes {
 		sc.close()
+		lanePool.Put(sc)
 	}
 	if out.Exceeded {
 		return audit.Deny, nil
@@ -580,24 +501,26 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 
 // unsafeSample is one outer Monte Carlo sample of Decide: it draws a
 // dataset from P(X | B) via the coloring chain of the decision graph g
-// (Lemma 1), reusing the worker's sampler rebased onto this sample's
+// (Lemma 1), reusing the lane's sampler rebased onto this sample's
 // random stream, makes the trial state of q's answer on it current in
-// the lane and reports whether that state breaks the λ-window. The
-// shared synopsis a.syn is only read.
-func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng *rand.Rand, sc *decideScratch) bool {
-	if sc.sampler == nil {
-		s, err := coloring.NewSamplerFrom(g, rng, init)
+// the lane and reports whether that state breaks the λ-window. Every
+// draw reads src, the sample's stream, directly: the draws a rand.Rand
+// over src would make, in the same order. The shared synopsis a.syn is
+// only read.
+func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, src *randx.SplitMix, sc *decideScratch) bool {
+	if sc.sampler == nil || sc.graph != g {
+		s, err := coloring.NewSamplerSource(g, src, init)
 		if err != nil {
 			return true
 		}
-		sc.sampler = s
-	} else if sc.sampler.Reset(rng, init) != nil {
+		sc.sampler, sc.graph = s, g
+	} else if sc.sampler.ResetSource(src, init) != nil {
 		return true
 	}
 	sc.sampler.Mix(a.params.mixFactor())
-	sc.sampler.SampleDatasetInto(rng, sc.xs, sc.fixed)
-	sc.trial(q, q.Eval(sc.xs), a.params)
-	ok, err := a.safeState(rng, &sc.post)
+	sc.sampler.SampleDatasetInto(sc.xs, sc.fixed)
+	sc.trial(a, q, q.Eval(sc.xs))
+	ok, err := a.safeState(src, &sc.post)
 	return err != nil || !ok
 }
 
@@ -606,7 +529,7 @@ func (a *Auditor) unsafeSample(q query.Query, g *coloring.Graph, init []int, rng
 // any other rolls the lane's open fold back, folds ans and loads its
 // state. A fold that fails, which sampled answers should not, leaves
 // no fold open and a state whose estimates fail.
-func (sc *decideScratch) trial(q query.Query, ans float64, params Params) {
+func (sc *decideScratch) trial(a *Auditor, q query.Query, ans float64) {
 	bits := math.Float64bits(ans)
 	if sc.loaded && bits == sc.answer {
 		return
@@ -617,28 +540,40 @@ func (sc *decideScratch) trial(q query.Query, ans float64, params Params) {
 	sc.loaded, sc.answer = true, bits
 	err := sc.syn.Fold(q.Kind, q.Set, ans)
 	sc.open = err == nil
-	sc.post.load(sc.syn, params, err)
+	sc.post.load(a, sc.syn, err)
 }
 
-// close ends the lane: its open fold, if any, is committed to the
-// lane's copy of the synopsis, which is dropped, so that the fold's
-// undo trails return to the pool.
+// close ends the lane's part in a vote: its open fold, if any, is
+// committed to the lane's copy of the synopsis, which is dropped, so
+// that the fold's undo trails return to the pool, and the lane forgets
+// its trial state.
 func (sc *decideScratch) close() {
 	if sc.open {
 		sc.syn.Commit()
-		sc.open = false
 	}
+	sc.syn, sc.loaded, sc.open = nil, false, false
 }
 
-// decideScratch is the per-lane reusable state of one Decide: the chain
-// sampler over the shared decision graph, the dataset buffers, the
-// lane's copy of the synopsis and the trial state of the last answer
-// folded into it. A lane is made once per Decide, so its copy is the
-// synopsis the decision started from, plus at most that one open fold,
-// which the lane keeps until a sample draws another answer or the vote
-// ends (close); the copy is dropped with the lane.
+// lanePool holds the lanes of finished votes, of every auditor, so that
+// a lane's buffers serve many decisions while the garbage collector may
+// still drop idle ones. A lane draws no randomness of its own and forgets
+// its trial state when a vote ends, so which lane a sample runs on
+// changes nothing.
+var lanePool sync.Pool
+
+// decideScratch is the per-lane reusable state of a vote: the chain
+// sampler over the decision graph, the dataset buffers, the lane's copy
+// of the synopsis and the trial state of the last answer folded into
+// it. A lane takes a fresh copy of the synopsis for each vote it joins,
+// so its copy is the synopsis the decision started from, plus at most
+// that one open fold, which the lane keeps until a sample draws another
+// answer or the vote ends (close). Its buffers outlive the vote: the
+// lane goes back to lanePool.
 type decideScratch struct {
+	// sampler runs the chain over graph, the decision graph it was made
+	// for.
 	sampler *coloring.Sampler
+	graph   *coloring.Graph
 	xs      []float64
 	fixed   []bool
 	syn     *synopsis.MaxMin

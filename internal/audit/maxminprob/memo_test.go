@@ -65,8 +65,8 @@ func TestTrialMemoMatchesFreshScratch(t *testing.T) {
 			warm := newScratch()
 			for i := 0; i < a.params.outer(); i++ {
 				loaded, answer, cached := warm.loaded, warm.answer, warm.post.verdict != unknown
-				got := a.unsafeSample(q, g, init, randx.Stream(seed, uint64(i)), warm)
-				want := a.unsafeSample(q, g, init, randx.Stream(seed, uint64(i)), newScratch())
+				got := a.unsafeSample(q, g, init, randx.NewSplitMix(seed, uint64(i)), warm)
+				want := a.unsafeSample(q, g, init, randx.NewSplitMix(seed, uint64(i)), newScratch())
 				if got != want {
 					t.Fatalf("step %d sample %d: warm lane says unsafe=%v, fresh scratch %v", step, i, got, want)
 				}

@@ -300,7 +300,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 				trial:       a.syn.Clone(),
 			}
 		},
-		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, sc *decideScratch) bool {
 			samplePreds(preds, sc.xs, sc.constrained, rng)
 			if err := sc.trial.Fold(q.Set, maxOver(sc.xs, q.Set)); err != nil {
 				// A sampled dataset is consistent by construction; Add can

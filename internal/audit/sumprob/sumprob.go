@@ -424,7 +424,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			}
 			return sc
 		},
-		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, sc *decideScratch) bool {
 			// Independent chain per sample: resume from the session's
 			// posterior state, equilibrate, and read one hypothetical
 			// dataset.

@@ -283,7 +283,7 @@ func decodeJournal(data []byte) ([]session.Journal, error) {
 		case json.Unmarshal(trimmed, &keys) != nil:
 			return nil, errNotJournal
 		case keys.isEnvelope():
-			return persist.LoadJournals(bytes.NewReader(trimmed))
+			return persist.LoadJournals(trimmed)
 		case !keys.isSnapshot():
 			return nil, errNotJournal
 		}

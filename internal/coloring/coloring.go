@@ -68,9 +68,15 @@ type Node struct {
 // Graph is the coloring graph of a synopsis.
 type Graph struct {
 	Nodes []Node
+	// pick draws a node index uniformly, as Intn(len(Nodes)) would; it is
+	// set whenever Nodes is non-empty.
+	pick randx.Modulus
 	// ranges[i] is element i's synopsis range.
 	ranges []synopsis.Range
 	preds  []synopsis.Pred
+	// sets holds each node's Set as a bitset over the elements, words
+	// words per node, for the adjacency test.
+	sets []uint64
 }
 
 // Build constructs the coloring graph from a combined synopsis. Ranges
@@ -127,21 +133,45 @@ func BuildInto(g *Graph, b *synopsis.MaxMin) error {
 		v.Cum.Set(v.Weights)
 	}
 	g.Nodes = g.Nodes[:len(g.preds)]
+	if len(g.Nodes) > 0 {
+		g.pick = randx.NewModulus(len(g.Nodes))
+	}
 	clear(g.preds) // drop the listing's references into b's sets
 	// Adjacency: intersecting sets with different values. Same-side sets
-	// are disjoint, so only max–min pairs can meet.
+	// are disjoint, so only max–min pairs can meet. Each set is a bitset
+	// over the elements, so a pair costs a few word ANDs.
+	words := (len(g.ranges) + 63) / 64
+	g.sets = slices.Grow(g.sets[:0], len(g.Nodes)*words)[:len(g.Nodes)*words]
+	clear(g.sets)
+	for k := range g.Nodes {
+		set := g.sets[k*words : (k+1)*words]
+		for _, i := range g.Nodes[k].Set {
+			set[i/64] |= 1 << (i % 64)
+		}
+	}
 	for i := range g.Nodes {
+		si := g.sets[i*words : (i+1)*words]
 		for j := i + 1; j < len(g.Nodes); j++ {
 			if g.Nodes[i].Value == g.Nodes[j].Value {
 				continue // the pinned singleton pair shares its witness
 			}
-			if g.Nodes[i].Set.Overlaps(g.Nodes[j].Set) {
+			if intersects(si, g.sets[j*words:(j+1)*words]) {
 				g.Nodes[i].Adj = append(g.Nodes[i].Adj, j)
 				g.Nodes[j].Adj = append(g.Nodes[j].Adj, i)
 			}
 		}
 	}
 	return nil
+}
+
+// intersects reports whether two bitsets of the same length share a bit.
+func intersects(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&b[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Range returns element i's synopsis range, read from the table Build
@@ -376,19 +406,30 @@ func ExactWitnessProbs(g *Graph, limit int) (probs [][]float64, ok bool) {
 	if g.SpaceSize(limit) >= limit {
 		return nil, false
 	}
+	// flat holds every node's row back to back, and pos[v] is the entry of
+	// node v's current color in it, so a leaf adds its weight to each
+	// chosen entry without a row lookup; the additions, and so the float
+	// results, are those of a row-by-row table.
+	total := 0
+	for v := range g.Nodes {
+		total += len(g.Nodes[v].Colors)
+	}
+	flat := make([]float64, total)
 	probs = make([][]float64, g.K())
-	for v := range probs {
-		probs[v] = make([]float64, len(g.Nodes[v].Colors))
+	for v, off := 0, 0; v < g.K(); v++ {
+		end := off + len(g.Nodes[v].Colors)
+		probs[v] = flat[off:end:end]
+		off = end
 	}
 	var z float64
 	c := make([]int, g.K())
-	idx := make([]int, g.K())
-	var rec func(v int, w float64)
-	rec = func(v int, w float64) {
+	pos := make([]int, g.K())
+	var rec func(v, off int, w float64)
+	rec = func(v, off int, w float64) {
 		if v == g.K() {
 			z += w
-			for u := range c {
-				probs[u][idx[u]] += w
+			for _, p := range pos {
+				flat[p] += w
 			}
 			return
 		}
@@ -401,18 +442,16 @@ func ExactWitnessProbs(g *Graph, limit int) (probs [][]float64, ok bool) {
 				}
 			}
 			c[v] = col
-			idx[v] = ci
-			rec(v+1, w*node.Weights[ci])
+			pos[v] = off + ci
+			rec(v+1, off+len(node.Colors), w*node.Weights[ci])
 		}
 	}
-	rec(0, 1)
+	rec(0, 0, 1)
 	if z == 0 {
 		return nil, false // no valid coloring: inconsistent state
 	}
-	for v := range probs {
-		for ci := range probs[v] {
-			probs[v][ci] /= z
-		}
+	for i := range flat {
+		flat[i] /= z
 	}
 	return probs, true
 }
@@ -420,7 +459,9 @@ func ExactWitnessProbs(g *Graph, limit int) (probs [][]float64, ok bool) {
 // Sampler runs the paper's Markov chain over valid colorings.
 type Sampler struct {
 	g *Graph
-	// rng is bound at construction/Reset time by the owning worker.
+	// The chain draws from src directly when it is set (ResetSource), and
+	// from rng otherwise; both are bound by the owning worker.
+	src *randx.SplitMix
 	//auditlint:allow rngshare sampler is per-worker scratch; mcpar derives a fresh stream per worker per decision
 	rng *rand.Rand
 	c   []int
@@ -451,6 +492,16 @@ func NewSamplerFrom(g *Graph, rng *rand.Rand, c []int) (*Sampler, error) {
 	return s, nil
 }
 
+// NewSamplerSource is NewSamplerFrom drawing from src directly (see
+// ResetSource).
+func NewSamplerSource(g *Graph, src *randx.SplitMix, c []int) (*Sampler, error) {
+	s := &Sampler{g: g}
+	if err := s.ResetSource(src, c); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // load copies the valid coloring c, and each color's palette position,
 // into the sampler's buffers.
 func (s *Sampler) load(c []int) {
@@ -466,18 +517,29 @@ func (s *Sampler) load(c []int) {
 // proposal collides with a neighbor. The proposal is one draw through
 // the node's guide table, so a step costs O(1) expected plus the degree;
 // it picks the index randx.WeightedIndex would pick over the node's
-// weights.
+// weights. Drawing from a bound SplitMix, the node pick is the graph's
+// randx.Modulus and the proposal Cumulative.IndexFrom: the same draws as
+// through rand.New(src), without a division or an interface call.
 func (s *Sampler) Step() {
-	k := len(s.g.Nodes)
-	if k == 0 {
+	if len(s.g.Nodes) == 0 {
 		return
 	}
-	vi := s.rng.Intn(k)
+	var vi int
+	if s.src != nil {
+		vi = s.g.pick.Draw(s.src)
+	} else {
+		vi = s.rng.Intn(len(s.g.Nodes))
+	}
 	v := &s.g.Nodes[vi]
 	if len(v.Colors) == 1 {
 		return
 	}
-	pick := v.Cum.Index(s.rng)
+	var pick int
+	if s.src != nil {
+		pick = v.Cum.IndexFrom(s.src)
+	} else {
+		pick = v.Cum.Index(s.rng)
+	}
 	if pick < 0 {
 		return
 	}
@@ -520,16 +582,17 @@ func (s *Sampler) Current() []int { return s.c }
 // search. The same aliasing rules apply.
 func (s *Sampler) CurrentIndices() []int { return s.ci }
 
-// Reset rebases the sampler for reuse: randomness moves onto rng and the
-// coloring is restored to c (copied into the existing buffer). It is the
-// per-sample path of the parallel Monte Carlo workers, which keep one
-// sampler per worker and rebase it onto a fresh random stream for every
-// sample.
-func (s *Sampler) Reset(rng *rand.Rand, c []int) error {
+// ResetSource rebases the sampler for reuse: randomness moves onto src,
+// read directly, and the coloring is restored to c (copied into the
+// existing buffer). The chain then makes the draws it would make from
+// rand.New(src), without the interface call. It is the per-sample path
+// of the parallel Monte Carlo lanes, which keep one sampler per lane and
+// rebase it onto the lane's SplitMix, reseeded for every sample.
+func (s *Sampler) ResetSource(src *randx.SplitMix, c []int) error {
 	if !s.g.Valid(c) {
 		return fmt.Errorf("coloring: reset coloring invalid")
 	}
-	s.rng = rng
+	s.src, s.rng = src, nil
 	s.load(c)
 	return nil
 }
@@ -542,9 +605,11 @@ func (s *Sampler) SampleDataset(rng *rand.Rand) []float64 {
 }
 
 // SampleDatasetInto is SampleDataset over caller-owned buffers (both of
-// length n) — the allocation-free path of the parallel workers.
-func (s *Sampler) SampleDatasetInto(rng *rand.Rand, xs []float64, fixed []bool) {
-	DatasetFromColoringInto(s.g, s.c, rng, xs, fixed)
+// length n), drawing from the sampler's own stream: its source directly
+// when one is bound (ResetSource), its rng otherwise. It is the
+// allocation-free path of the parallel workers.
+func (s *Sampler) SampleDatasetInto(xs []float64, fixed []bool) {
+	fillDataset(s.g, s.c, s.rng, s.src, xs, fixed)
 }
 
 // DatasetFromColoring implements Lemma 1's steps 2–3 for an arbitrary
@@ -559,6 +624,12 @@ func DatasetFromColoring(g *Graph, c []int, rng *rand.Rand) []float64 {
 // DatasetFromColoringInto is DatasetFromColoring over caller-owned scratch
 // (fixed is reset in place).
 func DatasetFromColoringInto(g *Graph, c []int, rng *rand.Rand, xs []float64, fixed []bool) {
+	fillDataset(g, c, rng, nil, xs, fixed)
+}
+
+// fillDataset is DatasetFromColoringInto drawing from src directly when
+// it is non-nil, and from rng otherwise.
+func fillDataset(g *Graph, c []int, rng *rand.Rand, src *randx.SplitMix, xs []float64, fixed []bool) {
 	for i := range fixed {
 		fixed[i] = false
 	}
@@ -574,6 +645,12 @@ func DatasetFromColoringInto(g *Graph, c []int, rng *rand.Rand, xs []float64, fi
 			xs[i] = r.Lo
 			continue
 		}
-		xs[i] = r.Lo + rng.Float64()*(r.Hi-r.Lo)
+		var u float64
+		if src != nil {
+			u = src.Float64()
+		} else {
+			u = rng.Float64()
+		}
+		xs[i] = r.Lo + u*(r.Hi-r.Lo)
 	}
 }

@@ -174,9 +174,11 @@ type lane[S any] struct {
 	scratch S
 }
 
-// Vote runs sample(i, rng, scratch) for i ∈ [0, budget), counting true
-// returns as unsafe votes, and reports whether the full-budget vote count
-// exceeds barrier. Each sample's rng is the (cfg.Seed, i) stream; scratch
+// Vote runs sample(i, rng, src, scratch) for i ∈ [0, budget), counting
+// true returns as unsafe votes, and reports whether the full-budget vote
+// count exceeds barrier. Each sample's rng is the (cfg.Seed, i) stream,
+// read through src, the lane's source: a hot loop may draw from src
+// directly, which rng's next draws then follow; scratch
 // is per-lane state from newScratch (at most Workers lanes; may build
 // reusable buffers). sample must not touch anything mutable outside its
 // scratch — shared inputs (the synopsis, the query) are read-only.
@@ -185,7 +187,7 @@ type lane[S any] struct {
 // run is inline and allocation-light, with Workers > 1 up to Workers-1
 // work tokens are offered to the scheduler and the caller races the
 // assists for the remaining samples.
-func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample func(i int, rng *rand.Rand, scratch S) bool) Outcome {
+func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample func(i int, rng *rand.Rand, src *randx.SplitMix, scratch S) bool) Outcome {
 	workers := cfg.resolveWorkers(budget)
 	start := time.Now() //auditlint:allow detrand latency metric stamp, never a decision input
 	if budget <= 0 {
@@ -212,7 +214,7 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		}
 		l.src.Reseed(cfg.Seed, uint64(i))
 		begin := time.Now() //auditlint:allow detrand latency metric stamp, never a decision input
-		unsafe := sample(i, l.rng, l.scratch)
+		unsafe := sample(i, l.rng, l.src, l.scratch)
 		busy.Add(int64(time.Since(begin))) //auditlint:allow detrand latency metric stamp, never a decision input
 		lanes <- l
 		r.commit(i, unsafe)

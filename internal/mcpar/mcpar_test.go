@@ -55,7 +55,7 @@ func TestVoteDecisionInvariantAcrossWorkers(t *testing.T) {
 				for _, workers := range []int{1, 2, 3, 8} {
 					out := Vote(Config{Workers: workers, Seed: seed}, budget, barrier,
 						func() struct{} { return struct{}{} },
-						func(i int, rng *rand.Rand, _ struct{}) bool { return sample(i, rng) })
+						func(i int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return sample(i, rng) })
 					if out.Exceeded != want {
 						t.Fatalf("budget=%d thr=%g seed=%d workers=%d: Exceeded=%v want %v",
 							budget, thr, seed, workers, out.Exceeded, want)
@@ -73,7 +73,7 @@ func TestVoteEarlyExitOnDeny(t *testing.T) {
 	const budget = 10_000
 	out := Vote(Config{Workers: 1, Seed: 1}, budget, 3,
 		func() struct{} { return struct{}{} },
-		func(int, *rand.Rand, struct{}) bool { return true })
+		func(int, *rand.Rand, *randx.SplitMix, struct{}) bool { return true })
 	if !out.Exceeded {
 		t.Fatal("all-unsafe run must deny")
 	}
@@ -89,7 +89,7 @@ func TestVoteEarlyExitOnProvableAnswer(t *testing.T) {
 	// certificate fires almost immediately.
 	out := Vote(Config{Workers: 1, Seed: 1}, budget, budget-1,
 		func() struct{} { return struct{}{} },
-		func(int, *rand.Rand, struct{}) bool { return false })
+		func(int, *rand.Rand, *randx.SplitMix, struct{}) bool { return false })
 	if out.Exceeded {
 		t.Fatal("all-safe run must answer")
 	}
@@ -102,7 +102,7 @@ func TestVoteParallelEarlyExitStops(t *testing.T) {
 	const budget = 100_000
 	out := Vote(Config{Workers: 8, Seed: 1}, budget, 3,
 		func() struct{} { return struct{}{} },
-		func(int, *rand.Rand, struct{}) bool { return true })
+		func(int, *rand.Rand, *randx.SplitMix, struct{}) bool { return true })
 	if !out.Exceeded {
 		t.Fatal("all-unsafe run must deny")
 	}
@@ -126,7 +126,7 @@ func TestVoteNoSharedRNGAcrossWorkers(t *testing.T) {
 	const workers = 8
 	out := Vote(Config{Workers: workers, Seed: 5}, 4096, 4096,
 		func() *scratch { return &scratch{} },
-		func(_ int, rng *rand.Rand, sc *scratch) bool {
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, sc *scratch) bool {
 			if sc.rng == nil {
 				sc.rng = rng
 				mu.Lock()
@@ -161,7 +161,7 @@ func TestVoteObserverAccounting(t *testing.T) {
 	sched.SetObserver(metrics.NewSchedCollector(reg))
 	out := Vote(Config{Workers: 2, Seed: 3, Observer: metrics.NewMCCollector(reg), Sched: sched}, 64, 64,
 		func() struct{} { return struct{}{} },
-		func(i int, _ *rand.Rand, _ struct{}) bool { return i%2 == 0 })
+		func(i int, _ *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return i%2 == 0 })
 	snap := reg.Snapshot()
 	want := map[string]int64{
 		"mc_decisions_total":     1,

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"queryaudit/internal/randx"
 )
 
 // The overshoot bound from the claim window: however samples land across
@@ -16,7 +18,7 @@ func TestVoteOvershootBoundedByWorkers(t *testing.T) {
 		for seed := int64(0); seed < 20; seed++ {
 			out := Vote(Config{Workers: workers, Seed: seed, Sched: sched}, 50_000, 3,
 				func() struct{} { return struct{}{} },
-				func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.9 })
+				func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.9 })
 			if !out.Exceeded {
 				t.Fatalf("seed %d: 90%% unsafe run must deny", seed)
 			}
@@ -47,7 +49,7 @@ func TestVoteCertPointInvariantAcrossWorkers(t *testing.T) {
 				for wi, workers := range []int{1, 2, 8} {
 					out := Vote(Config{Workers: workers, Seed: seed, Sched: sched}, budget, barrier,
 						func() struct{} { return struct{}{} },
-						func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.31 })
+						func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.31 })
 					if wi == 0 {
 						want = out
 						continue
@@ -74,7 +76,7 @@ func TestSchedulerConcurrentRunsDeterministic(t *testing.T) {
 	const runs = 24
 	const budget = 400
 	barrier := DenyBarrier(budget, 0.3)
-	sample := func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.29 }
+	sample := func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.29 }
 
 	want := make([]Outcome, runs)
 	for i := range want {
@@ -110,10 +112,10 @@ func TestVoteCompletesOnClosedScheduler(t *testing.T) {
 	barrier := DenyBarrier(256, 0.3)
 	ref := Vote(Config{Workers: 1, Seed: 9}, 256, barrier,
 		func() struct{} { return struct{}{} },
-		func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.4 })
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.4 })
 	out := Vote(Config{Workers: 8, Seed: 9, Sched: sched}, 256, barrier,
 		func() struct{} { return struct{}{} },
-		func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.4 })
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.4 })
 	if out.Exceeded != ref.Exceeded || out.CertPoint != ref.CertPoint || out.Votes != ref.Votes {
 		t.Fatalf("closed-scheduler run diverged: %+v vs %+v", out, ref)
 	}
@@ -130,7 +132,7 @@ func TestVoteAdaptiveStopsEarlyAndDeterministically(t *testing.T) {
 	barrier := DenyBarrier(budget, 0.5)
 	// Unsafe fraction ~0.1, far below the 0.5 barrier: the exact answer
 	// certificate needs ~half the budget, the adaptive test a few dozen.
-	sample := func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.1 }
+	sample := func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.1 }
 
 	exact := Vote(Config{Workers: 1, Seed: 7}, budget, barrier,
 		func() struct{} { return struct{}{} }, sample)
@@ -178,7 +180,7 @@ func TestVoteLaneCountBounded(t *testing.T) {
 			mu.Unlock()
 			return struct{}{}
 		},
-		func(_ int, rng *rand.Rand, _ struct{}) bool { return rng.Float64() < 0.5 })
+		func(_ int, rng *rand.Rand, _ *randx.SplitMix, _ struct{}) bool { return rng.Float64() < 0.5 })
 	mu.Lock()
 	defer mu.Unlock()
 	if made > out.Workers {

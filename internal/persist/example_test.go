@@ -36,20 +36,20 @@ func Example() {
 	if err := persist.SaveSessionState(&buf, orig.LogSnapshots(), 0); err != nil {
 		panic(err)
 	}
-	logs, err := persist.LoadSessions(&buf)
+	journals, err := persist.LoadJournals(buf.Bytes())
 	if err != nil {
 		panic(err)
 	}
 	restored := newManager()
 	defer restored.Close()
-	if err := restored.Restore(logs); err != nil {
+	if err := restored.Install(journals); err != nil {
 		panic(err)
 	}
 
 	probe := query.New(query.Max, 0, 1) // would localize the witness
 	r1, _ := orig.Ask(session.DefaultAnalyst, probe)
 	r2, _ := restored.Ask(session.DefaultAnalyst, probe)
-	fmt.Println(len(logs), r1.Denied, r2.Denied)
+	fmt.Println(len(journals), r1.Denied, r2.Denied)
 	// Output:
 	// 1 true true
 }

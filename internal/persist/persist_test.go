@@ -109,10 +109,11 @@ func TestRoundTripMaxDup(t *testing.T) {
 	roundTrip(t, xs, []query.Kind{query.Max}, func(n int) audit.Auditor { return maxdup.New(n) }, nil, 15)
 }
 
-// TestLoadFile: a missing file is a fresh start, and a file whose
-// journals record an update but which holds no dataset values is
-// refused — restoring it would answer from the pre-update value a
-// replayed auditor has already retired.
+// TestLoadFile: a missing file is a fresh start; a file whose journals
+// record an update but which holds no dataset values is refused —
+// restoring it would answer from the pre-update value a replayed auditor
+// has already retired — and so is one with anything but white space
+// after its envelope.
 func TestLoadFile(t *testing.T) {
 	newManager := func() *session.Manager {
 		sp := core.NewEngineSpec(dataset.FromValues([]float64{1, 2, 3, 4}))
@@ -145,5 +146,35 @@ func TestLoadFile(t *testing.T) {
 	}
 	if _, _, err := LoadFile(path, newManager()); err == nil || !strings.Contains(err.Error(), "no dataset values") {
 		t.Fatalf("LoadFile restored journals with an update but no dataset values: %v", err)
+	}
+
+	// The file is the envelope alone: white space may follow it, as the
+	// newline SaveFile writes does, but any other byte refuses the file
+	// and leaves the manager untouched.
+	buf.Reset()
+	fresh := newManager()
+	if _, err := fresh.Ask(session.DefaultAnalyst, query.New(query.Sum, 0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSessionState(&buf, fresh.LogSnapshots(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for tail, ok := range map[string]bool{"": true, " \t\r\n": true, "x": false, "{}": false, "\n}": false} {
+		path := filepath.Join(dir, "tail.json")
+		if err := os.WriteFile(path, append(bytes.Clone(buf.Bytes()), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := newManager()
+		n, _, err := LoadFile(path, m)
+		if ok && (err != nil || n != 1) {
+			t.Fatalf("tail %q after the envelope: %d journals, %v", tail, n, err)
+		}
+		events := 0
+		for _, l := range m.LogSnapshots() {
+			events += len(l.Events)
+		}
+		if !ok && (err == nil || events != 0) {
+			t.Fatalf("tail %q after the envelope: accepted, or restored %d events (%v)", tail, events, err)
+		}
 	}
 }

@@ -91,22 +91,22 @@ func SaveFile(path string, mgr *session.Manager, epoch uint64) (int, error) {
 }
 
 // LoadFile restores a SaveFile file into mgr and returns the journal
-// count and the epoch. A missing file is a fresh start. Every journal is
-// decoded and checked before anything changes, so a file that fails
+// count and the epoch. A missing file is a fresh start. The file is read
+// once, into a buffer of its size, and decoded from there. Every journal
+// is decoded and checked before anything changes, so a file that fails
 // validation leaves the dataset and mgr untouched; then the dataset
 // values are restored, then every journal is replayed. Journals that
 // record updates without dataset values are refused: the regenerated
 // table would undo them.
 func LoadFile(path string, mgr *session.Manager) (int, uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, 0, nil
 	}
 	if err != nil {
 		return 0, 0, err
 	}
-	defer f.Close()
-	p, journals, err := loadJournals(f)
+	p, journals, err := loadJournals(data)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -135,28 +135,22 @@ func hasUpdate(logs []session.LogSnapshot) bool {
 	return false
 }
 
-// LoadSessions reads a session-journal snapshot from r (discarding any
-// stored epoch or dataset values). Each journal's structural invariants —
+// LoadJournals decodes the session-journal snapshot data (discarding any
+// stored epoch or dataset values) and returns each journal as
+// session.BuildJournals rebuilt it. Each journal's structural invariants —
 // including its transcript digest chain, when the snapshot carries
 // digests — are validated before returning; replay-time checks (index
 // ranges, auditor agreement with logged outcomes) happen in
-// session.Manager.Restore.
-func LoadSessions(r io.Reader) ([]session.LogSnapshot, error) {
-	p, _, err := loadJournals(r)
-	return p.Sessions, err
-}
-
-// LoadJournals is LoadSessions for a reader of the journals: it returns
-// each journal as session.BuildJournals rebuilt and checked it.
-func LoadJournals(r io.Reader) ([]session.Journal, error) {
-	_, js, err := loadJournals(r)
+// session.Manager.Install.
+func LoadJournals(data []byte) ([]session.Journal, error) {
+	_, js, err := loadJournals(data)
 	return js, err
 }
 
 // loadJournals decodes a session-journal snapshot and rebuilds and
 // checks every journal it holds.
-func loadJournals(r io.Reader) (sessionLogsPayload, []session.Journal, error) {
-	p, err := load(r)
+func loadJournals(data []byte) (sessionLogsPayload, []session.Journal, error) {
+	p, err := load(data)
 	if err != nil {
 		return sessionLogsPayload{}, nil, err
 	}
@@ -168,10 +162,11 @@ func loadJournals(r io.Reader) (sessionLogsPayload, []session.Journal, error) {
 }
 
 // load decodes a session-journal snapshot, envelope and payload in one
-// pass, and checks its version and kind.
-func load(r io.Reader) (sessionLogsPayload, error) {
+// pass, and checks its version and kind. The snapshot is the whole of
+// data: white space may follow the envelope, anything else is an error.
+func load(data []byte) (sessionLogsPayload, error) {
 	var env envelope[sessionLogsPayload]
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	if err := json.Unmarshal(data, &env); err != nil {
 		return sessionLogsPayload{}, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
 	if env.Version != Version {

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"queryaudit/internal/session"
@@ -27,19 +26,20 @@ func TestSessionLogsRoundTrip(t *testing.T) {
 	if err := SaveSessionState(&buf, logs, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSessions(&buf)
+	got, err := LoadJournals(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(logs) {
 		t.Fatalf("got %d sessions, want %d", len(got), len(logs))
 	}
-	for i, snap := range got {
-		if snap.Analyst != logs[i].Analyst || len(snap.Events) != len(logs[i].Events) {
-			t.Fatalf("session %d: %+v vs %+v", i, snap, logs[i])
+	for i, jr := range got {
+		events := jr.Events()
+		if jr.Analyst() != logs[i].Analyst || len(events) != len(logs[i].Events) {
+			t.Fatalf("session %d: %s with %d events vs %+v", i, jr.Analyst(), len(events), logs[i])
 		}
-		for j, ev := range snap.Events {
-			want := logs[i].Events[j]
+		for j, dec := range events {
+			ev, want := session.EncodeEvent(dec), logs[i].Events[j]
 			if ev.Op != want.Op || ev.Kind != want.Kind || ev.Outcome != want.Outcome ||
 				ev.Answer != want.Answer || ev.Index != want.Index || len(ev.Indices) != len(want.Indices) {
 				t.Fatalf("session %d event %d: %+v vs %+v", i, j, ev, want)
@@ -48,9 +48,10 @@ func TestSessionLogsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSessionsRejectsInvalid: wrong kinds, versions, duplicate or
-// empty analysts, and structurally invalid events are all refused.
-func TestLoadSessionsRejectsInvalid(t *testing.T) {
+// TestLoadJournalsRejectsInvalid: wrong kinds, versions, duplicate or
+// empty analysts, and structurally invalid events are all refused, and
+// so is anything but white space after the envelope.
+func TestLoadJournalsRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"wrong kind":    `{"version":1,"kind":"sum-full","payload":{"sessions":[]}}`,
 		"wrong version": `{"version":9,"kind":"session-logs","payload":{"sessions":[]}}`,
@@ -60,17 +61,22 @@ func TestLoadSessionsRejectsInvalid(t *testing.T) {
 		"bad kind":      `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"a","events":[{"op":"query","kind":"mode","indices":[0],"outcome":"answered"}]}]}}`,
 		"bad outcome":   `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"a","events":[{"op":"query","kind":"sum","indices":[0],"outcome":"maybe"}]}]}}`,
 		"empty set":     `{"version":1,"kind":"session-logs","payload":{"sessions":[{"analyst":"a","events":[{"op":"query","kind":"sum","indices":[],"outcome":"answered"}]}]}}`,
+		"trailing":      `{"version":1,"kind":"session-logs","payload":{"sessions":[]}} {}`,
+		"trailing byte": "{\"version\":1,\"kind\":\"session-logs\",\"payload\":{\"sessions\":[]}}\nx",
 	}
 	for name, raw := range cases {
-		if _, err := LoadSessions(strings.NewReader(raw)); err == nil {
+		if _, err := LoadJournals([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted invalid snapshot", name)
 		}
+	}
+	if js, err := LoadJournals([]byte("{\"version\":1,\"kind\":\"session-logs\",\"payload\":{\"sessions\":[]}}\n \t\r\n")); err != nil || len(js) != 0 {
+		t.Errorf("white space after the envelope: %d journals, %v", len(js), err)
 	}
 }
 
 // TestRejectsGarbage: input that is not a session journal at all — empty,
 // malformed JSON, unknown envelopes and the retired per-auditor snapshots —
-// is refused by LoadSessions (LoadFile decodes through the same path).
+// is refused by LoadJournals (LoadFile decodes through the same path).
 func TestRejectsGarbage(t *testing.T) {
 	cases := []string{
 		``,
@@ -83,8 +89,8 @@ func TestRejectsGarbage(t *testing.T) {
 		`{"version":1,"kind":"max-duplicates","payload":{"n":2,"queries":[{"set":[0,1],"answer":3}]}}`,
 	}
 	for _, raw := range cases {
-		if _, err := LoadSessions(strings.NewReader(raw)); err == nil {
-			t.Errorf("LoadSessions accepted garbage: %s", raw)
+		if _, err := LoadJournals([]byte(raw)); err == nil {
+			t.Errorf("LoadJournals accepted garbage: %s", raw)
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package randx
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -167,10 +168,15 @@ type Cumulative struct {
 
 // Set rebuilds c over the weights w, reusing its buffers: once they have
 // grown to fit, it allocates nothing. The prefix sums are summed left to
-// right; the guide table has the least power of two ≥ len(w) entries.
+// right; the guide table has the least power of two ≥ 4·len(w) entries,
+// so a draw's scan mostly stops at its first entry: with about len(w)
+// entries its branches mispredict often enough to double the cost of a
+// draw on near-uniform weights. A draw reads only the prefix sums and
+// the guide, which is a function of them, so when the sums come out bit
+// for bit as before the guide is kept.
 func (c *Cumulative) Set(w []float64) {
 	m := 1
-	for m < len(w) {
+	for m < 4*len(w) {
 		m <<= 1
 	}
 	c.set(w, m)
@@ -178,15 +184,20 @@ func (c *Cumulative) Set(w []float64) {
 
 // set is Set with a guide table of m entries, m a power of two.
 func (c *Cumulative) set(w []float64, m int) {
-	c.sums = slices.Grow(c.sums[:0], len(w))
+	same := len(c.sums) == len(w)
+	c.sums = slices.Grow(c.sums[:0], len(w))[:len(w)]
 	acc := 0.0
-	for _, x := range w {
+	for i, x := range w {
 		acc += x
-		c.sums = append(c.sums, acc)
+		same = same && math.Float64bits(c.sums[i]) == math.Float64bits(acc)
+		c.sums[i] = acc
 	}
 	last := len(c.sums) - 1
 	if last < 0 || acc <= 0 {
 		c.guide = c.guide[:0]
+		return
+	}
+	if same && len(c.guide) == m {
 		return
 	}
 	c.guide = slices.Grow(c.guide[:0], m)[:m]
@@ -208,11 +219,29 @@ func (c *Cumulative) Sums() []float64 { return c.sums }
 // Index draws an index from rng. It returns -1, without drawing, when
 // the weights are empty or their total is not positive.
 func (c *Cumulative) Index(rng *rand.Rand) int {
-	last := len(c.sums) - 1
-	if last < 0 || c.sums[last] <= 0 {
+	if !c.drawable() {
 		return -1
 	}
-	u := rng.Float64()
+	return c.at(rng.Float64())
+}
+
+// IndexFrom is Index over rand.New(s), drawn from s directly.
+func (c *Cumulative) IndexFrom(s *SplitMix) int {
+	if !c.drawable() {
+		return -1
+	}
+	return c.at(s.Float64())
+}
+
+// drawable reports whether the weights are non-empty with a total that
+// is not ≤ 0 (a NaN total draws, as in WeightedIndex).
+func (c *Cumulative) drawable() bool {
+	return len(c.sums) > 0 && !(c.sums[len(c.sums)-1] <= 0)
+}
+
+// at returns the index the uniform draw u picks.
+func (c *Cumulative) at(u float64) int {
+	last := len(c.sums) - 1
 	r := u * c.sums[last]
 	i := int(c.guide[int(u*float64(len(c.guide)))])
 	for i < last && !(r < c.sums[i]) {

@@ -247,8 +247,8 @@ func (s *cycleSource) Int63() int64 {
 func (s *cycleSource) Seed(int64) {}
 
 // TestCumulativeIndexDegenerate: empty or zero-total weights give -1
-// without drawing, as WeightedIndex does, and a reused Cumulative
-// forgets the vector it held before.
+// without drawing, as WeightedIndex does, a NaN total draws as it does
+// there, and a reused Cumulative forgets the vector it held before.
 func TestCumulativeIndexDegenerate(t *testing.T) {
 	a, b := New(13), New(13)
 	var c Cumulative
@@ -262,11 +262,16 @@ func TestCumulativeIndexDegenerate(t *testing.T) {
 	if a.Int63() != b.Int63() {
 		t.Fatal("a degenerate call consumed randomness")
 	}
+	// A NaN total is not ≤ 0: it draws, and runs to the last index.
+	c.Set([]float64{1, math.NaN()})
+	if got, want := c.Index(a), WeightedIndex(b, []float64{1, math.NaN()}); got != want {
+		t.Fatalf("NaN total: Index %d, WeightedIndex %d", got, want)
+	}
 }
 
 // TestCumulativeSetReuse: Set over a Cumulative last set to another
-// vector equals a fresh Set, prefix sums and guide table, and, warm,
-// allocates nothing.
+// vector, or to the same one, equals a fresh Set, prefix sums and guide
+// table, and, warm, allocates nothing.
 func TestCumulativeSetReuse(t *testing.T) {
 	gen := New(14)
 	var c Cumulative
@@ -281,12 +286,21 @@ func TestCumulativeSetReuse(t *testing.T) {
 		if !slices.Equal(c.sums, fresh.sums) || !slices.Equal(c.guide, fresh.guide) {
 			t.Fatalf("vector %d: reused Cumulative differs from a fresh Set", v)
 		}
-		if m := len(c.guide); m&(m-1) != 0 || m < len(w) || m/2 >= len(w) {
-			t.Fatalf("vector %d: guide has %d entries for %d weights, want the least power of two ≥ it", v, m, len(w))
+		if m := len(c.guide); m&(m-1) != 0 || m < 4*len(w) || m/2 >= 4*len(w) {
+			t.Fatalf("vector %d: guide has %d entries for %d weights, want the least power of two ≥ 4 times it", v, m, len(w))
 		}
 	}
+	// A vector of the same length whose sums differ only past the first
+	// weight must rebuild the guide; the same vector again keeps it.
 	w := []float64{3, 1, 4, 1, 5}
-	c.Set(w)
+	for _, v := range [][]float64{w, {3, 1, 4, 1, 50}, {3, 1, 4, 1, 50}, w} {
+		var fresh Cumulative
+		fresh.Set(v)
+		c.Set(v)
+		if !slices.Equal(c.sums, fresh.sums) || !slices.Equal(c.guide, fresh.guide) {
+			t.Fatalf("weights %v: reused Cumulative differs from a fresh Set", v)
+		}
+	}
 	if allocs := testing.AllocsPerRun(20, func() { c.Set(w) }); allocs != 0 {
 		t.Fatalf("warm Set made %.0f allocations, want 0", allocs)
 	}

@@ -1,6 +1,9 @@
 package randx
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // Counter-based random streams for parallel Monte Carlo.
 //
@@ -67,6 +70,59 @@ func (s *SplitMix) Uint64() uint64 {
 
 // Int63 implements rand.Source.
 func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Float64 returns what rand.New(s).Float64() would: Int63/2⁶³, drawn
+// again in the rare case that the quotient rounds up to 1. Hot loops
+// call it to skip rand.Rand's interface call.
+func (s *SplitMix) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// Modulus draws from a SplitMix what rand.New(s).Intn(n) would, for a
+// fixed 0 < n < 2³¹, without a division. Intn takes v = Int63>>32 (the
+// top 31 bits of Uint64), redraws while v exceeds the rejection bound
+// 2³¹−1−(2³¹ mod n) and returns v mod n (a power-of-two n masks, but its
+// bound is 2³¹−1 and v&(n−1) = v mod n, so one rule covers both). The
+// bound is computed once here, and v mod n is the multiply-high of
+// Lemire, Kaser and Kurz ("Faster remainder by direct computation",
+// 2019): with c = ⌈2⁶⁴/n⌉, v mod n = ⌊((c·v) mod 2⁶⁴)·n / 2⁶⁴⌋, exact for
+// every 32-bit v and n.
+type Modulus struct {
+	n, c uint64
+	max  uint32
+}
+
+// NewModulus returns the Modulus of n. It panics unless 0 < n < 2³¹, the
+// range in which Intn draws through Int31n.
+func NewModulus(n int) Modulus {
+	if n <= 0 || n > 1<<31-1 {
+		panic("randx: Modulus needs 0 < n < 2^31")
+	}
+	m := Modulus{n: uint64(n), max: uint32(1<<31 - 1 - (1<<31)%uint32(n))}
+	if n > 1 {
+		// ⌈2⁶⁴/n⌉; for n = 1 it is 2⁶⁴, which wraps to 0 and still gives
+		// v mod 1 = 0.
+		m.c = ^uint64(0)/m.n + 1
+	}
+	return m
+}
+
+// N returns the modulus n.
+func (m Modulus) N() int { return int(m.n) }
+
+// Draw returns the next rand.New(s).Intn(n) of s.
+func (m Modulus) Draw(s *SplitMix) int {
+	v := uint32(s.Uint64() >> 33)
+	for v > m.max {
+		v = uint32(s.Uint64() >> 33)
+	}
+	hi, _ := bits.Mul64(m.c*uint64(v), m.n)
+	return int(hi)
+}
 
 // Stream returns a rand.Rand on stream index of seed. Each (seed, index)
 // pair yields an independent, reproducible sequence regardless of what any

@@ -234,9 +234,10 @@ func TestSumProbWorkerScalingGuard(t *testing.T) {
 // BenchmarkColoringChain measures maxminprob's per-sample unit — rebase
 // the chain on the initial coloring, mix, draw a dataset — in the two
 // forms the engine can run it: allocating a fresh sampler and dataset
-// per sample ("fresh", the pre-scratch behaviour) versus reusing a
-// per-worker sampler and output buffers ("scratch", what mcpar workers
-// do). The -benchmem delta between the two is the allocation the
+// per sample ("fresh", the pre-scratch behaviour, drawing through a
+// rand.Rand) versus reusing a per-worker sampler and output buffers
+// ("scratch", what mcpar lanes do: every draw straight from the lane's
+// SplitMix). The -benchmem delta between the two is the allocation the
 // scratch design removes from the hot loop. Both run on a 60-row graph
 // of 20–50-row sets: 7 nodes, palettes of 14 colors on average. "wide"
 // is the scratch form on a graph shaped like the prob-300 workload's:
@@ -264,8 +265,8 @@ func BenchmarkColoringChain(b *testing.B) {
 		}
 	})
 	scratch := func(b *testing.B, g *coloring.Graph, init []int, n int) {
-		rng := randx.New(2)
-		s, err := coloring.NewSamplerFrom(g, rng, init)
+		src := randx.NewSplitMix(2, 0)
+		s, err := coloring.NewSamplerSource(g, src, init)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,11 +275,11 @@ func BenchmarkColoringChain(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.Reset(rng, init); err != nil {
+			if err := s.ResetSource(src, init); err != nil {
 				b.Fatal(err)
 			}
 			s.Mix(mixFactor)
-			s.SampleDatasetInto(rng, ds, fixed)
+			s.SampleDatasetInto(ds, fixed)
 		}
 	}
 	b.Run("scratch", func(b *testing.B) { scratch(b, g, init, 60) })
