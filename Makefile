@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke report-smoke examples-smoke
+.PHONY: build test race vet fmt-check lint lint-report ci bench bench-test bench-smoke bench-guard cover mc-fixtures replication-smoke loadgen-smoke report-smoke examples-smoke loc
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,12 @@ lint-report:
 
 test:
 	$(GO) test ./...
+
+# Go line counts outside bench/ (a separate module), non-test and test
+# files apart: the size measure a design change is judged by.
+loc:
+	@echo "non-test: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "test:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test.go$$' | xargs cat | wc -l)"
 
 race:
 	$(GO) test -race ./...

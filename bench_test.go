@@ -20,6 +20,7 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/experiments"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -238,7 +239,10 @@ func BenchmarkProbSumVsMax(b *testing.B) {
 	}
 	b.Run("max-closed-form", func(b *testing.B) {
 		a, err := maxprob.New(n, maxprob.Params{
-			Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10, Samples: 64, Seed: 1,
+			Game: mcpar.Game{
+				Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10, Seed: 1,
+			},
+			Samples: 64,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -253,8 +257,10 @@ func BenchmarkProbSumVsMax(b *testing.B) {
 	})
 	b.Run("sum-polytope-sampling", func(b *testing.B) {
 		a, err := sumprob.New(n, sumprob.Params{
-			Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
-			OuterSamples: 8, InnerSamples: 300, Seed: 1,
+			Game: mcpar.Game{
+				Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10, Seed: 1,
+			},
+			OuterSamples: 8, InnerSamples: 300,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -406,8 +412,11 @@ func BenchmarkMaxProbDecide(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			a, err := maxprob.New(n, maxprob.Params{
-				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 50,
-				Samples: 512, Workers: workers, Seed: 4,
+				Game: mcpar.Game{
+					Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 50,
+					Workers: workers, Seed: 4,
+				},
+				Samples: 512,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -431,9 +440,11 @@ func BenchmarkMaxMinProbDecide(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			a, err := maxminprob.New(n, maxminprob.Params{
-				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10,
+				Game: mcpar.Game{
+					Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10,
+					Workers: workers, Seed: 6,
+				},
 				OuterSamples: 32, InnerSamples: 16, MixFactor: 2,
-				Workers: workers, Seed: 6,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -469,7 +480,9 @@ func BenchmarkMaxMinProbWideDecide(b *testing.B) {
 		return query.New(kind, randx.SubsetSizeBetween(rng, n, 60, 300)...)
 	}
 	a, err := maxminprob.New(n, maxminprob.Params{
-		Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 6,
+		Game: mcpar.Game{
+			Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 6,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)

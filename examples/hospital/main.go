@@ -11,6 +11,7 @@ import (
 	"queryaudit/internal/audit/maxprob"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -52,7 +53,10 @@ func main() {
 	ds2 := dataset.GenerateHospital(randx.New(7), dataset.DefaultHospitalConfig(120))
 	eng2 := core.NewEngine(ds2)
 	probAud, err := maxprob.New(ds2.N(), maxprob.Params{
-		Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 50, Samples: 64, Seed: 11,
+		Game: mcpar.Game{
+			Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 50, Seed: 11,
+		},
+		Samples: 64,
 	})
 	if err != nil {
 		panic(err)

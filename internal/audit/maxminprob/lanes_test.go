@@ -30,8 +30,10 @@ func TestDecideLeavesSharedSynopsis(t *testing.T) {
 		rng := randx.New(12)
 		xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
 		a, err := New(n, Params{
-			Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12,
-			Workers: workers, Seed: 6,
+			Game: mcpar.Game{
+				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12,
+				Workers: workers, Seed: 6,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

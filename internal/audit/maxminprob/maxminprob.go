@@ -56,7 +56,6 @@ import (
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/interval"
 	"queryaudit/internal/mcpar"
-	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -64,14 +63,7 @@ import (
 
 // Params configure the (λ, δ, γ, T) game and the Monte Carlo effort.
 type Params struct {
-	// Lambda bounds the tolerated posterior/prior ratio drift (0<λ<1).
-	Lambda float64
-	// Gamma is the number of partition intervals of [0,1].
-	Gamma int
-	// Delta bounds the attacker's winning probability over T rounds.
-	Delta float64
-	// T is the number of game rounds.
-	T int
+	mcpar.Game
 	// OuterSamples is the number of hypothetical datasets per decision
 	// (0 → a small default).
 	OuterSamples int
@@ -85,34 +77,6 @@ type Params struct {
 	// auditor switches from MCMC to exact enumeration — the paper's
 	// fallback when Lemma 2's degree condition fails (0 → 20000).
 	EnumerateLimit int
-	// Workers bounds the parallel Monte Carlo pool per decision;
-	// 0 = GOMAXPROCS, 1 = sequential. Decisions are identical at any
-	// worker count for a fixed Seed.
-	Workers int
-	// Seed drives the auditor's randomness.
-	Seed int64
-	// AdaptiveAlpha, when positive, arms mcpar's variance-aware adaptive
-	// sequential test: a decision stops early once its outcome is pinned
-	// with confidence 1-AdaptiveAlpha. Zero (the default) keeps the exact
-	// certificates only, which never change a decision.
-	AdaptiveAlpha float64
-}
-
-// Validate checks parameter sanity.
-func (p Params) Validate() error {
-	if p.Lambda <= 0 || p.Lambda >= 1 {
-		return fmt.Errorf("maxminprob: lambda must be in (0,1), got %g", p.Lambda)
-	}
-	if p.Gamma < 1 {
-		return fmt.Errorf("maxminprob: gamma must be >= 1, got %d", p.Gamma)
-	}
-	if p.Delta <= 0 || p.Delta >= 1 {
-		return fmt.Errorf("maxminprob: delta must be in (0,1), got %g", p.Delta)
-	}
-	if p.T < 1 {
-		return fmt.Errorf("maxminprob: T must be >= 1, got %d", p.T)
-	}
-	return nil
 }
 
 func (p Params) outer() int {
@@ -145,7 +109,10 @@ func (p Params) enumerateLimit() int {
 
 // Auditor is the Section 3.2 simulatable probabilistic max∧min auditor.
 type Auditor struct {
-	n      int
+	mcpar.Shell
+	n int
+	// params holds the sampling effort; its game is the shell's as New
+	// received it.
 	params Params
 	// cells are the Γ cells of the partition of [0,1], and prior the
 	// prior probability 1/Γ of each.
@@ -160,20 +127,13 @@ type Auditor struct {
 	g coloring.Graph
 	// census counts each candidate answer's graph for the Lemma 2 check.
 	census coloring.Census
-	// decisions counts Decide calls; each decision derives its own base
-	// seed from (params.Seed, decisions) so samples are fresh per decision
-	// yet bit-reproducible across runs and worker counts.
-	decisions uint64
-	// mc observes per-decision Monte Carlo accounting (may be nil).
-	mc            *metrics.MCCollector
-	sched         *mcpar.Scheduler
-	denyThreshold float64
 }
 
 // New returns an auditor over n records in [0,1].
 func New(n int, params Params) (*Auditor, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
+	sh, err := mcpar.NewShell(params.Game)
+	if err != nil {
+		return nil, fmt.Errorf("maxminprob: %w", err)
 	}
 	part := interval.NewPartition(0, 1, params.Gamma)
 	cells := make([]interval.Interval, params.Gamma)
@@ -181,25 +141,14 @@ func New(n int, params Params) (*Auditor, error) {
 		cells[j] = part.Cell(j + 1)
 	}
 	return &Auditor{
-		n:             n,
-		params:        params,
-		cells:         cells,
-		prior:         part.Prior(),
-		window:        interval.RatioWindow{Lambda: params.Lambda},
-		syn:           synopsis.NewMaxMin(n, 0, 1),
-		denyThreshold: params.Delta / (2 * float64(params.T)),
+		Shell:  sh,
+		n:      n,
+		params: params,
+		cells:  cells,
+		prior:  part.Prior(),
+		window: interval.RatioWindow{Lambda: params.Lambda},
+		syn:    synopsis.NewMaxMin(n, 0, 1),
 	}, nil
-}
-
-// ConfigureMC installs the per-decision Monte Carlo accounting collector
-// (nil disables) and the shared assist pool (nil selects
-// mcpar.Default()), and sets Params.Workers, the per-decision pool cap,
-// when workers is non-zero.
-func (a *Auditor) ConfigureMC(workers int, mc *metrics.MCCollector, sched *mcpar.Scheduler) {
-	if workers != 0 {
-		a.params.Workers = workers
-	}
-	a.mc, a.sched = mc, sched
 }
 
 // Name implements audit.Auditor.
@@ -457,24 +406,14 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		return audit.Deny, err
 	}
 	budget := a.params.outer()
-	barrier := mcpar.DenyBarrier(budget, a.denyThreshold)
-	seed := randx.DeriveSeed(a.params.Seed, a.decisions)
-	a.decisions++
+	seed := a.NextSeed()
 	// Lanes are taken from the pool on the goroutines that first run a
 	// sample, and each starts from a copy of the synopsis. Once the vote
 	// is over every lane's open fold is closed, so its undo trails go back
 	// to the synopsis pool, and the lane goes back to the lane pool.
 	var lanesMu sync.Mutex
 	var lanes []*decideScratch
-	out := mcpar.Vote(
-		mcpar.Config{
-			Workers:       a.params.Workers,
-			Seed:          seed,
-			Observer:      a.mc,
-			Sched:         a.sched,
-			AdaptiveAlpha: a.params.AdaptiveAlpha,
-		},
-		budget, barrier,
+	out := mcpar.Vote(a.Config(seed), budget, a.Barrier(budget),
 		func() *decideScratch {
 			sc, _ := lanePool.Get().(*decideScratch)
 			if sc == nil || len(sc.xs) != a.n {

@@ -5,24 +5,27 @@ import (
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/coloring"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
 
 func params() Params {
 	return Params{
-		Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10,
-		OuterSamples: 8, InnerSamples: 16, MixFactor: 2, Seed: 1,
+		Game: mcpar.Game{
+			Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10, Seed: 1,
+		},
+		OuterSamples: 8, InnerSamples: 16, MixFactor: 2,
 	}
 }
 
 // TestValidate rejects bad parameters.
 func TestValidate(t *testing.T) {
 	bad := []Params{
-		{Lambda: 0, Gamma: 4, Delta: 0.1, T: 5},
-		{Lambda: 0.3, Gamma: 0, Delta: 0.1, T: 5},
-		{Lambda: 0.3, Gamma: 4, Delta: 1, T: 5},
-		{Lambda: 0.3, Gamma: 4, Delta: 0.1, T: 0},
+		{Game: mcpar.Game{Lambda: 0, Gamma: 4, Delta: 0.1, T: 5}},
+		{Game: mcpar.Game{Lambda: 0.3, Gamma: 0, Delta: 0.1, T: 5}},
+		{Game: mcpar.Game{Lambda: 0.3, Gamma: 4, Delta: 1, T: 5}},
+		{Game: mcpar.Game{Lambda: 0.3, Gamma: 4, Delta: 0.1, T: 0}},
 	}
 	for _, p := range bad {
 		if _, err := New(5, p); err == nil {

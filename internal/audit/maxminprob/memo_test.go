@@ -6,6 +6,7 @@ import (
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/coloring"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -29,7 +30,7 @@ func TestTrialMemoMatchesFreshScratch(t *testing.T) {
 	)
 	rng := randx.New(21)
 	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
-	a, err := New(n, Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 8})
+	a, err := New(n, Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func (w *window) load(a *Auditor, g *coloring.Graph) {
 			// An element whose range is all of [0,1] and that carries no
 			// witness mass has posterior equal to prior, so it is safe.
 			w.rangeSafe = append(w.rangeSafe, safe || r.Lo <= 0 && r.Hi >= 1)
-			w.bound = append(w.bound, massBound(w.fracs[len(w.fracs)-gamma:], a.prior, a.params.Lambda))
+			w.bound = append(w.bound, massBound(w.fracs[len(w.fracs)-gamma:], a.prior, a.Lambda))
 		}
 		w.class[i] = c
 		if !w.rangeSafe[c] {

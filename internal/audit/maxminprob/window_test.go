@@ -8,6 +8,7 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/interval"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -77,7 +78,7 @@ func TestOneSideBoundedRangeIsConstrained(t *testing.T) {
 // window must give the same verdict with the bounds as with every bound
 // at −∞, which sends each hit element through the exact loop.
 func TestMassBoundMatchesExactWindow(t *testing.T) {
-	a, err := New(4, Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12})
+	a, err := New(4, Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func gameWindows(t *testing.T, check func(a *Auditor, ps *posterior, counts [][]
 	const n = 300
 	rng := randx.New(22)
 	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
-	a, err := New(n, Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 9})
+	a, err := New(n, Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}

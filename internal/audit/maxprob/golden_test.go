@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"queryaudit/internal/audit"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -30,7 +31,7 @@ func TestGoldenDecisionChain(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := randx.New(31)
 		xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
-		a, err := New(n, Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Samples: 256, Workers: workers, Seed: 9})
+		a, err := New(n, Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: workers, Seed: 9}, Samples: 256})
 		if err != nil {
 			t.Fatal(err)
 		}

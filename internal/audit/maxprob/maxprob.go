@@ -31,7 +31,6 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/interval"
 	"queryaudit/internal/mcpar"
-	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -40,28 +39,10 @@ import (
 // Params are the privacy-game parameters of the (λ, δ, γ, T) game plus
 // sampling knobs.
 type Params struct {
-	// Lambda bounds the tolerated posterior/prior ratio change (0<λ<1).
-	Lambda float64
-	// Gamma is the number of partition intervals of [0,1].
-	Gamma int
-	// Delta bounds the attacker's winning probability over T rounds.
-	Delta float64
-	// T is the number of game rounds.
-	T int
+	mcpar.Game
 	// Samples overrides the number of Monte Carlo datasets per decision;
-	// 0 selects the Chernoff-derived default O((T/δ)·log(T/δ)).
+	// 0 selects the Chernoff-derived default, Game.ChernoffSamples.
 	Samples int
-	// Workers bounds the parallel Monte Carlo pool per decision;
-	// 0 = GOMAXPROCS, 1 = sequential. Decisions are identical at any
-	// worker count for a fixed Seed.
-	Workers int
-	// Seed drives the auditor's internal randomness.
-	Seed int64
-	// AdaptiveAlpha, when positive, arms mcpar's variance-aware adaptive
-	// sequential test: a decision stops early once its outcome is pinned
-	// with confidence 1-AdaptiveAlpha. Zero (the default) keeps the exact
-	// certificates only, which never change a decision.
-	AdaptiveAlpha float64
 	// Alpha, Beta optionally widen the data range from the default [0,1]
 	// (the paper's footnote: "the algorithm can easily be extended to
 	// other ranges"). Internally everything is affinely normalized to
@@ -77,89 +58,42 @@ func (p Params) rangeBounds() (alpha, beta float64) {
 	return 0, 1
 }
 
-// Validate checks parameter sanity.
-func (p Params) Validate() error {
-	if p.Lambda <= 0 || p.Lambda >= 1 {
-		return fmt.Errorf("maxprob: lambda must be in (0,1), got %g", p.Lambda)
-	}
-	if p.Gamma < 1 {
-		return fmt.Errorf("maxprob: gamma must be >= 1, got %d", p.Gamma)
-	}
-	if p.Delta <= 0 || p.Delta >= 1 {
-		return fmt.Errorf("maxprob: delta must be in (0,1), got %g", p.Delta)
-	}
-	if p.T < 1 {
-		return fmt.Errorf("maxprob: T must be >= 1, got %d", p.T)
-	}
-	if p.Beta < p.Alpha {
-		return fmt.Errorf("maxprob: beta %g below alpha %g", p.Beta, p.Alpha)
-	}
-	return nil
-}
-
-// DefaultSamples is the Chernoff-derived sample count for distinguishing
-// breach probability above δ/T from below δ/(2T).
-func (p Params) DefaultSamples() int {
-	if p.Samples > 0 {
-		return p.Samples
-	}
-	r := float64(p.T) / p.Delta
-	n := int(math.Ceil(r * math.Log(r)))
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
-
 // Auditor is the Section 3.1 simulatable probabilistic max auditor.
 type Auditor struct {
-	n      int
-	params Params
-	part   interval.Partition
-	window interval.RatioWindow
-	syn    *synopsis.Max
-	// decisions counts Decide calls; each decision derives its own base
-	// seed from (params.Seed, decisions), so samples are fresh per
-	// decision yet bit-reproducible across runs and worker counts.
-	decisions uint64
-	// mc observes per-decision Monte Carlo accounting (may be nil).
-	mc    *metrics.MCCollector
-	sched *mcpar.Scheduler
-	// denyThreshold is δ/(2T).
-	denyThreshold float64
-	samples       int
+	mcpar.Shell
+	n       int
+	part    interval.Partition
+	window  interval.RatioWindow
+	syn     *synopsis.Max
+	samples int
 	// alpha, scale implement the affine normalization onto [0,1].
 	alpha, scale float64
 }
 
 // New returns an auditor over n records in [0,1].
 func New(n int, params Params) (*Auditor, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
+	sh, err := mcpar.NewShell(params.Game)
+	if err != nil {
+		return nil, fmt.Errorf("maxprob: %w", err)
+	}
+	if params.Beta < params.Alpha {
+		return nil, fmt.Errorf("maxprob: beta %g below alpha %g", params.Beta, params.Alpha)
+	}
+	samples := params.Samples
+	if samples <= 0 {
+		samples = params.ChernoffSamples()
 	}
 	alpha, beta := params.rangeBounds()
 	return &Auditor{
-		n:             n,
-		params:        params,
-		part:          interval.NewPartition(0, 1, params.Gamma),
-		window:        interval.RatioWindow{Lambda: params.Lambda},
-		syn:           synopsis.NewMax(n),
-		denyThreshold: params.Delta / (2 * float64(params.T)),
-		samples:       params.DefaultSamples(),
-		alpha:         alpha,
-		scale:         beta - alpha,
+		Shell:   sh,
+		n:       n,
+		part:    interval.NewPartition(0, 1, params.Gamma),
+		window:  interval.RatioWindow{Lambda: params.Lambda},
+		syn:     synopsis.NewMax(n),
+		samples: samples,
+		alpha:   alpha,
+		scale:   beta - alpha,
 	}, nil
-}
-
-// ConfigureMC installs the per-decision Monte Carlo accounting collector
-// (nil disables) and the shared assist pool (nil selects
-// mcpar.Default()), and sets Params.Workers, the per-decision pool cap,
-// when workers is non-zero.
-func (a *Auditor) ConfigureMC(workers int, mc *metrics.MCCollector, sched *mcpar.Scheduler) {
-	if workers != 0 {
-		a.params.Workers = workers
-	}
-	a.mc, a.sched = mc, sched
 }
 
 // normalize maps a raw answer into the internal [0,1] coordinates.
@@ -279,20 +213,9 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			return audit.Deny, fmt.Errorf("maxprob: index %d out of range", i)
 		}
 	}
-	budget := a.samples
-	barrier := mcpar.DenyBarrier(budget, a.denyThreshold)
-	seed := randx.DeriveSeed(a.params.Seed, a.decisions)
-	a.decisions++
+	seed := a.NextSeed()
 	preds := a.syn.Preds() // per-decision snapshot, read-only across workers
-	out := mcpar.Vote(
-		mcpar.Config{
-			Workers:       a.params.Workers,
-			Seed:          seed,
-			Observer:      a.mc,
-			Sched:         a.sched,
-			AdaptiveAlpha: a.params.AdaptiveAlpha,
-		},
-		budget, barrier,
+	out := mcpar.Vote(a.Config(seed), a.samples, a.Barrier(a.samples),
 		func() *decideScratch {
 			return &decideScratch{
 				xs:          make([]float64, a.n),

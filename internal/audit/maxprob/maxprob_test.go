@@ -7,6 +7,7 @@ import (
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/interval"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/synopsis"
@@ -80,7 +81,7 @@ func TestPosteriorFormulaMatchesMonteCarlo(t *testing.T) {
 // TestSingletonDenied: a max over one fresh element is a full reveal of
 // its distribution tail — denied.
 func TestSingletonDenied(t *testing.T) {
-	a, err := New(10, Params{Lambda: 0.3, Gamma: 5, Delta: 0.1, T: 20, Samples: 64, Seed: 1})
+	a, err := New(10, Params{Game: mcpar.Game{Lambda: 0.3, Gamma: 5, Delta: 0.1, T: 20, Seed: 1}, Samples: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSingletonDenied(t *testing.T) {
 // moves any posterior and must be answered under a generous λ.
 func TestLargeFreshSetAnswered(t *testing.T) {
 	n := 80
-	a, err := New(n, Params{Lambda: 0.5, Gamma: 4, Delta: 0.2, T: 10, Samples: 96, Seed: 2})
+	a, err := New(n, Params{Game: mcpar.Game{Lambda: 0.5, Gamma: 4, Delta: 0.2, T: 10, Seed: 2}, Samples: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestLargeFreshSetAnswered(t *testing.T) {
 // history and seed must agree on every decision regardless of the
 // hypothetical data behind them.
 func TestSimulatabilityDecisionIgnoresData(t *testing.T) {
-	params := Params{Lambda: 0.4, Gamma: 4, Delta: 0.2, T: 10, Samples: 48, Seed: 7}
+	params := Params{Game: mcpar.Game{Lambda: 0.4, Gamma: 4, Delta: 0.2, T: 10, Seed: 7}, Samples: 48}
 	a1, _ := New(30, params)
 	a2, _ := New(30, params)
 	rng := rand.New(rand.NewSource(8))
@@ -139,7 +140,7 @@ func TestSimulatabilityDecisionIgnoresData(t *testing.T) {
 func TestBoundedRangeEquivalence(t *testing.T) {
 	const n = 40
 	lo, hi := 30_000.0, 250_000.0
-	base := Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10, Samples: 64, Seed: 3}
+	base := Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 10, Seed: 3}, Samples: 64}
 	scaled := base
 	scaled.Alpha, scaled.Beta = lo, hi
 	aUnit, _ := New(n, base)
@@ -170,7 +171,7 @@ func TestPrivacyGameBreachRate(t *testing.T) {
 		n      = 40
 		trials = 40
 	)
-	params := Params{Lambda: 0.4, Gamma: 4, Delta: 0.2, T: 8, Samples: 64}
+	params := Params{Game: mcpar.Game{Lambda: 0.4, Gamma: 4, Delta: 0.2, T: 8}, Samples: 64}
 	part := interval.NewPartition(0, 1, params.Gamma)
 	window := interval.RatioWindow{Lambda: params.Lambda}
 	breaches := 0

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"queryaudit/internal/audit"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 )
 
 func testParams() Params {
-	return Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Samples: 512}
+	return Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12}, Samples: 512}
 }
 
 // A fixed seed must yield bit-identical decision sequences at any worker

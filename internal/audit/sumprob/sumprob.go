@@ -41,21 +41,13 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/interval"
 	"queryaudit/internal/mcpar"
-	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
 
 // Params configure the (λ, δ, γ, T) game and the Monte Carlo effort.
 type Params struct {
-	// Lambda bounds the tolerated posterior/prior ratio drift (0<λ<1).
-	Lambda float64
-	// Gamma partitions [0,1] into γ intervals.
-	Gamma int
-	// Delta bounds the attacker's winning probability over T rounds.
-	Delta float64
-	// T is the number of game rounds.
-	T int
+	mcpar.Game
 	// OuterSamples hypothetical datasets per decision (0 → 12).
 	OuterSamples int
 	// InnerSamples polytope points per posterior estimate (0 → 200).
@@ -68,34 +60,6 @@ type Params struct {
 	// Thin steps between collected points (0 → max(4, dim), since the
 	// walk's autocorrelation grows with the polytope dimension).
 	Thin int
-	// Workers caps this auditor's share of the decision scheduler per
-	// decision; 0 = GOMAXPROCS, 1 = sequential. Decisions are identical
-	// at any worker count for a fixed Seed.
-	Workers int
-	// Seed drives the auditor's randomness.
-	Seed int64
-	// AdaptiveAlpha, when positive, arms mcpar's variance-aware adaptive
-	// sequential test: a decision stops early once its outcome is pinned
-	// with confidence 1-AdaptiveAlpha. Zero (the default) keeps the exact
-	// certificates only, which never change a decision.
-	AdaptiveAlpha float64
-}
-
-// Validate checks parameter sanity.
-func (p Params) Validate() error {
-	if p.Lambda <= 0 || p.Lambda >= 1 {
-		return fmt.Errorf("sumprob: lambda must be in (0,1), got %g", p.Lambda)
-	}
-	if p.Gamma < 1 {
-		return fmt.Errorf("sumprob: gamma must be >= 1, got %d", p.Gamma)
-	}
-	if p.Delta <= 0 || p.Delta >= 1 {
-		return fmt.Errorf("sumprob: delta must be in (0,1), got %g", p.Delta)
-	}
-	if p.T < 1 {
-		return fmt.Errorf("sumprob: T must be >= 1, got %d", p.T)
-	}
-	return nil
 }
 
 func (p Params) outer() int {
@@ -131,20 +95,14 @@ func (p Params) thin(dim int) int {
 
 // Auditor is the [21]-style probabilistic sum auditor.
 type Auditor struct {
-	n      int
+	mcpar.Shell
+	n int
+	// params holds the sampling effort; its game is the shell's as New
+	// received it.
 	params Params
 	part   interval.Partition
-	window interval.RatioWindow
 	rows   [][]float64
 	b      []float64
-	// decisions counts Decide calls; each decision derives its own base
-	// seed from (params.Seed, decisions) so samples are fresh per decision
-	// yet bit-reproducible across runs and worker counts.
-	decisions uint64
-	// mc observes per-decision Monte Carlo accounting (may be nil).
-	mc            *metrics.MCCollector
-	sched         *mcpar.Scheduler
-	denyThreshold float64
 
 	// Base-system cache, valid while len(rows) == baseRows. Every field
 	// is a pure function of the Decide/Record history (never of wall
@@ -159,28 +117,17 @@ type Auditor struct {
 
 // New returns an auditor over n records uniform on [0,1].
 func New(n int, params Params) (*Auditor, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
+	sh, err := mcpar.NewShell(params.Game)
+	if err != nil {
+		return nil, fmt.Errorf("sumprob: %w", err)
 	}
 	return &Auditor{
-		n:             n,
-		params:        params,
-		part:          interval.NewPartition(0, 1, params.Gamma),
-		window:        interval.RatioWindow{Lambda: params.Lambda},
-		denyThreshold: params.Delta / (2 * float64(params.T)),
-		baseRows:      -1,
+		Shell:    sh,
+		n:        n,
+		params:   params,
+		part:     interval.NewPartition(0, 1, params.Gamma),
+		baseRows: -1,
 	}, nil
-}
-
-// ConfigureMC installs the per-decision Monte Carlo accounting collector
-// (nil disables) and the shared assist pool (nil selects
-// mcpar.Default()), and sets Params.Workers, the per-decision pool cap,
-// when workers is non-zero.
-func (a *Auditor) ConfigureMC(workers int, mc *metrics.MCCollector, sched *mcpar.Scheduler) {
-	if workers != 0 {
-		a.params.Workers = workers
-	}
-	a.mc, a.sched = mc, sched
 }
 
 // Name implements audit.Auditor.
@@ -216,7 +163,7 @@ func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, s
 	dim := sc.ext.dim()
 	thin := a.params.thin(dim)
 	steps := a.params.inner() * thin
-	gamma := a.params.Gamma
+	gamma := a.Gamma
 	// Batch-means accounting: the chord stream is autocorrelated, so the
 	// Monte Carlo error of each cell estimate is taken from the spread
 	// of per-batch means, not from a binomial formula.
@@ -302,8 +249,8 @@ func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, s
 	// outside the window (the Monte Carlo analogue of [21]'s
 	// approximation slack, honest about chain autocorrelation).
 	prior := a.part.Prior()
-	lowEdge := (1 - a.params.Lambda) * prior
-	highEdge := prior / (1 - a.params.Lambda)
+	lowEdge := (1 - a.Lambda) * prior
+	highEdge := prior / (1 - a.Lambda)
 	for i := 0; i < a.n; i++ {
 		for j := 0; j < gamma; j++ {
 			mean, se := batchStats(sums, used, stride, i*gamma+j)
@@ -367,8 +314,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	// Decision-level randomness splits into two decorrelated streams: one
 	// seeds the per-sample streams inside the engine, the other drives the
 	// one-off setup work (cold feasible-point search, chain-state advance).
-	decSeed := randx.DeriveSeed(a.params.Seed, a.decisions)
-	a.decisions++
+	decSeed := a.NextSeed()
 	voteSeed := randx.DeriveSeed(decSeed, 0)
 	setupRng := randx.Stream(decSeed, 1)
 
@@ -400,7 +346,6 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	}
 
 	budget := a.params.outer()
-	barrier := mcpar.DenyBarrier(budget, a.denyThreshold)
 	dim := base.dim()
 	thin := a.params.thin(dim)
 	burn := 3 * thin
@@ -408,15 +353,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		burn = a.params.burnIn(dim)
 	}
 	startX := a.lastX // read-only across workers during the vote
-	out := mcpar.Vote(
-		mcpar.Config{
-			Workers:       a.params.Workers,
-			Seed:          voteSeed,
-			Observer:      a.mc,
-			Sched:         a.sched,
-			AdaptiveAlpha: a.params.AdaptiveAlpha,
-		},
-		budget, barrier,
+	out := mcpar.Vote(a.Config(voteSeed), budget, a.Barrier(budget),
 		func() *decideScratch {
 			sc := &decideScratch{
 				w:    base.newWalker(),

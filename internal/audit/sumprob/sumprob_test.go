@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"queryaudit/internal/audit"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
 
 func params() Params {
 	return Params{
-		Lambda: 0.5, Gamma: 4, Delta: 0.2, T: 10,
-		OuterSamples: 8, InnerSamples: 150, Seed: 1,
+		Game: mcpar.Game{
+			Lambda: 0.5, Gamma: 4, Delta: 0.2, T: 10, Seed: 1,
+		},
+		OuterSamples: 8, InnerSamples: 150,
 	}
 }
 

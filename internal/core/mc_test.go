@@ -20,7 +20,7 @@ func TestEngineMCForwarding(t *testing.T) {
 	const n = 10
 	ds := dataset.UniformDuplicateFree(randx.New(1), n, 0, 1)
 	sp := NewEngineSpec(ds)
-	params := maxprob.Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1}
+	params := maxprob.Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Workers: 1}}
 	sp.Register(func() (audit.Auditor, error) { return maxprob.New(n, params) }, query.Max, query.Min)
 	sp.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Sum)
 	reg := metrics.NewRegistry()

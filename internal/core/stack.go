@@ -10,6 +10,7 @@ import (
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -113,14 +114,13 @@ func (c StackConfig) RegisterAuditors(spec *EngineSpec) error {
 		spec.Register(func() (audit.Auditor, error) { return sumfull.New(n), nil }, query.Sum)
 		spec.Register(func() (audit.Auditor, error) { return maxminfull.New(n), nil }, query.Max, query.Min)
 	case "prob":
-		mmP := maxminprob.Params{
+		g := mcpar.Game{
 			Lambda: c.Lambda, Gamma: c.Gamma, Delta: c.Delta, T: c.T,
 			Workers: c.MCWorkers, Seed: c.ProbSeed, AdaptiveAlpha: c.AdaptiveAlpha,
 		}
-		sP := sumprob.Params{
-			Lambda: c.Lambda, Gamma: c.Gamma, Delta: c.Delta, T: c.T,
-			Workers: c.MCWorkers, Seed: c.ProbSeed + 1, AdaptiveAlpha: c.AdaptiveAlpha,
-		}
+		mmP := maxminprob.Params{Game: g}
+		g.Seed = c.ProbSeed + 1
+		sP := sumprob.Params{Game: g}
 		spec.Register(func() (audit.Auditor, error) { return maxminprob.New(n, mmP) }, query.Max, query.Min)
 		spec.Register(func() (audit.Auditor, error) { return sumprob.New(n, sP) }, query.Sum)
 	default:

@@ -6,6 +6,7 @@ import (
 	"queryaudit/internal/audit/maxminprob"
 	"queryaudit/internal/audit/maxprob"
 	"queryaudit/internal/interval"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 	"queryaudit/internal/stats"
@@ -29,7 +30,7 @@ type MaxProbConfig struct {
 func DefaultMaxProb() MaxProbConfig {
 	return MaxProbConfig{
 		N: 60, Rounds: 12, Trials: 12,
-		Params:  maxprob.Params{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12, Samples: 64},
+		Params:  maxprob.Params{Game: mcpar.Game{Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12}, Samples: 64},
 		MinSize: 20, MaxSize: 60,
 		Seed: 4,
 	}
@@ -157,7 +158,9 @@ func DefaultMaxMinProb() MaxMinProbConfig {
 	return MaxMinProbConfig{
 		N: 40, Rounds: 8, Trials: 6,
 		Params: maxminprob.Params{
-			Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 8,
+			Game: mcpar.Game{
+				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 8,
+			},
 			OuterSamples: 12, InnerSamples: 24, MixFactor: 2,
 		},
 		Seed: 6,

@@ -10,6 +10,7 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -46,8 +47,11 @@ func TestGameTranscriptsInvariantAcrossWorkers(t *testing.T) {
 			attackerSeed: 77, kinds: []query.Kind{query.Max},
 			auditors: func(n, workers int) (map[query.Kind]audit.Auditor, error) {
 				a, err := maxprob.New(n, maxprob.Params{
-					Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
-					Samples: 64, Workers: workers, Seed: 11,
+					Game: mcpar.Game{
+						Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+						Workers: workers, Seed: 11,
+					},
+					Samples: 64,
 				})
 				return map[query.Kind]audit.Auditor{query.Max: a}, err
 			},
@@ -57,9 +61,11 @@ func TestGameTranscriptsInvariantAcrossWorkers(t *testing.T) {
 			attackerSeed: 78, kinds: []query.Kind{query.Max, query.Min},
 			auditors: func(n, workers int) (map[query.Kind]audit.Auditor, error) {
 				a, err := maxminprob.New(n, maxminprob.Params{
-					Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+					Game: mcpar.Game{
+						Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+						Workers: workers, Seed: 12,
+					},
 					OuterSamples: 8, InnerSamples: 8, MixFactor: 1,
-					Workers: workers, Seed: 12,
 				})
 				return map[query.Kind]audit.Auditor{query.Max: a, query.Min: a}, err
 			},
@@ -69,8 +75,11 @@ func TestGameTranscriptsInvariantAcrossWorkers(t *testing.T) {
 			attackerSeed: 79, kinds: []query.Kind{query.Sum},
 			auditors: func(n, workers int) (map[query.Kind]audit.Auditor, error) {
 				a, err := sumprob.New(n, sumprob.Params{
-					Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
-					OuterSamples: 6, Workers: workers, Seed: 13,
+					Game: mcpar.Game{
+						Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
+						Workers: workers, Seed: 13,
+					},
+					OuterSamples: 6,
 				})
 				return map[query.Kind]audit.Auditor{query.Sum: a}, err
 			},

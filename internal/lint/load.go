@@ -193,79 +193,10 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 	return prog, nil
 }
 
-// LoadDir loads the single package in dir (non-test files only) under
-// the given import path, resolving its imports — which must all be
-// standard library — via export data. This is the testdata loader: the
-// import path is caller-chosen so path-scoped analyzers can be pointed
-// at or away from a fixture.
-func LoadDir(dir, importPath string) (*Program, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(token.NewFileSet())
-	var files []*ast.File
-	imports := map[string]bool{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			imports[path] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("auditlint: no Go files in %s", dir)
-	}
-	if len(imports) > 0 {
-		var paths []string
-		for p := range imports {
-			if p == "unsafe" {
-				continue
-			}
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		pkgs, err := goList(dir, append([]string{"-deps", "-export", "-json=ImportPath,Export,Standard,Error"}, paths...)...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pkgs {
-			if p.Error != nil {
-				return nil, errors.New("go list: " + p.Error.Err)
-			}
-			if !p.Standard {
-				return nil, fmt.Errorf("auditlint: testdata package imports non-stdlib %q", p.ImportPath)
-			}
-			l.exports[p.ImportPath] = p.Export
-		}
-	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(importPath, l.fset, files, l.info)
-	if err != nil {
-		return nil, fmt.Errorf("auditlint: type-checking %s: %w", dir, err)
-	}
-	return &Program{
-		Fset: l.fset,
-		Info: l.info,
-		Pkgs: []*Package{{Path: importPath, Dir: dir, Files: files, Pkg: tpkg}},
-	}, nil
-}
-
 // FixturePkg names one fixture package for LoadDirs: where its sources
-// live and the import path it is type-checked under. The path is
-// caller-chosen for the same reason as LoadDir's: path-scoped analyzers
-// can be pointed at or away from the fixture — including a fixture that
+// live (non-test files only) and the import path it is type-checked
+// under. The path is caller-chosen so that path-scoped analyzers can be
+// pointed at or away from the fixture — including a fixture that
 // impersonates a module package (queryaudit/internal/persist/...) so
 // cross-package seeds fire without importing the real module.
 type FixturePkg struct {
@@ -273,10 +204,11 @@ type FixturePkg struct {
 	ImportPath string
 }
 
-// LoadDirs loads several fixture packages into ONE Program sharing a
-// FileSet and types.Info, resolving imports between them by their
-// declared import paths. This is the cross-package golden harness: a
-// taint root in one fixture package, the flagged call site in another.
+// LoadDirs loads one or more fixture packages into ONE Program sharing
+// a FileSet and types.Info, resolving imports between them by their
+// declared import paths. This is the testdata loader, and with several
+// packages the cross-package golden harness: a taint root in one
+// fixture package, the flagged call site in another.
 // Packages must be listed dependencies-first; imports that are neither
 // a listed fixture nor standard library are an error.
 func LoadDirs(pkgs []FixturePkg) (*Program, error) {

@@ -14,7 +14,7 @@ import (
 //	// want `regex`
 //
 // comments on the lines expected to produce findings (analysistest's
-// convention, hand-rolled on the stdlib). Fixtures load through LoadDir
+// convention, hand-rolled on the stdlib). Fixtures load through LoadDirs
 // under a caller-chosen import path, so one file doubles as the hit case
 // (loaded under a path the analyzer scopes to) and the miss case (a
 // neutral path, zero findings expected). The fixtures also embed
@@ -66,7 +66,7 @@ func collectWants(t *testing.T, dir string) []wantSpec {
 
 func loadFixture(t *testing.T, name, importPath string) *Program {
 	t.Helper()
-	prog, err := LoadDir(filepath.Join("testdata", "src", name), importPath)
+	prog, err := LoadDirs([]FixturePkg{{Dir: filepath.Join("testdata", "src", name), ImportPath: importPath}})
 	if err != nil {
 		t.Fatalf("loading fixture %s as %s: %v", name, importPath, err)
 	}

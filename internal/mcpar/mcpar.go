@@ -6,6 +6,9 @@
 // package schedules that budget — across the caller and a process-wide
 // assist pool shared by ALL concurrent decisions (see Scheduler) — while
 // keeping the decision bit-identical at ANY worker count, including 1.
+// Shell holds the rest of that shape, the part each auditor would
+// otherwise repeat: the game's parameters, δ/(2T), the per-decision
+// seed, and the collector and scheduler a vote reports to.
 //
 // # Determinism
 //

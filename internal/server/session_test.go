@@ -16,6 +16,7 @@ import (
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/metrics"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
@@ -93,8 +94,11 @@ func TestSessionIsolationCompromiseSequence(t *testing.T) {
 			sp := core.NewEngineSpec(ds)
 			sp.Register(func() (audit.Auditor, error) {
 				return maxminprob.New(n, maxminprob.Params{
-					Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
-					OuterSamples: 8, InnerSamples: 8, MixFactor: 1, Workers: 1, Seed: 12,
+					Game: mcpar.Game{
+						Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+						Workers: 1, Seed: 12,
+					},
+					OuterSamples: 8, InnerSamples: 8, MixFactor: 1,
 				})
 			}, query.Max, query.Min)
 			return sp

@@ -9,6 +9,7 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -94,15 +95,20 @@ func probSpec(ds *dataset.Dataset, workers int) *core.EngineSpec {
 	n := ds.N()
 	sp.Register(func() (audit.Auditor, error) {
 		return maxminprob.New(n, maxminprob.Params{
-			Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+			Game: mcpar.Game{
+				Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 2,
+				Workers: workers, Seed: 12,
+			},
 			OuterSamples: 8, InnerSamples: 8, MixFactor: 1,
-			Workers: workers, Seed: 12,
 		})
 	}, query.Max, query.Min)
 	sp.Register(func() (audit.Auditor, error) {
 		return sumprob.New(n, sumprob.Params{
-			Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
-			OuterSamples: 6, Workers: workers, Seed: 13,
+			Game: mcpar.Game{
+				Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
+				Workers: workers, Seed: 13,
+			},
+			OuterSamples: 6,
 		})
 	}, query.Sum)
 	return sp

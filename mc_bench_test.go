@@ -65,9 +65,11 @@ func BenchmarkSumProbDecide(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			a, err := sumprob.New(n, sumprob.Params{
-				Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+				Game: mcpar.Game{
+					Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+					Workers: workers, Seed: 1,
+				},
 				OuterSamples: 32, InnerSamples: 300,
-				Workers: workers, Seed: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -105,8 +107,10 @@ func BenchmarkSumProbDecideDefaultBudget(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			a, err := sumprob.New(n, sumprob.Params{
-				Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
-				Workers: workers, Seed: 1,
+				Game: mcpar.Game{
+					Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+					Workers: workers, Seed: 1,
+				},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -148,9 +152,11 @@ func BenchmarkAggregateDecideQPS(b *testing.B) {
 			auds := make([]*sumprob.Auditor, analysts)
 			for i := range auds {
 				a, err := sumprob.New(n, sumprob.Params{
-					Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+					Game: mcpar.Game{
+						Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+						Workers: workers, Seed: int64(i + 1),
+					},
 					OuterSamples: 32, InnerSamples: 300,
-					Workers: workers, Seed: int64(i + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -203,9 +209,11 @@ func TestSumProbWorkerScalingGuard(t *testing.T) {
 	q := query.New(query.Sum, set...)
 	timeWorkers := func(workers int) time.Duration {
 		a, err := sumprob.New(n, sumprob.Params{
-			Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+			Game: mcpar.Game{
+				Lambda: 0.6, Gamma: 4, Delta: 0.2, T: 10,
+				Workers: workers, Seed: 1,
+			},
 			OuterSamples: 32, InnerSamples: 300,
-			Workers: workers, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

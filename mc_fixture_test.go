@@ -23,6 +23,7 @@ import (
 	"queryaudit/internal/audit/maxminprob"
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -46,9 +47,11 @@ func fixtureAuditors() []fixtureAuditor {
 			kinds: []query.Kind{query.Sum},
 			build: func(workers int) (audit.Auditor, error) {
 				return sumprob.New(n, sumprob.Params{
-					Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
+					Game: mcpar.Game{
+						Lambda: 0.6, Gamma: 2, Delta: 0.2, T: 2,
+						Workers: workers, Seed: 5,
+					},
 					OuterSamples: 8, InnerSamples: 40,
-					Workers: workers, Seed: 5,
 				})
 			},
 		},
@@ -57,9 +60,11 @@ func fixtureAuditors() []fixtureAuditor {
 			kinds: []query.Kind{query.Max, query.Min},
 			build: func(workers int) (audit.Auditor, error) {
 				return maxminprob.New(n, maxminprob.Params{
-					Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 4,
+					Game: mcpar.Game{
+						Lambda: 0.45, Gamma: 2, Delta: 0.2, T: 4,
+						Workers: workers, Seed: 6,
+					},
 					OuterSamples: 8, InnerSamples: 8, MixFactor: 1,
-					Workers: workers, Seed: 6,
 				})
 			},
 		},

@@ -19,6 +19,7 @@ import (
 	"queryaudit/internal/audit/sumprob"
 	"queryaudit/internal/core"
 	"queryaudit/internal/dataset"
+	"queryaudit/internal/mcpar"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
 )
@@ -74,13 +75,17 @@ func equivStacks(t *testing.T, n int, family string) (naive *core.Engine, indexe
 			eng.Use(maxminfull.New(n), query.Max, query.Min)
 		case "prob":
 			mm, err := maxminprob.New(n, maxminprob.Params{
-				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 6, Seed: 3,
+				Game: mcpar.Game{
+					Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 6, Seed: 3,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sp, err := sumprob.New(n, sumprob.Params{
-				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 6, Seed: 4,
+				Game: mcpar.Game{
+					Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 6, Seed: 4,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
