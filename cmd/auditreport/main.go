@@ -103,11 +103,12 @@ func main() {
 		entries[i].Pos = i
 	}
 
-	// Enrich: risk-score every query. One indexed resolver over the
-	// pristine dataset serves both enrichment breadth and SQL replay
-	// (predicates touch only immutable public attributes).
-	sel := qindex.NewResolver(stack.NewDataset())
-	en := &auditlog.Enricher{Dict: dict, Records: stack.N, Sensitive: *sensitive, Sel: sel}
+	// Enrich: risk-score every query. One indexed, memoized resolver
+	// over the pristine dataset serves both enrichment breadth and SQL
+	// replay (predicates touch only immutable public attributes), so
+	// each distinct statement is resolved once.
+	sqlRes := core.NewSQLResolver(qindex.NewResolver(stack.NewDataset()))
+	en := &auditlog.Enricher{Dict: dict, Records: stack.N, Sensitive: *sensitive, SQL: sqlRes}
 	scored := en.Enrich(entries)
 	if *enriched != "" {
 		err := persist.WriteAtomic(*enriched, func(w io.Writer) error {
@@ -126,7 +127,7 @@ func main() {
 	if stack.Family == "prob" {
 		rp.Sched = mcpar.NewScheduler(stack.MCWorkers)
 	}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, sqlRes)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -149,14 +149,15 @@ type Enriched struct {
 
 // Enricher scores entries against a dictionary. Records is the dataset
 // size N used by the breadth factor. Sensitive names the aggregate
-// target attribute; Sel optionally resolves external-log SQL to its
-// query set so breadth is known for those entries too (predicates touch
-// only immutable public attributes, so one shared resolver is safe).
+// target attribute; SQL optionally resolves external-log statements to
+// their query sets so breadth is known for those entries too
+// (predicates touch only immutable public attributes, so one shared
+// resolver is safe, and the replay can reuse its statement memo).
 type Enricher struct {
 	Dict      Dict
 	Records   int
 	Sensitive string
-	Sel       core.Selector
+	SQL       *core.SQLResolver
 }
 
 // Enrich scores every entry, preserving stream order.
@@ -192,8 +193,13 @@ func (en *Enricher) Score(e Entry) (Risk, error) {
 		}
 		attrs = append(attrs, stmt.Target)
 		attrs = append(attrs, predAttrs(stmt.Preds)...)
-		if r.Breadth == 0 && en.Sel != nil {
-			r.Breadth = len(en.Sel.Select(stmt.Predicate()))
+		// Resolved against the statement's own target, so breadth is
+		// known even where the replay rejects the target. An empty
+		// selection is an error and leaves breadth 0.
+		if r.Breadth == 0 && en.SQL != nil {
+			if q, err := en.SQL.ResolveSQL(stmt.Target, e.SQL); err == nil {
+				r.Breadth = len(q.Set)
+			}
 		}
 	} else if en.Sensitive != "" {
 		// Journal entries carry no statement text; the aggregate target

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"queryaudit/internal/core"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -51,6 +53,38 @@ func TestScoreDefaultDict(t *testing.T) {
 	}
 	if len(r.Attrs) != 2 || !almost(r.AttrScore, 1.6) {
 		t.Fatalf("dedup failed: %+v", r)
+	}
+}
+
+// TestScoreBreadthFromSQL: with a resolver, an SQL entry's breadth is
+// the size of the set a dataset scan selects, also for a target other
+// than the sensitive attribute, and 0 for an empty selection; a
+// repeated statement scores the same from the statement memo.
+func TestScoreBreadthFromSQL(t *testing.T) {
+	stack := core.StackConfig{Family: "full", N: 60, Seed: 3}
+	ds := stack.NewDataset()
+	en := &Enricher{Dict: DefaultDict(), Records: stack.N, Sensitive: "salary", SQL: newSQLResolver(stack)}
+	for _, sql := range []string{
+		"SELECT sum(salary) WHERE age >= 30",
+		"SELECT max(bonus) WHERE dept = 'eng'",
+		"SELECT sum(salary) WHERE age >= 500",
+		"SELECT sum(salary) WHERE age >= 30",
+	} {
+		stmt, err := core.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(ds.Select(stmt.Predicate()))
+		r, err := en.Score(Entry{Analyst: "a", Op: OpQuery, SQL: sql})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if r.Breadth != want {
+			t.Fatalf("%s: breadth %d, want %d", sql, r.Breadth, want)
+		}
+		if empty := strings.Contains(sql, "500"); empty != (want == 0) {
+			t.Fatalf("%s: scan selects %d records", sql, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"queryaudit/internal/core"
 	"queryaudit/internal/mcpar"
-	"queryaudit/internal/qindex"
 	"queryaudit/internal/query"
 )
 
@@ -81,10 +80,14 @@ type Replayer struct {
 	Sensitive string
 }
 
-// Replay runs every analyst's history through a fresh offline stack.
+// Replay runs every analyst's history through a fresh offline stack,
+// resolving SQL entries through sqlRes. Predicates touch only the
+// immutable public attributes, so one resolver over the pristine
+// dataset serves every analyst concurrently, and its statement memo
+// resolves a repeated statement once.
 // Output order is input-independent of scheduling: analysts are sorted,
 // verdicts keep stream order, and results land in indexed slots.
-func (r *Replayer) Replay(entries []Entry) (ReplayResult, error) {
+func (r *Replayer) Replay(entries []Entry, sqlRes *core.SQLResolver) (ReplayResult, error) {
 	if err := r.Stack.Validate(); err != nil {
 		return ReplayResult{}, err
 	}
@@ -97,11 +100,6 @@ func (r *Replayer) Replay(entries []Entry) (ReplayResult, error) {
 		byAnalyst[e.Analyst] = append(byAnalyst[e.Analyst], e)
 	}
 	sort.Strings(names)
-
-	// One shared SQL resolver over a pristine dataset: predicates touch
-	// only the immutable public attributes, so resolution is identical
-	// across analysts and safe under concurrency.
-	sel := qindex.NewResolver(r.Stack.NewDataset())
 
 	workers := r.Workers
 	if workers <= 0 {
@@ -117,7 +115,7 @@ func (r *Replayer) Replay(entries []Entry) (ReplayResult, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = r.replayAnalyst(name, byAnalyst[name], sel)
+			results[i], errs[i] = r.replayAnalyst(name, byAnalyst[name], sqlRes)
 		}(i, name)
 	}
 	wg.Wait()
@@ -138,7 +136,7 @@ func (r *Replayer) Replay(entries []Entry) (ReplayResult, error) {
 }
 
 // replayAnalyst rebuilds one analyst's stack and feeds it the history.
-func (r *Replayer) replayAnalyst(name string, entries []Entry, sel core.Selector) (AnalystReplay, error) {
+func (r *Replayer) replayAnalyst(name string, entries []Entry, sqlRes *core.SQLResolver) (AnalystReplay, error) {
 	spec := core.NewEngineSpec(r.Stack.NewDataset())
 	if err := r.Stack.RegisterAuditors(spec); err != nil {
 		return AnalystReplay{}, err
@@ -164,7 +162,7 @@ func (r *Replayer) replayAnalyst(name string, entries []Entry, sel core.Selector
 				continue // updates produce no verdict of their own
 			}
 		case OpQuery:
-			r.replayQuery(eng, sel, e, &v, &res)
+			r.replayQuery(eng, sqlRes, e, &v, &res)
 		}
 		res.Verdicts = append(res.Verdicts, v)
 	}
@@ -176,7 +174,7 @@ func (r *Replayer) replayAnalyst(name string, entries []Entry, sel core.Selector
 // path (explicit indices + recorded outcome → Engine.Replay, which
 // re-runs Decide and diffs against the log) and falling back to full
 // re-resolution and re-decision for external statements.
-func (r *Replayer) replayQuery(eng *core.Engine, sel core.Selector, e Entry, v *Verdict, res *AnalystReplay) {
+func (r *Replayer) replayQuery(eng *core.Engine, sqlRes *core.SQLResolver, e Entry, v *Verdict, res *AnalystReplay) {
 	if e.Outcome == "error" {
 		// A transport-level failure: the query may never have reached an
 		// auditor, so replaying it could desynchronize every later
@@ -186,7 +184,7 @@ func (r *Replayer) replayQuery(eng *core.Engine, sel core.Selector, e Entry, v *
 		res.Skipped++
 		return
 	}
-	q, err := r.entryQuery(sel, e)
+	q, err := r.entryQuery(sqlRes, e)
 	if err != nil {
 		v.Skipped = true
 		v.Detail = err.Error()
@@ -243,8 +241,8 @@ func (r *Replayer) replayQuery(eng *core.Engine, sel core.Selector, e Entry, v *
 }
 
 // entryQuery materializes the entry's query: explicit indices when the
-// source carried them, otherwise the statement resolved through sel.
-func (r *Replayer) entryQuery(sel core.Selector, e Entry) (query.Query, error) {
+// source carried them, otherwise the statement resolved through sqlRes.
+func (r *Replayer) entryQuery(sqlRes *core.SQLResolver, e Entry) (query.Query, error) {
 	if len(e.Indices) > 0 {
 		k, err := query.ParseKind(e.Kind)
 		if err != nil {
@@ -256,7 +254,7 @@ func (r *Replayer) entryQuery(sel core.Selector, e Entry) (query.Query, error) {
 	if sensitive == "" {
 		sensitive = "salary"
 	}
-	return core.ResolveSQL(sel, sensitive, e.SQL)
+	return sqlRes.ResolveSQL(sensitive, e.SQL)
 }
 
 // countOutcome tallies one offline verdict.

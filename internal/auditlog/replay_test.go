@@ -6,8 +6,15 @@ import (
 	"testing"
 
 	"queryaudit/internal/core"
+	"queryaudit/internal/qindex"
 	"queryaudit/internal/session"
 )
+
+// newSQLResolver builds the resolver auditreport hands to Replay and
+// Enricher: indexed, interned and memoized, over the pristine dataset.
+func newSQLResolver(stack core.StackConfig) *core.SQLResolver {
+	return core.NewSQLResolver(qindex.NewResolver(stack.NewDataset()))
+}
 
 // newTestManager builds a live session manager over the stack — the
 // "live server" half of the replay equivalence tests.
@@ -87,7 +94,7 @@ func TestReplayJournalBitForBit(t *testing.T) {
 		entries[i].Pos = i
 	}
 	rp := &Replayer{Stack: stack, Workers: 2}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestReplaySQLBitForBit(t *testing.T) {
 		entries = append(entries, e)
 	}
 	rp := &Replayer{Stack: stack}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,7 @@ func TestReplayDetectsTamper(t *testing.T) {
 		t.Fatal("no answered entry to tamper with")
 	}
 	rp := &Replayer{Stack: stack}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +229,7 @@ func TestReplayJournalWithUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := &Replayer{Stack: stack}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestReplayProbBitForBit(t *testing.T) {
 	}
 	run := func(workers int) ReplayResult {
 		rp := &Replayer{Stack: stack, Workers: workers}
-		result, err := rp.Replay(entries)
+		result, err := rp.Replay(entries, newSQLResolver(stack))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +286,7 @@ func TestReplaySkipsTransportErrors(t *testing.T) {
 		entries[i].Pos = i
 	}
 	rp := &Replayer{Stack: stack}
-	result, err := rp.Replay(entries)
+	result, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +314,7 @@ func TestReplayOrderIndependence(t *testing.T) {
 	var prev []byte
 	for i := 0; i < 3; i++ {
 		rp := &Replayer{Stack: stack, Workers: 4}
-		result, err := rp.Replay(entries)
+		result, err := rp.Replay(entries, newSQLResolver(stack))
 		if err != nil {
 			t.Fatal(err)
 		}

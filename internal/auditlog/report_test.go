@@ -31,7 +31,7 @@ func buildTestReport(t *testing.T, topRisk int) Report {
 	en := &Enricher{Dict: DefaultDict(), Records: stack.N, Sensitive: "salary"}
 	enriched := en.Enrich(entries)
 	rp := &Replayer{Stack: stack, Workers: 2}
-	replay, err := rp.Replay(entries)
+	replay, err := rp.Replay(entries, newSQLResolver(stack))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,25 +18,20 @@ var QIndexBuildBuckets = []float64{
 //
 //	qindex_sql_hits_total        statement-memo hits
 //	qindex_sql_misses_total      statement-memo misses (parse + resolve)
-//	qindex_pred_hits_total       predicate-memo hits
-//	qindex_pred_misses_total     predicate-memo misses (index walk)
 //	qindex_intern_hits_total     set internings that found the canonical
 //	qindex_intern_misses_total   set internings that created a canonical
 //	qindex_evictions_sql_total   statement-memo LRU evictions
-//	qindex_evictions_pred_total  predicate-memo LRU evictions
-//	qindex_evictions_intern_total  canonical-set-table LRU evictions
+//	qindex_evictions_intern_total  canonical sets displaced by the LRU
+//	                               bound or by a hash collision
 //	qindex_builds_total          index builds
 //	qindex_build_rows_total      rows covered by builds
 //	qindex_build_seconds         histogram of per-build wall time
 type QIndexCollector struct {
 	sqlHits     *Counter
 	sqlMisses   *Counter
-	predHits    *Counter
-	predMisses  *Counter
 	internHits  *Counter
 	internMiss  *Counter
 	evictSQL    *Counter
-	evictPred   *Counter
 	evictIntern *Counter
 	builds      *Counter
 	buildRows   *Counter
@@ -48,12 +43,9 @@ func NewQIndexCollector(reg *Registry) *QIndexCollector {
 	return &QIndexCollector{
 		sqlHits:     reg.Counter("qindex_sql_hits_total"),
 		sqlMisses:   reg.Counter("qindex_sql_misses_total"),
-		predHits:    reg.Counter("qindex_pred_hits_total"),
-		predMisses:  reg.Counter("qindex_pred_misses_total"),
 		internHits:  reg.Counter("qindex_intern_hits_total"),
 		internMiss:  reg.Counter("qindex_intern_misses_total"),
 		evictSQL:    reg.Counter("qindex_evictions_sql_total"),
-		evictPred:   reg.Counter("qindex_evictions_pred_total"),
 		evictIntern: reg.Counter("qindex_evictions_intern_total"),
 		builds:      reg.Counter("qindex_builds_total"),
 		buildRows:   reg.Counter("qindex_build_rows_total"),
@@ -61,19 +53,14 @@ func NewQIndexCollector(reg *Registry) *QIndexCollector {
 	}
 }
 
-// ObserveResolve reports one lookup in the named cache layer ("sql",
-// the statement memo, or "pred", the predicate memo).
-func (c *QIndexCollector) ObserveResolve(layer string, hit bool) {
+// ObserveResolve reports one statement-memo lookup.
+func (c *QIndexCollector) ObserveResolve(hit bool) {
 	switch {
 	case c == nil:
-	case layer == "sql" && hit:
-		c.sqlHits.Inc()
-	case layer == "sql":
-		c.sqlMisses.Inc()
 	case hit:
-		c.predHits.Inc()
+		c.sqlHits.Inc()
 	default:
-		c.predMisses.Inc()
+		c.sqlMisses.Inc()
 	}
 }
 
@@ -90,18 +77,15 @@ func (c *QIndexCollector) ObserveIntern(hit bool) {
 	}
 }
 
-// ObserveEviction reports one LRU eviction from the named layer ("sql",
-// "pred" or "intern").
+// ObserveEviction reports one LRU eviction from the named layer ("sql"
+// or "intern").
 func (c *QIndexCollector) ObserveEviction(layer string) {
 	if c == nil {
 		return
 	}
-	switch layer {
-	case "sql":
+	if layer == "sql" {
 		c.evictSQL.Inc()
-	case "pred":
-		c.evictPred.Inc()
-	default:
+	} else {
 		c.evictIntern.Inc()
 	}
 }

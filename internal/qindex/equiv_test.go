@@ -1,7 +1,6 @@
 package qindex
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,5 +246,4 @@ func TestEmptyDataset(t *testing.T) {
 			t.Fatalf("pred %s on empty dataset: got %v", pred, got)
 		}
 	}
-	_ = fmt.Sprint(r.Stats())
 }

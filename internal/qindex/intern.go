@@ -1,7 +1,6 @@
 package qindex
 
 import (
-	"container/list"
 	"sync"
 
 	"queryaudit/internal/metrics"
@@ -24,117 +23,63 @@ import (
 //
 // Hashing is FNV-1a over the index values — deterministic across
 // processes and runs, so replay/replication never observe an
-// intern-order dependence.
+// intern-order dependence. The table keeps one canonical set per hash:
+// a set whose hash collides with a different stored set replaces it, so
+// analyst-chosen colliding sets cannot grow the table past its bound.
 type Interner struct {
-	mu  sync.Mutex
-	max int
-	// table buckets canonical entries by content hash; collisions are
-	// resolved by element-wise comparison.
-	table map[uint64][]*internEntry // auditlint:guardedby(mu)
-	lru   *list.List                // auditlint:guardedby(mu)
-	hits  uint64                    // auditlint:guardedby(mu)
-	miss  uint64                    // auditlint:guardedby(mu)
-	evict uint64                    // auditlint:guardedby(mu)
-	// obs counts evictions WITH mu held (nil: uninstrumented).
-	obs *metrics.QIndexCollector // auditlint:guardedby(mu)
-}
+	hash func(query.Set) uint64
 
-type internEntry struct {
-	hash uint64
-	set  query.Set
-	elem *list.Element
+	mu    sync.Mutex
+	table *lru[uint64, query.Set] // auditlint:guardedby(mu)
+	// obs counts hits, misses and evictions WITH mu held (nil:
+	// uninstrumented).
+	obs *metrics.QIndexCollector // auditlint:guardedby(mu)
 }
 
 // DefaultInternEntries bounds the interner when the caller passes 0.
 const DefaultInternEntries = 8192
 
-// NewInterner returns an interner bounded to max canonical sets
-// (0 selects DefaultInternEntries; negative means unbounded).
+// NewInterner returns an interner bounded to max content hashes
+// (0 selects DefaultInternEntries).
 func NewInterner(max int) *Interner {
 	if max == 0 {
 		max = DefaultInternEntries
 	}
-	return &Interner{max: max, table: make(map[uint64][]*internEntry), lru: list.New()}
+	return &Interner{hash: hashSet, table: newLRU[uint64, query.Set](max)}
 }
 
 // Intern returns the canonical instance of s, registering s (clipped to
 // exact capacity) if no structurally equal set is known. The empty set
-// canonicalizes to nil.
+// canonicalizes to nil and counts as a hit: it allocates nothing. A
+// registration that displaces a colliding set, or the least recently
+// used one, counts as an eviction.
 func (in *Interner) Intern(s query.Set) query.Set {
-	c, _ := in.intern(s)
+	h := in.hash(s)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(s) == 0 {
+		in.obs.ObserveIntern(true)
+		return nil
+	}
+	old, collided := in.table.get(h)
+	if collided && old.Equal(s) {
+		in.obs.ObserveIntern(true)
+		return old
+	}
+	in.obs.ObserveIntern(false)
+	c := s[:len(s):len(s)]
+	if in.table.add(h, c) || collided {
+		in.obs.ObserveEviction("intern")
+	}
 	return c
 }
 
-// intern is Intern plus whether the set was already known (the empty set
-// counts as known — it allocates nothing either way).
-func (in *Interner) intern(s query.Set) (query.Set, bool) {
-	if len(s) == 0 {
-		return nil, true
-	}
-	h := hashSet(s)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, e := range in.table[h] {
-		if e.set.Equal(s) {
-			in.hits++
-			in.lru.MoveToFront(e.elem)
-			return e.set, true
-		}
-	}
-	in.miss++
-	e := &internEntry{hash: h, set: s[:len(s):len(s)]}
-	e.elem = in.lru.PushFront(e)
-	in.table[h] = append(in.table[h], e)
-	if in.max > 0 && in.lru.Len() > in.max {
-		in.evictOldestLocked()
-	}
-	return e.set, false
-}
-
-// evictOldestLocked drops the least-recently interned set; callers hold mu.
-func (in *Interner) evictOldestLocked() {
-	back := in.lru.Back()
-	if back == nil {
-		return
-	}
-	in.lru.Remove(back)
-	e := back.Value.(*internEntry)
-	bucket := in.table[e.hash]
-	for i, be := range bucket {
-		if be == e {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(in.table, e.hash)
-	} else {
-		in.table[e.hash] = bucket
-	}
-	in.evict++
-	in.obs.ObserveEviction("intern")
-}
-
-// setObserver installs the collector counting evictions (nil disables).
+// setObserver installs the collector counting internings and evictions
+// (nil disables).
 func (in *Interner) setObserver(o *metrics.QIndexCollector) {
 	in.mu.Lock()
 	in.obs = o
 	in.mu.Unlock()
-}
-
-// InternStats is a point-in-time view of the interner's counters.
-type InternStats struct {
-	Size      int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// Stats returns the interner counters under one lock acquisition.
-func (in *Interner) Stats() InternStats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return InternStats{Size: in.lru.Len(), Hits: in.hits, Misses: in.miss, Evictions: in.evict}
 }
 
 // hashSet is FNV-1a over the little-endian bytes of each index.

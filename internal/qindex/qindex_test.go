@@ -15,8 +15,17 @@ func companyDS(n int) *dataset.Dataset {
 	return dataset.GenerateCompany(randx.New(1), dataset.DefaultCompanyConfig(n))
 }
 
+// observedInterner returns an interner counting into a fresh registry,
+// and a reader of that registry's counters.
+func observedInterner(max int) (*Interner, func(string) int64) {
+	in := NewInterner(max)
+	reg := metrics.NewRegistry()
+	in.setObserver(metrics.NewQIndexCollector(reg))
+	return in, func(name string) int64 { return reg.Snapshot().Counters[name] }
+}
+
 func TestInternerCanonicalizes(t *testing.T) {
-	in := NewInterner(0)
+	in, counter := observedInterner(0)
 	a := in.Intern(query.NewSet(3, 1, 2))
 	b := in.Intern(query.NewSet(1, 2, 3))
 	if &a[0] != &b[0] {
@@ -28,9 +37,9 @@ func TestInternerCanonicalizes(t *testing.T) {
 	if got := in.Intern(nil); got != nil {
 		t.Fatalf("empty set should canonicalize to nil, got %v", got)
 	}
-	st := in.Stats()
-	if st.Hits != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v, want 1 hit, 2 entries", st)
+	// The empty set counts as a hit: it allocates nothing.
+	if hits, misses := counter("qindex_intern_hits_total"), counter("qindex_intern_misses_total"); hits != 2 || misses != 2 {
+		t.Fatalf("intern hits=%d misses=%d, want 2/2", hits, misses)
 	}
 }
 
@@ -52,16 +61,19 @@ func TestInternerClipsCapacity(t *testing.T) {
 }
 
 func TestInternerEvicts(t *testing.T) {
-	in := NewInterner(3)
+	in, counter := observedInterner(3)
 	for i := 0; i < 10; i++ {
 		in.Intern(query.NewSet(i))
 	}
-	st := in.Stats()
-	if st.Size != 3 {
-		t.Fatalf("size = %d, want 3 (bounded)", st.Size)
+	if ev := counter("qindex_evictions_intern_total"); ev != 7 {
+		t.Fatalf("evictions = %d, want 7", ev)
 	}
-	if st.Evictions != 7 {
-		t.Fatalf("evictions = %d, want 7", st.Evictions)
+	// The three most recent sets are still canonical; the oldest is not.
+	for i := 7; i < 10; i++ {
+		in.Intern(query.NewSet(i))
+	}
+	if hits, ev := counter("qindex_intern_hits_total"), counter("qindex_evictions_intern_total"); hits != 3 || ev != 7 {
+		t.Fatalf("after re-interning the newest three: hits=%d evictions=%d, want 3/7 (bounded to 3)", hits, ev)
 	}
 	// An evicted set re-interns cleanly (fresh canonical instance).
 	if s := in.Intern(query.NewSet(0)); len(s) != 1 || s[0] != 0 {
@@ -69,8 +81,34 @@ func TestInternerEvicts(t *testing.T) {
 	}
 }
 
+// TestInternerCollisionsStayBounded forces every set onto one hash:
+// the table must keep one canonical set, not a growing bucket, and
+// every interning must still return a set equal by content.
+func TestInternerCollisionsStayBounded(t *testing.T) {
+	in, counter := observedInterner(4)
+	in.hash = func(query.Set) uint64 { return 7 }
+	for i := 0; i < 100; i++ {
+		s := query.NewSet(i, i+1)
+		if got := in.Intern(s); !got.Equal(s) {
+			t.Fatalf("intern(%v) = %v", s, got)
+		}
+	}
+	if n := in.table.l.Len(); n != 1 {
+		t.Fatalf("table holds %d entries after 100 colliding sets, want 1", n)
+	}
+	if misses, ev := counter("qindex_intern_misses_total"), counter("qindex_evictions_intern_total"); misses != 100 || ev != 99 {
+		t.Fatalf("misses=%d evictions=%d, want 100/99", misses, ev)
+	}
+	// The last set stays canonical until a colliding set displaces it.
+	a := in.Intern(query.NewSet(99, 100))
+	b := in.Intern(query.NewSet(99, 100))
+	if &a[0] != &b[0] || counter("qindex_intern_hits_total") != 2 {
+		t.Fatalf("stored set not canonical: hits=%d", counter("qindex_intern_hits_total"))
+	}
+}
+
 func TestLRUBasics(t *testing.T) {
-	c := newLRU[int](2)
+	c := newLRU[string, int](2)
 	c.add("a", 1)
 	c.add("b", 2)
 	if _, ok := c.get("a"); !ok {
@@ -121,7 +159,8 @@ func TestCachedQueryDoesNotCacheErrors(t *testing.T) {
 }
 
 // TestObserverSeesResolveEvents: the resolver's collector counts the
-// deferred build, each memo hit and miss, internings and evictions.
+// deferred build, each statement-memo hit and miss, internings and
+// evictions.
 func TestObserverSeesResolveEvents(t *testing.T) {
 	ds := companyDS(80)
 	r := NewResolver(ds)
@@ -134,8 +173,8 @@ func TestObserverSeesResolveEvents(t *testing.T) {
 	pred := dataset.RangePred{Attr: "age", Lo: 25, Hi: 45}
 	r.Select(pred)
 	r.Select(pred)
-	if counter("qindex_pred_misses_total") != 1 || counter("qindex_pred_hits_total") != 1 {
-		t.Fatalf("pred layer: hits=%d misses=%d, want 1/1", counter("qindex_pred_hits_total"), counter("qindex_pred_misses_total"))
+	if counter("qindex_intern_misses_total") != 1 || counter("qindex_intern_hits_total") != 1 {
+		t.Fatalf("intern: hits=%d misses=%d, want 1/1", counter("qindex_intern_hits_total"), counter("qindex_intern_misses_total"))
 	}
 	build := func() (query.Query, error) {
 		return query.Query{Set: r.Select(pred), Kind: query.Sum}, nil
@@ -145,22 +184,24 @@ func TestObserverSeesResolveEvents(t *testing.T) {
 	if counter("qindex_sql_misses_total") != 1 || counter("qindex_sql_hits_total") != 1 {
 		t.Fatalf("sql layer: hits=%d misses=%d, want 1/1", counter("qindex_sql_hits_total"), counter("qindex_sql_misses_total"))
 	}
-	if counter("qindex_intern_hits_total") == 0 {
-		t.Fatal("expected at least one intern hit (sql path reuses the pred set)")
+	// The statement miss interns once, in Select; the memo hit not at all.
+	if counter("qindex_intern_misses_total") != 1 || counter("qindex_intern_hits_total") != 2 {
+		t.Fatalf("intern after statements: hits=%d misses=%d, want 2/1", counter("qindex_intern_hits_total"), counter("qindex_intern_misses_total"))
 	}
 
-	// One-entry memos and interner: a second predicate evicts the first.
+	// One-entry memo and interner: a second statement evicts the first.
 	small := newResolver(ds, 1, 1)
 	small.SetObserver(metrics.NewQIndexCollector(reg))
-	small.Select(pred)
-	small.Select(dataset.RangePred{Attr: "age", Lo: 50, Hi: 60})
-	if counter("qindex_evictions_pred_total") != 1 || counter("qindex_evictions_intern_total") != 1 {
-		t.Fatalf("evictions: pred=%d intern=%d, want 1/1", counter("qindex_evictions_pred_total"), counter("qindex_evictions_intern_total"))
+	other := dataset.RangePred{Attr: "age", Lo: 50, Hi: 60}
+	small.CachedQuery("q1", func() (query.Query, error) { return query.Query{Set: small.Select(pred), Kind: query.Sum}, nil })
+	small.CachedQuery("q2", func() (query.Query, error) { return query.Query{Set: small.Select(other), Kind: query.Sum}, nil })
+	if counter("qindex_evictions_sql_total") != 1 || counter("qindex_evictions_intern_total") != 1 {
+		t.Fatalf("evictions: sql=%d intern=%d, want 1/1", counter("qindex_evictions_sql_total"), counter("qindex_evictions_intern_total"))
 	}
 }
 
-// TestPredKeyUnambiguous guards against cache-key collisions between
-// predicates whose SQL-ish String() renderings coincide: the empty
+// TestPredKeyUnambiguous checks that predicates whose SQL-ish String()
+// renderings coincide still resolve to their own sets: the empty
 // conjunction ("" = everything) vs the empty disjunction ("" = nothing),
 // and the flat "A AND B OR C" rendering shared by two different trees.
 func TestPredKeyUnambiguous(t *testing.T) {
@@ -185,7 +226,7 @@ func TestPredKeyUnambiguous(t *testing.T) {
 	got1, got2 := r.Select(t1), r.Select(t2)
 	want1, want2 := ds.Select(t1), ds.Select(t2)
 	if !setsEqual(got1, want1) || !setsEqual(got2, want2) {
-		t.Fatalf("ambiguous renderings collided in the memo:\n t1 got %v want %v\n t2 got %v want %v",
+		t.Fatalf("ambiguous renderings collided:\n t1 got %v want %v\n t2 got %v want %v",
 			got1, want1, got2, want2)
 	}
 }

@@ -335,7 +335,7 @@ func (n *Node) applyUpdate(rec Record) {
 		}
 		return
 	}
-	for _, out := range outcomes {
+	for i, out := range outcomes {
 		if out.Err != nil {
 			if errors.Is(out.Err, session.ErrApplyStale) {
 				continue
@@ -343,14 +343,7 @@ func (n *Node) applyUpdate(rec Record) {
 			n.quarantine(out.Analyst, fmt.Sprintf("update mark at session seq %d: %v", out.Seq, out.Err))
 			continue
 		}
-		var want core.Digest
-		for _, m := range marks {
-			if m.Analyst == out.Analyst {
-				want = m.Digest
-				break
-			}
-		}
-		if out.Digest != want {
+		if want := marks[i].Digest; out.Digest != want {
 			n.quarantine(out.Analyst, fmt.Sprintf(
 				"transcript digest mismatch after update at session seq %d: local %s, primary %s",
 				out.Seq, out.Digest.Hex(), want.Hex()))

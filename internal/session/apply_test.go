@@ -197,6 +197,53 @@ func TestApplyDecisionOrdering(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateOutcomesFollowMarks: ApplyUpdate returns one outcome
+// per mark, in mark order, whatever each mark's fate — applied, stale,
+// gapped or creating its session.
+func TestApplyUpdateOutcomesFollowMarks(t *testing.T) {
+	f := determinismFamilies()[0]
+	m := f.newManager(t)
+	asks := map[string]int{"alice": 1, "bob": 2, "carol": 1}
+	for analyst, n := range asks {
+		for i := 0; i < n; i++ {
+			if _, err := m.Ask(analyst, query.New(query.Sum, i, i+1, i+2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	marks := []Mark{
+		{Analyst: "bob", Seq: 1},   // stale: bob is at seq 2
+		{Analyst: "dave", Seq: 1},  // unknown: created by the marker
+		{Analyst: "carol", Seq: 5}, // gap: carol is at seq 1
+		{Analyst: "alice", Seq: 2}, // applied
+	}
+	outs, err := m.ApplyUpdate(3, 42, marks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(marks) {
+		t.Fatalf("%d outcomes for %d marks", len(outs), len(marks))
+	}
+	for i, o := range outs {
+		if o.Analyst != marks[i].Analyst {
+			t.Fatalf("outcome %d is %s's, mark %d is %s's", i, o.Analyst, i, marks[i].Analyst)
+		}
+	}
+	if !errors.Is(outs[0].Err, ErrApplyStale) {
+		t.Fatalf("bob: %v, want ErrApplyStale", outs[0].Err)
+	}
+	if !errors.Is(outs[2].Err, ErrApplyGap) {
+		t.Fatalf("carol: %v, want ErrApplyGap", outs[2].Err)
+	}
+	for _, i := range []int{1, 3} {
+		seq, dig, _ := m.PositionOf(marks[i].Analyst)
+		if o := outs[i]; o.Err != nil || o.Seq != marks[i].Seq || o.Seq != seq || o.Digest != dig {
+			t.Fatalf("%s: outcome %d/%s (%v), journal at %d/%s, want seq %d",
+				o.Analyst, o.Seq, o.Digest, o.Err, seq, dig, marks[i].Seq)
+		}
+	}
+}
+
 // TestDropSession: Drop removes a session so its timeline can restart,
 // the default one included, and reports unknown analysts.
 func TestDropSession(t *testing.T) {

@@ -636,7 +636,8 @@ type ApplyOutcome struct {
 // the mutation itself is skipped too, keeping the modification counter
 // aligned with the primary's. Per-session failures (sequence gaps,
 // admission refusal) are reported in the outcomes, not fatal to the
-// other sessions.
+// other sessions. Unless the error is non-nil, the outcomes pair with
+// marks by position: outcome i reports marks[i].
 func (m *Manager) ApplyUpdate(index int, value float64, marks []Mark) ([]ApplyOutcome, error) {
 	m.dsMu.Lock()
 	defer m.dsMu.Unlock()

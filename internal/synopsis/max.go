@@ -489,14 +489,6 @@ func (m *Max) SingletonEqCount() int { return m.singletonEq }
 // required.
 func (m *Max) WeakPredCount() int { return m.leCount }
 
-// PinExactly records x_i = a as a singleton equality predicate. The
-// caller must have established that i can achieve a and that no other
-// equality predicate holds a.
-func (m *Max) PinExactly(i int, a float64) {
-	m.detachAll(query.Set{i})
-	m.newPred(query.Set{i}, a, OpEq)
-}
-
 // EqValues returns the set of values currently held by equality
 // predicates. Candidate-answer generators must pick interval
 // representatives avoiding these: a representative that collides with a

@@ -66,9 +66,6 @@ func (m *Min) EqPredWithValue(a float64) (Pred, bool) {
 // ForceStrictAbove records x_i > a for every element of set.
 func (m *Min) ForceStrictAbove(set query.Set, a float64) { m.inner.ForceStrictBelow(set, -a) }
 
-// PinExactly records x_i = a as a singleton equality predicate.
-func (m *Min) PinExactly(i int, a float64) { m.inner.PinExactly(i, -a) }
-
 // SingletonEqCount returns the number of one-element equality predicates
 // (each pins its element exactly).
 func (m *Min) SingletonEqCount() int { return m.inner.SingletonEqCount() }
