@@ -55,12 +55,14 @@ ci: build lint race replication-smoke loadgen-smoke report-smoke examples-smoke 
 # digests. The max∧min lanes' trial-state memo must give every sample
 # the verdict a fresh scratch gives, the λ-window's mass-bound accept
 # must agree with its exact per-cell loop, and the chain's direct
-# SplitMix draws must equal math/rand's. Any drift invalidates persisted
+# SplitMix draws must equal math/rand's, and the Monte Carlo engine's
+# vote must decide as the full-budget count does at every worker count,
+# whatever order its samples commit in. Any drift invalidates persisted
 # session journals — regenerate only for an intentional semantic change
 # (-update-mc-fixtures).
-MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain|TestTrialMemoMatchesFreshScratch|TestMassBoundMatchesExactWindow|TestDirectDrawsMatchRand)$$
+MC_FIXTURE_TESTS = ^(TestMCDecisionFixtures|TestGoldenPosteriorChain|TestGoldenDecisionChain|TestGoldenFoldChain|TestTrialMemoMatchesFreshScratch|TestMassBoundMatchesExactWindow|TestDirectDrawsMatchRand|TestVoteDecisionInvariantAcrossWorkers)$$
 mc-fixtures:
-	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis ./internal/randx
+	$(GO) test -run '$(MC_FIXTURE_TESTS)' -count=1 . ./internal/audit/maxminprob ./internal/audit/maxprob ./internal/synopsis ./internal/randx ./internal/mcpar
 
 # End-to-end failover drill across real OS processes: build the binary,
 # run a primary and a streaming replica, push 50 queries, diff the

@@ -36,10 +36,8 @@
 // sum — whose Monte Carlo decisions run on one shared scheduler: an
 // assist pool sized by -mc-workers (0 = GOMAXPROCS) multiplexed across
 // every session's concurrent decisions, with -mc-workers also capping
-// each single decision's share. -mc-adaptive-alpha arms the adaptive
-// sample budget (early stopping once a decision's outcome is
-// statistically pinned). Decisions are bit-identical at any worker
-// count for a fixed -prob-seed; /v1/metrics exports the mc_* and
+// each single decision's share. Decisions are bit-identical at any
+// worker count for a fixed -prob-seed; /v1/metrics exports the mc_* and
 // mcsched_* counters (samples per decision, early-exit savings,
 // parallel speedup, assist-pool split).
 //
@@ -148,8 +146,8 @@ func main() {
 		sched := mcpar.NewScheduler(stack.MCWorkers)
 		sched.SetObserver(metrics.NewSchedCollector(reg))
 		spec.SetMCScheduler(sched)
-		logger.Printf("probabilistic auditors: lambda=%g gamma=%d delta=%g T=%d mc-workers=%d sched-pool=%d adaptive-alpha=%g (sensitive values normalized to [0,1])",
-			stack.Lambda, stack.Gamma, stack.Delta, stack.T, stack.MCWorkers, sched.Size(), stack.AdaptiveAlpha)
+		logger.Printf("probabilistic auditors: lambda=%g gamma=%d delta=%g T=%d mc-workers=%d sched-pool=%d (sensitive values normalized to [0,1])",
+			stack.Lambda, stack.Gamma, stack.Delta, stack.T, stack.MCWorkers, sched.Size())
 	}
 
 	mgr, err := session.NewManager(spec, session.Config{

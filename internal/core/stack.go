@@ -33,13 +33,12 @@ type StackConfig struct {
 	// Prob-family parameters (ignored for "full"). MaxMin auditors use
 	// ProbSeed, the sum auditor ProbSeed+1, so a live and an offline
 	// stack's Monte Carlo streams line up.
-	Lambda        float64 `json:"lambda,omitempty"`
-	Gamma         int     `json:"gamma,omitempty"`
-	Delta         float64 `json:"delta,omitempty"`
-	T             int     `json:"t,omitempty"`
-	MCWorkers     int     `json:"mc_workers,omitempty"`
-	AdaptiveAlpha float64 `json:"adaptive_alpha,omitempty"`
-	ProbSeed      int64   `json:"prob_seed,omitempty"`
+	Lambda    float64 `json:"lambda,omitempty"`
+	Gamma     int     `json:"gamma,omitempty"`
+	Delta     float64 `json:"delta,omitempty"`
+	T         int     `json:"t,omitempty"`
+	MCWorkers int     `json:"mc_workers,omitempty"`
+	ProbSeed  int64   `json:"prob_seed,omitempty"`
 }
 
 // DefaultStackConfig is the stack the commands build when no stack flag
@@ -64,7 +63,6 @@ func (c *StackConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.N, "n", c.N, "number of records in the synthetic table")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed for the synthetic table")
 	fs.IntVar(&c.MCWorkers, "mc-workers", c.MCWorkers, "per-decision cap on the shared Monte Carlo scheduler for prob auditors (0 = GOMAXPROCS, 1 = sequential); the assist pool itself is sized to this cap and multiplexed across all decisions")
-	fs.Float64Var(&c.AdaptiveAlpha, "mc-adaptive-alpha", c.AdaptiveAlpha, "prob auditors: adaptive sample-budget error bound α (0 disables; e.g. 0.01 stops a decision early once its outcome is pinned with 99% confidence — still deterministic per seed)")
 	fs.Float64Var(&c.Lambda, "prob-lambda", c.Lambda, "prob auditors: tolerated posterior/prior drift λ in (0,1)")
 	fs.IntVar(&c.Gamma, "prob-gamma", c.Gamma, "prob auditors: partition intervals γ")
 	fs.Float64Var(&c.Delta, "prob-delta", c.Delta, "prob auditors: attacker winning-probability bound δ")
@@ -116,7 +114,7 @@ func (c StackConfig) RegisterAuditors(spec *EngineSpec) error {
 	case "prob":
 		g := mcpar.Game{
 			Lambda: c.Lambda, Gamma: c.Gamma, Delta: c.Delta, T: c.T,
-			Workers: c.MCWorkers, Seed: c.ProbSeed, AdaptiveAlpha: c.AdaptiveAlpha,
+			Workers: c.MCWorkers, Seed: c.ProbSeed,
 		}
 		mmP := maxminprob.Params{Game: g}
 		g.Seed = c.ProbSeed + 1

@@ -13,7 +13,7 @@ import (
 	"queryaudit/internal/query"
 )
 
-// TestRegisterFlags: the ten stack flags parsed with no arguments leave
+// TestRegisterFlags: the nine stack flags parsed with no arguments leave
 // exactly DefaultStackConfig, and each sets its own field.
 func TestRegisterFlags(t *testing.T) {
 	withProb := DefaultStackConfig()
@@ -25,9 +25,9 @@ func TestRegisterFlags(t *testing.T) {
 		{"", DefaultStackConfig()},
 		{"-auditors prob -prob-t 5 -prob-seed 9", withProb},
 		{
-			"-auditors prob -n 7 -seed 3 -mc-workers 2 -mc-adaptive-alpha 0.01 -prob-lambda 0.5 -prob-gamma 6 -prob-delta 0.1 -prob-t 4 -prob-seed 8",
+			"-auditors prob -n 7 -seed 3 -mc-workers 2 -prob-lambda 0.5 -prob-gamma 6 -prob-delta 0.1 -prob-t 4 -prob-seed 8",
 			StackConfig{
-				Family: "prob", N: 7, Seed: 3, MCWorkers: 2, AdaptiveAlpha: 0.01,
+				Family: "prob", N: 7, Seed: 3, MCWorkers: 2,
 				Lambda: 0.5, Gamma: 6, Delta: 0.1, T: 4, ProbSeed: 8,
 			},
 		},
@@ -44,23 +44,23 @@ func TestRegisterFlags(t *testing.T) {
 		}
 		n := 0
 		fs.VisitAll(func(*flag.Flag) { n++ })
-		if n != 10 {
-			t.Fatalf("RegisterFlags declared %d flags, want 10", n)
+		if n != 9 {
+			t.Fatalf("RegisterFlags declared %d flags, want 9", n)
 		}
 	}
 }
 
 // TestRegisterAuditorsForwardsGame: the prob stack's auditors are the
 // ones StackConfig documents — maxminprob keyed by ProbSeed and sumprob
-// by ProbSeed+1, both playing the stack's game with its MCWorkers and
-// AdaptiveAlpha. They hold that game, and they make the decisions and
-// evaluate the samples of auditors built directly from it.
+// by ProbSeed+1, both playing the stack's game with its MCWorkers. They
+// hold that game, and they make the decisions and evaluate the samples
+// of auditors built directly from it.
 func TestRegisterAuditorsForwardsGame(t *testing.T) {
 	c := DefaultStackConfig()
-	c.Family, c.N, c.MCWorkers, c.AdaptiveAlpha, c.ProbSeed = "prob", 24, 1, 0.5, 7
+	c.Family, c.N, c.MCWorkers, c.ProbSeed = "prob", 24, 1, 7
 	mmGame := mcpar.Game{
 		Lambda: c.Lambda, Gamma: c.Gamma, Delta: c.Delta, T: c.T,
-		Workers: 1, Seed: 7, AdaptiveAlpha: 0.5,
+		Workers: 1, Seed: 7,
 	}
 	sumGame := mmGame
 	sumGame.Seed = 8

@@ -14,34 +14,27 @@
 //
 // Sample i draws all of its randomness from a counter-based stream keyed
 // by (seed, i) — randx.Stream — so its verdict is a pure function of the
-// sample index, never of scheduling. Verdicts commit into a per-index
-// result table and every stopping rule is evaluated only at contiguous
-// prefixes of it, in index order (see run), so the decision, the vote
-// count, and the certificate point are all deterministic values of the
-// seed: identical at every worker count and under any interleaving with
-// other analysts' decisions.
+// sample index, never of scheduling. The decision is a statement about
+// the count of unsafe verdicts over the whole budget, so it is a
+// deterministic value of the seed: identical at every worker count and
+// under any interleaving with other analysts' decisions.
 //
 // # Early exit
 //
-// Votes only accumulate, so prefix counts yield sound certificates about
-// the full-budget outcome:
+// Votes only accumulate, so the count over any committed subset of
+// indices yields sound certificates about the full-budget outcome (see
+// run):
 //
-//   - votes > barrier            ⇒ U > barrier (deny), stop sampling;
-//   - votes + remaining ≤ barrier ⇒ U ≤ barrier (answer), stop sampling.
+//   - votes > barrier                        ⇒ U > barrier (deny), stop sampling;
+//   - votes + (budget − evaluated) ≤ barrier ⇒ U ≤ barrier (answer), stop sampling.
 //
 // Either certificate proves the decision the full budget would have made,
-// so early exit never changes a decision. With Config.AdaptiveAlpha > 0 a
-// third, variance-aware rule joins them: an empirical-Bernstein
-// sequential test that stops once the full-budget unsafe fraction is
-// pinned on one side of the barrier with confidence 1-alpha. It can save
-// most of the budget when the unsafe fraction is far from the threshold,
-// at the cost of a ≤ alpha chance of deciding differently from the full
-// budget — still deterministically: the test reads only prefix counts,
-// so a given seed stops at the same point at every worker count.
-//
+// so early exit never changes a decision. Which samples committed before
+// the stop may vary with scheduling, so Outcome.CertPoint and
+// Outcome.Votes may too; at Workers 1 they are the sequential loop's.
 // The number of samples actually evaluated MAY exceed the certificate
-// point — workers can have samples in flight when the rule fires — but
-// the claim window bounds the overshoot: evaluated ≤ CertPoint + Workers.
+// point — workers can have samples in flight when it fires — but by at
+// most Workers−1: evaluated ≤ CertPoint + Workers − 1.
 //
 // # Worker isolation
 //
@@ -78,11 +71,6 @@ type Config struct {
 	// the process-wide Default(). The pool is shared by all concurrent
 	// decisions — Workers only caps how much of it one decision may use.
 	Sched *Scheduler
-	// AdaptiveAlpha, when positive, arms the adaptive sequential test
-	// (see package doc): stop as soon as the decision is pinned with
-	// confidence 1-AdaptiveAlpha. Zero keeps the exact certificates only,
-	// which never change a decision.
-	AdaptiveAlpha float64
 }
 
 // Outcome reports one Vote run.
@@ -90,25 +78,22 @@ type Outcome struct {
 	// Budget is the sample budget requested.
 	Budget int
 	// Evaluated is how many samples actually ran. It may vary with
-	// scheduling but is bounded: CertPoint ≤ Evaluated ≤ CertPoint+Workers.
+	// scheduling but is bounded: CertPoint ≤ Evaluated ≤ CertPoint+Workers−1.
 	Evaluated int
-	// Votes counts "unsafe" verdicts among the first CertPoint samples —
-	// the prefix the decision is taken on. Deterministic at any worker
-	// count, unlike Evaluated.
+	// Votes counts "unsafe" verdicts among the CertPoint samples the
+	// decision is taken on: barrier+1 on a deny. It may vary with
+	// scheduling on an answer above Workers 1.
 	Votes int
 	// Workers is the resolved per-decision cap.
 	Workers int
-	// Exceeded reports the decision: deny (the unsafe count provably — or,
-	// under the adaptive rule, confidently — exceeds the barrier) versus
-	// answer.
+	// Exceeded reports the decision: deny (the full-budget unsafe count
+	// provably exceeds the barrier) versus answer. Identical at every
+	// worker count.
 	Exceeded bool
-	// CertPoint is the deterministic sample count at which a stopping
-	// rule fired (== Budget when none fired early). Identical at every
-	// worker count, and identical to the sequential loop's stop point.
+	// CertPoint is the number of committed samples at which a certificate
+	// fired (== Budget when none fired early). At Workers 1 it is the
+	// sequential loop's stop point.
 	CertPoint int
-	// Adaptive reports that the stop came from the adaptive sequential
-	// test rather than an exact certificate.
-	Adaptive bool
 	// busy is the summed per-worker time inside the sample loop;
 	// Config.Observer receives it via ObserveMC.
 	busy time.Duration
@@ -199,7 +184,7 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		return Outcome{Workers: workers}
 	}
 
-	r := newRun(budget, barrier, workers, chunkFor(budget, workers), cfg.AdaptiveAlpha)
+	r := newRun(budget, barrier, chunkFor(budget, workers))
 	lanes := make(chan *lane[S], workers)
 	var created int32
 	var busy atomic.Int64
@@ -220,7 +205,7 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		unsafe := sample(i, l.rng, l.src, l.scratch)
 		busy.Add(int64(time.Since(begin))) //auditlint:allow detrand latency metric stamp, never a decision input
 		lanes <- l
-		r.commit(i, unsafe)
+		r.commit(unsafe)
 	}
 
 	sched := cfg.Sched
@@ -238,11 +223,10 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 	out := Outcome{
 		Budget:    budget,
 		Evaluated: r.evaluated,
-		Votes:     r.prefixVote,
+		Votes:     r.unsafe,
 		Workers:   workers,
 		Exceeded:  r.deny,
-		CertPoint: r.certPoint,
-		Adaptive:  r.adaptive,
+		CertPoint: r.stop,
 		busy:      time.Duration(busy.Load()),
 	}
 	r.mu.Unlock()

@@ -3,84 +3,67 @@ package mcpar
 // One Vote's shared state while its samples are in flight on the caller
 // and (possibly) the scheduler's assist workers.
 //
-// # Deterministic certificates
+// # Order-free certificates
 //
-// Sample verdicts commit into results[] by index, and a frontier sweeps
-// the contiguous evaluated prefix in index order. Stopping rules are
-// checked only at frontier positions — i.e. against the vote count of the
-// prefix [0, m) — so the stop point (certPoint) and the decision are pure
-// functions of the per-index verdicts, which are themselves pure
-// functions of (seed, index). Worker count, scheduling, and commit order
-// cannot change either. certPoint equals exactly the sample at which the
-// old sequential loop stopped.
+// A commit adds its verdict to a plain count and checks the two exact
+// certificates against it:
+//
+//	unsafe > barrier                        ⇒ deny,
+//	unsafe + (budget − evaluated) ≤ barrier ⇒ answer.
+//
+// Each verdict is a pure function of (seed, index), so either one proves
+// the decision the full budget would make, whatever subset of indices has
+// committed and in whatever order. Worker count and scheduling cannot
+// change the decision; they can change the stop point and the vote count
+// at it, which equal the sequential loop's at Workers 1.
 //
 // # Bounded overshoot
 //
-// Claims are throttled to a window of `window` indices past the frontier
-// (window = the run's worker cap). Every claimed index is < frontier +
-// window at claim time, and the frontier freezes at certPoint, so
+// At most Workers samples are in flight at once: the caller plus
+// Workers−1 scheduler tokens. Once a certificate fires nothing more is
+// claimed, so at most Workers−1 samples beyond the stop point commit:
 //
-//	evaluated ≤ certPoint + window
-//
-// holds unconditionally — the bound the overshoot fix demands, replacing
-// the old free-running dispenser whose overshoot grew with the scheduling
-// gap between the stop flag's writer and its readers. A full window with
-// an un-fired certificate always has at least one sample in flight (a
-// committed prefix would have advanced the frontier), so blocking in
-// claim() cannot deadlock: the in-flight commit broadcasts.
+//	evaluated ≤ stop + Workers − 1.
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// adaptiveMinSamples is the smallest prefix the adaptive sequential test
-// may stop at: below it the empirical variance estimate is noise.
-const adaptiveMinSamples = 16
-
 type run struct {
 	budget  int
 	barrier int
-	window  int     // claim window == resolved worker cap
-	chunk   int     // samples an assist evaluates per token
-	alpha   float64 // adaptive error budget (0 = exact certificates only)
+	chunk   int // samples an assist evaluates per token
 
 	// eval evaluates sample i: acquire a lane, reseed its stream to
 	// (seed, i), run the sample, commit the verdict. Set by Vote; closes
 	// over the generic lane pool.
 	eval func(i int)
 
-	mu   sync.Mutex
-	cond sync.Cond // signals frontier/claimability changes; init by newRun
-
-	next       int // claim dispenser
-	inflight   int // claimed, not yet committed
-	evaluated  int // committed samples
-	frontier   int // contiguous committed prefix length
-	prefixVote int // unsafe verdicts inside [0, frontier)
-	results    []uint8
-	certPoint  int // deterministic stop point, -1 until a rule fires
-	deny       bool
-	adaptive   bool // stop came from the adaptive test, not an exact cert
+	mu sync.Mutex
+	// next is the claim dispenser, inflight the claimed samples not yet
+	// committed, evaluated the committed ones and unsafe the unsafe
+	// verdicts committed before the stop. stop is evaluated when a
+	// certificate fired (-1 until then) and deny its decision.
+	next      int  // auditlint:guardedby(mu)
+	inflight  int  // auditlint:guardedby(mu)
+	evaluated int  // auditlint:guardedby(mu)
+	unsafe    int  // auditlint:guardedby(mu)
+	stop      int  // auditlint:guardedby(mu)
+	deny      bool // auditlint:guardedby(mu)
 
 	done     chan struct{}
 	assisted atomic.Int64 // samples evaluated by pool workers
 }
 
-func newRun(budget, barrier, window, chunk int, alpha float64) *run {
-	r := &run{
-		budget:    budget,
-		barrier:   barrier,
-		window:    window,
-		chunk:     chunk,
-		alpha:     alpha,
-		results:   make([]uint8, budget),
-		certPoint: -1,
-		done:      make(chan struct{}),
+func newRun(budget, barrier, chunk int) *run {
+	return &run{
+		budget:  budget,
+		barrier: barrier,
+		chunk:   chunk,
+		stop:    -1,
+		done:    make(chan struct{}),
 	}
-	r.cond.L = &r.mu
-	return r
 }
 
 // work claims and evaluates samples until the run stops or, when limit is
@@ -105,23 +88,18 @@ func (r *run) work(limit int) int {
 	return n
 }
 
-// claim returns the next sample index, blocking while the claim window is
-// full. ok is false once the run has stopped or the budget is exhausted.
+// claim returns the next sample index. ok is false once the run has
+// stopped or the budget is exhausted.
 func (r *run) claim() (i int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if r.certPoint >= 0 || r.next >= r.budget {
-			return 0, false
-		}
-		if r.next < r.frontier+r.window {
-			i = r.next
-			r.next++
-			r.inflight++
-			return i, true
-		}
-		r.cond.Wait()
+	if r.stop >= 0 || r.next >= r.budget {
+		return 0, false
 	}
+	i = r.next
+	r.next++
+	r.inflight++
+	return i, true
 }
 
 // claimable reports whether unclaimed samples remain — whether a
@@ -129,72 +107,29 @@ func (r *run) claim() (i int, ok bool) {
 func (r *run) claimable() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.certPoint < 0 && r.next < r.budget
+	return r.stop < 0 && r.next < r.budget
 }
 
-// commit records sample i's verdict, advances the contiguous frontier,
-// and applies the stopping rules at each newly committed prefix length.
-// The commit that both sees a fired rule and drains the last in-flight
-// sample completes the run.
-func (r *run) commit(i int, unsafe bool) {
-	v := uint8(1)
-	if unsafe {
-		v = 2
-	}
+// commit counts one verdict and checks the certificates. The commit that
+// both sees a fired certificate and drains the last in-flight sample
+// completes the run. The last sample of the budget always fires one.
+func (r *run) commit(unsafe bool) {
 	r.mu.Lock()
-	r.results[i] = v
 	r.evaluated++
 	r.inflight--
-	for r.certPoint < 0 && r.frontier < r.budget && r.results[r.frontier] != 0 {
-		if r.results[r.frontier] == 2 {
-			r.prefixVote++
+	if r.stop < 0 {
+		if unsafe {
+			r.unsafe++
 		}
-		r.frontier++
-		if deny, adaptive, stop := r.ruleAt(r.frontier, r.prefixVote); stop {
-			r.certPoint = r.frontier
-			r.deny = deny
-			r.adaptive = adaptive
+		if r.unsafe > r.barrier {
+			r.stop, r.deny = r.evaluated, true
+		} else if r.unsafe+(r.budget-r.evaluated) <= r.barrier {
+			r.stop = r.evaluated
 		}
 	}
-	finished := r.certPoint >= 0 && r.inflight == 0
-	r.cond.Broadcast()
+	finished := r.stop >= 0 && r.inflight == 0
 	r.mu.Unlock()
 	if finished {
 		close(r.done)
 	}
-}
-
-// ruleAt evaluates the stopping rules for the prefix [0, m) with votes
-// unsafe verdicts. The two exact certificates prove the full-budget
-// decision outright; the optional adaptive rule (alpha > 0) is an
-// empirical-Bernstein sequential test that stops once the full-budget
-// unsafe fraction is pinned on one side of the barrier with confidence
-// 1-alpha. All three depend only on (m, votes), so the stop point is
-// invariant under worker count and scheduling.
-func (r *run) ruleAt(m, votes int) (deny, adaptive, stop bool) {
-	if votes > r.barrier {
-		return true, false, true
-	}
-	if votes+(r.budget-m) <= r.barrier {
-		return false, false, true
-	}
-	if r.alpha > 0 && m >= adaptiveMinSamples && m < r.budget {
-		fm := float64(m)
-		phat := float64(votes) / fm
-		// Union bound over checkpoints: alpha_m = alpha / (m·(m+1))
-		// sums below alpha over all m, so the whole sequential test is
-		// wrong with probability at most alpha.
-		l := math.Log(3 * fm * (fm + 1) / r.alpha)
-		eps := math.Sqrt(2*phat*(1-phat)*l/fm) + 3*l/fm
-		// tau separates answer (final votes ≤ barrier) from deny
-		// (final votes ≥ barrier+1) as fractions of the budget.
-		tau := (float64(r.barrier) + 0.5) / float64(r.budget)
-		if phat-eps > tau {
-			return true, true, true
-		}
-		if phat+eps < tau {
-			return false, true, true
-		}
-	}
-	return false, false, false
 }

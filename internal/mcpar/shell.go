@@ -26,12 +26,6 @@ type Game struct {
 	Workers int
 	// Seed drives the auditor's randomness.
 	Seed int64
-	// AdaptiveAlpha, when positive, arms the variance-aware adaptive
-	// sequential test (see package doc): a decision stops early once its
-	// outcome is pinned with confidence 1-AdaptiveAlpha. Zero (the
-	// default) keeps the exact certificates only, which never change a
-	// decision.
-	AdaptiveAlpha float64
 }
 
 // Validate checks that g is a game Section 3 defines.
@@ -114,10 +108,9 @@ func (s *Shell) Barrier(budget int) int {
 // Config is the configuration of a vote keyed by seed.
 func (s *Shell) Config(seed int64) Config {
 	return Config{
-		Workers:       s.Workers,
-		Seed:          seed,
-		Observer:      s.mc,
-		Sched:         s.sched,
-		AdaptiveAlpha: s.AdaptiveAlpha,
+		Workers:  s.Workers,
+		Seed:     seed,
+		Observer: s.mc,
+		Sched:    s.sched,
 	}
 }

@@ -41,7 +41,7 @@ func benchWorkerCounts() []int {
 // evaluatedPerOp reports the samples evaluated per decision — the
 // "samples" column of the bench archive, which exposes both the
 // early-exit savings and any overshoot regression (evaluated should be
-// within workers of the deterministic certificate point).
+// within workers−1 of the certificate point).
 func evaluatedPerOp(b *testing.B, reg *metrics.Registry) {
 	b.ReportMetric(float64(reg.Snapshot().Counters["mc_samples_total"])/float64(b.N), "samples/op")
 }
